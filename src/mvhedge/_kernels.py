@@ -1,48 +1,34 @@
-"""Hot numeric kernels: numba-jitted fast paths with pure-numpy fallbacks.
+"""Hot numeric loops, vectorized across paths with numpy.
 
-The numba path is used automatically for the built-in one-asset /
-one-factor models.  Set the environment variable ``MVHEDGE_NO_NUMBA=1``
-to force the numpy fallback everywhere (the benchmark in
-``benchmarks/bench_kernels.py`` times both).  All random numbers are
-drawn outside the kernels, so results do not depend on the backend
-beyond floating-point rounding.
+Four loops carry the pipeline's work: the one-asset path simulation
+(``simulate_d1h1``), the hedge gains sweep (``hedge_sweep``, one
+``gains_step`` per time step), the pathwise exponent of the surface's
+inner Monte Carlo (``opportunity_mc_exponent``) and bilinear table
+lookups along paths (``bilinear_steps``).  Each runs a Python loop over
+time steps or jump ordinals and numpy over paths.  All random numbers
+are drawn by the callers.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-try:
-    import numba
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-# Model codes understood by the jitted kernels (one asset, one factor).
+# Model codes of the one-asset, one-factor models ``simulate_d1h1`` runs.
 MODEL_CONSTANT = 0  # drift alpha, volatility beta, both flat in y
 MODEL_BNS = 1  # drift alpha + beta*y, volatility sqrt(y)
 
 
 def numba_enabled() -> bool:
-    """True when the jitted kernels should be used."""
-    if os.environ.get("MVHEDGE_NO_NUMBA", "") not in ("", "0"):
-        return False
-    return HAVE_NUMBA
+    """Always False: the kernels have one numpy backend.
+
+    Kept because every benchmark record stores this value in its run
+    environment, so records from before and after the jitted backend was
+    removed stay comparable.
+    """
+    return False
 
 
 def gauss_legendre_01(n: int):
@@ -56,131 +42,16 @@ def gauss_legendre_01(n: int):
 SEG_NODES, SEG_WEIGHTS = gauss_legendre_01(4)
 
 
-@njit(cache=True)
-def _sharpe2(code, alpha, beta, rate, y):
-    if code == MODEL_CONSTANT:
-        e = alpha - rate
-        return e * e / (beta * beta)
-    e = alpha + beta * y - rate
-    return e * e / y
+def simulate_d1h1(code, alpha, beta, rate, y0, lam, delta, s0, dw, events, sizes):
+    """Forward sweep of factor, log-price and quadrature accumulators.
 
-
-@njit(cache=True)
-def _mpr(code, alpha, beta, rate, y):
-    if code == MODEL_CONSTANT:
-        return (alpha - rate) / beta
-    return (alpha + beta * y - rate) / math.sqrt(y)
-
-
-@njit(cache=True)
-def _drift(code, alpha, beta, y):
-    if code == MODEL_CONSTANT:
-        return alpha
-    return alpha + beta * y
-
-
-@njit(cache=True)
-def _var(code, alpha, beta, y):
-    if code == MODEL_CONSTANT:
-        return beta * beta
-    return y
-
-
-@njit(cache=True)
-def simulate_d1h1_numba(
-    code,
-    alpha,
-    beta,
-    rate,
-    y0,
-    lam,
-    delta,
-    s0,
-    dw,
-    j_off,
-    j_step,
-    j_u,
-    j_size,
-    qnodes,
-    qweights,
-    y_out,
-    logs_out,
-    sharpe_int,
-    mpr_dw,
-    factor_int,
-):
-    n, nk = dw.shape
-    nq = qnodes.shape[0]
-    edel = math.exp(-lam * delta)
-    for p in range(n):
-        y = y0
-        ls = math.log(s0)
-        y_out[p, 0] = y
-        logs_out[p, 0] = ls
-        cursor = j_off[p]
-        end = j_off[p + 1]
-        for k in range(nk):
-            lo = cursor
-            while cursor < end and j_step[cursor] == k:
-                cursor += 1
-            hi = cursor
-            # squared market price of risk along the exact within-step
-            # path, jumps included
-            acc = 0.0
-            for q in range(nq):
-                xi = qnodes[q] * delta
-                yq = y * math.exp(-lam * xi)
-                for j in range(lo, hi):
-                    if j_u[j] < xi:
-                        yq += j_size[j] * math.exp(-lam * (xi - j_u[j]))
-                acc += qweights[q] * _sharpe2(code, alpha, beta, rate, yq)
-            r_step = acc * delta
-            sharpe_int[p, k] = r_step
-            # scale the frozen loading so its conditional variance matches
-            # the same integral; keeps the density mean exact given jumps
-            rho_left = _sharpe2(code, alpha, beta, rate, y)
-            if rho_left * delta > 1e-300:
-                scale = math.sqrt(r_step / (rho_left * delta))
-            else:
-                scale = 1.0
-            mpr_dw[p, k] = _mpr(code, alpha, beta, rate, y) * dw[p, k] * scale
-            b = _drift(code, alpha, beta, y)
-            v = _var(code, alpha, beta, y)
-            ls += (b - 0.5 * v) * delta + math.sqrt(v) * dw[p, k]
-            jend = 0.0
-            jint = 0.0
-            for j in range(lo, hi):
-                e = math.exp(-lam * (delta - j_u[j]))
-                jend += j_size[j] * e
-                jint += j_size[j] * (1.0 - e)
-            factor_int[p, k] = y * (1.0 - edel) + jint
-            y = y * edel + jend
-            y_out[p, k + 1] = y
-            logs_out[p, k + 1] = ls
-
-
-def simulate_d1h1_numpy(
-    code,
-    alpha,
-    beta,
-    rate,
-    y0,
-    lam,
-    delta,
-    s0,
-    dw,
-    j_off,
-    j_step,
-    j_u,
-    j_size,
-    qnodes,
-    qweights,
-    y_out,
-    logs_out,
-    sharpe_int,
-    mpr_dw,
-    factor_int,
-):
+    ``events`` groups the jump events by grid step (``rows(k)``, owning
+    ``path`` and within-step ``offset``); ``sizes`` are the event sizes
+    in storage order.  Returns (y, log_s, sharpe_int, mpr_dw,
+    factor_int): per-step integrals of the squared market price of risk
+    (jump-inclusive quadrature), the variance-matched loading against
+    the Brownian increments, and lambda * Y (exact).
+    """
     n, nk = dw.shape
     edel = math.exp(-lam * delta)
 
@@ -195,34 +66,34 @@ def simulate_d1h1_numpy(
             return np.full_like(y, (alpha - rate) / beta)
         return (alpha + beta * y - rate) / np.sqrt(y)
 
-    # reorder events by step for vectorized per-step scatters
-    pidx = np.repeat(np.arange(n), np.diff(j_off))
-    order = np.argsort(j_step, kind="stable")
-    js = j_step[order]
-    lo_k = np.searchsorted(js, np.arange(nk), side="left")
-    hi_k = np.searchsorted(js, np.arange(nk), side="right")
-
+    y_out = np.empty((n, nk + 1))
+    logs_out = np.empty((n, nk + 1))
+    sharpe_int = np.empty((n, nk))
+    mpr_dw = np.empty((n, nk))
+    factor_int = np.empty((n, nk))
     y = np.full(n, float(y0))
     ls = np.full(n, math.log(s0))
     y_out[:, 0] = y
     logs_out[:, 0] = ls
     for k in range(nk):
-        ev = order[lo_k[k]:hi_k[k]]
-        pths = pidx[ev]
-        u = j_u[ev]
-        sz = j_size[ev]
+        ev = events.rows(k)
+        pths = events.path[ev]
+        u = events.offset[ev]
+        sz = sizes[ev]
         acc = np.zeros(n)
-        for q in range(len(qnodes)):
-            xi = qnodes[q] * delta
+        for q in range(len(SEG_NODES)):
+            xi = SEG_NODES[q] * delta
             yq = y * math.exp(-lam * xi)
             if ev.size:
                 mask = u < xi
                 contrib = np.zeros(n)
                 np.add.at(contrib, pths[mask], sz[mask] * np.exp(-lam * (xi - u[mask])))
                 yq = yq + contrib
-            acc += qweights[q] * sharpe2(yq)
+            acc += SEG_WEIGHTS[q] * sharpe2(yq)
         r_step = acc * delta
         sharpe_int[:, k] = r_step
+        # scale the frozen loading so its conditional variance matches
+        # the same integral; keeps the density mean exact given jumps
         rho_left = sharpe2(y)
         scale = np.where(rho_left * delta > 1e-300, np.sqrt(r_step / np.maximum(rho_left * delta, 1e-300)), 1.0)
         mpr_dw[:, k] = mpr(y) * dw[:, k] * scale
@@ -243,182 +114,77 @@ def simulate_d1h1_numpy(
         y = y * edel + jend
         y_out[:, k + 1] = y
         logs_out[:, k + 1] = ls
-
-
-def simulate_d1h1(code, alpha, beta, rate, y0, lam, delta, s0, dw, j_off, j_step, j_u, j_size):
-    """Forward sweep of factor, log-price and quadrature accumulators.
-
-    Jump events arrive as flat per-path arrays (offsets, step index,
-    within-step offset, size) sorted by time within each path.  Returns
-    (y, log_s, sharpe_int, mpr_dw, factor_int): per-step integrals of
-    the squared market price of risk (jump-inclusive quadrature), the
-    variance-matched loading against the Brownian increments, and
-    lambda * Y (exact).
-    """
-    n, nk = dw.shape
-    y_out = np.empty((n, nk + 1))
-    logs_out = np.empty((n, nk + 1))
-    sharpe_int = np.empty((n, nk))
-    mpr_dw = np.empty((n, nk))
-    factor_int = np.empty((n, nk))
-    fn = simulate_d1h1_numba if numba_enabled() else simulate_d1h1_numpy
-    fn(
-        code,
-        alpha,
-        beta,
-        rate,
-        float(y0),
-        float(lam),
-        float(delta),
-        float(s0),
-        dw,
-        j_off,
-        j_step,
-        j_u,
-        j_size,
-        SEG_NODES,
-        SEG_WEIGHTS,
-        y_out,
-        logs_out,
-        sharpe_int,
-        mpr_dw,
-        factor_int,
-    )
     return y_out, logs_out, sharpe_int, mpr_dw, factor_int
 
 
-@njit(cache=True)
-def hedge_sweep_numba(d_path, value, xi, adj, v, gains_out):
-    n, nk1 = d_path.shape
-    nk = nk1 - 1
-    for p in range(n):
-        psi = 0.0
-        for k in range(nk):
-            dd = d_path[p, k + 1] - d_path[p, k]
-            psi = psi + (xi[p, k] - (v - value[p, k]) * adj[p, k]) * dd - psi * adj[p, k] * dd
-        gains_out[p] = psi
+def gains_step(gains_left, xi, adj, v, value_left, d_increment):
+    """One Euler update of cumulative strategy gains, any number of assets.
 
-
-def hedge_sweep_numpy(d_path, value, xi, adj, v, gains_out):
-    n, nk1 = d_path.shape
-    psi = np.zeros(n)
-    for k in range(nk1 - 1):
-        dd = d_path[:, k + 1] - d_path[:, k]
-        psi = psi + (xi[:, k] - (v - value[:, k]) * adj[:, k]) * dd - psi * adj[:, k] * dd
-    gains_out[:] = psi
+    Positions are rows of ``xi``/``adj``/``d_increment`` (n, d).  The
+    feedback term is summed as (gains * adj) * dD per asset.
+    """
+    gains_left = np.atleast_1d(gains_left)
+    adj = np.atleast_2d(adj)
+    dd = np.atleast_2d(d_increment)
+    base = np.sum((np.atleast_2d(xi) - (v - np.atleast_1d(value_left))[:, None] * adj) * dd, axis=-1)
+    feedback = np.sum(gains_left[:, None] * adj * dd, axis=-1)
+    return gains_left + base - feedback
 
 
 def hedge_sweep(d_path, value, xi, adj, v):
-    """Terminal cumulative gains of the feedback strategy, one asset."""
-    gains = np.empty(d_path.shape[0])
-    fn = hedge_sweep_numba if numba_enabled() else hedge_sweep_numpy
-    fn(d_path, value, xi, adj, float(v), gains)
+    """Terminal cumulative gains of the feedback strategy.
+
+    ``d_path`` holds discounted prices (n, K+1, d); ``value`` (n, K) and
+    the pure hedge ``xi`` and adjustment ``adj`` (n, K, d) are taken at
+    the left end of each step.
+    """
+    gains = np.zeros(d_path.shape[0])
+    for k in range(d_path.shape[1] - 1):
+        gains = gains_step(gains, xi[:, k], adj[:, k], v, value[:, k], d_path[:, k + 1] - d_path[:, k])
     return gains
 
 
-@njit(cache=True)
-def opportunity_mc_numba(
-    code, alpha, beta, rate, lam, y_start, t0, horizon, offsets, times, sizes, qnodes, qweights, out
-):
-    n = offsets.shape[0] - 1
-    nq = qnodes.shape[0]
-    for p in range(n):
-        y = y_start
-        t = t0
-        acc = 0.0
-        for j in range(offsets[p], offsets[p] + (offsets[p + 1] - offsets[p]) + 1):
-            if j < offsets[p + 1]:
-                t_next = times[j]
-            else:
-                t_next = horizon
-            seg = t_next - t
-            if seg > 0.0:
-                part = 0.0
-                for q in range(nq):
-                    yq = y * math.exp(-lam * qnodes[q] * seg)
-                    part += qweights[q] * _sharpe2(code, alpha, beta, rate, yq)
-                acc += part * seg
-                y = y * math.exp(-lam * seg)
-            if j < offsets[p + 1]:
-                y += sizes[j]
-            t = t_next
-        out[p] = acc
+def opportunity_mc_exponent(sharpe2, lam, y_start, horizon, offsets, times, components, sizes):
+    """Pathwise integral of the squared market price of risk on [0, horizon].
+
+    Every path starts at ``y_start`` (h,) and decays exactly at rates
+    ``lam`` (h,) between its jump events, given as flat arrays with
+    per-path ``offsets`` and sorted by time within a path.  Each
+    inter-jump segment is integrated by the fixed 4-node rule;
+    ``sharpe2`` maps states (..., h) to the squared market price of
+    risk (...).  The loop runs over the jump ordinal: pass j integrates
+    every path's j-th segment at once.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    counts = np.diff(offsets)
+    n = counts.size
+    y = np.tile(np.asarray(y_start, dtype=float), (n, 1))
+    t = np.zeros(n)
+    acc = np.zeros(n)
+    decay_rate = -lam[None, None, :] * SEG_NODES[:, None, None]
+    for j in range(int(counts.max(initial=0)) + 1):
+        live = np.flatnonzero(counts >= j)
+        jumps = counts[live] > j
+        t_next = np.full(live.size, float(horizon))
+        ev = offsets[live[jumps]] + j
+        t_next[jumps] = times[ev]
+        seg = t_next - t[live]
+        yl = y[live]
+        nodes = yl[None, :, :] * np.exp(decay_rate * seg[None, :, None])
+        acc[live] += (SEG_WEIGHTS @ sharpe2(nodes)) * seg
+        yl = yl * np.exp(-lam[None, :] * seg[:, None])
+        yl[np.flatnonzero(jumps), components[ev]] += sizes[ev]
+        y[live] = yl
+        t[live] = t_next
+    return acc
 
 
-def opportunity_mc_numpy(
-    code, alpha, beta, rate, lam, y_start, t0, horizon, offsets, times, sizes, qnodes, qweights, out
-):
-    def sharpe2(y):
-        y = np.asarray(y)
-        if code == MODEL_CONSTANT:
-            return np.full(y.shape, (alpha - rate) ** 2 / beta**2)
-        e = alpha + beta * y - rate
-        return e * e / y
+def bilinear_steps(table, t_idx, wt, eta, eta0, inv_deta):
+    """Evaluate a (time slice, log-state) table at per-step state arrays.
 
-    n = offsets.shape[0] - 1
-    for p in range(n):
-        y = y_start
-        t = t0
-        acc = 0.0
-        lo, hi = offsets[p], offsets[p + 1]
-        for j in range(lo, hi + 1):
-            t_next = times[j] if j < hi else horizon
-            seg = t_next - t
-            if seg > 0.0:
-                yq = y * np.exp(-lam * qnodes * seg)
-                acc += float(np.dot(qweights, sharpe2(yq))) * seg
-                y = y * math.exp(-lam * seg)
-            if j < hi:
-                y += sizes[j]
-            t = t_next
-        out[p] = acc
-
-
-def opportunity_mc_exponent(code, alpha, beta, rate, lam, y_start, t0, horizon, offsets, times, sizes):
-    """Pathwise integral of the squared market price of risk, one factor."""
-    out = np.empty(offsets.shape[0] - 1)
-    fn = opportunity_mc_numba if numba_enabled() else opportunity_mc_numpy
-    fn(
-        code,
-        alpha,
-        beta,
-        rate,
-        lam,
-        float(y_start),
-        float(t0),
-        float(horizon),
-        offsets,
-        times,
-        sizes,
-        SEG_NODES,
-        SEG_WEIGHTS,
-        out,
-    )
-    return out
-
-
-@njit(cache=True)
-def bilinear_steps_numba(table, t_idx, wt, eta, eta0, inv_deta, out):
-    n_slices, ny = table.shape
-    n, nk1 = eta.shape
-    top = ny - 1 - 1e-12
-    for p in range(n):
-        for k in range(nk1):
-            x = (eta[p, k] - eta0) * inv_deta
-            if x < 0.0:
-                x = 0.0
-            elif x > top:
-                x = top
-            j = int(x)
-            wy = x - j
-            i = t_idx[k]
-            w = wt[k]
-            lo = table[i, j] * (1.0 - wy) + table[i, j + 1] * wy
-            hi = table[i + 1, j] * (1.0 - wy) + table[i + 1, j + 1] * wy
-            out[p, k] = lo * (1.0 - w) + hi * w
-
-
-def bilinear_steps_numpy(table, t_idx, wt, eta, eta0, inv_deta, out):
+    ``t_idx``/``wt`` give the bracketing slice index and weight for each
+    column of ``eta``.  Clamps outside the state range.
+    """
     ny = table.shape[1]
     x = (eta - eta0) * inv_deta
     x = np.clip(x, 0.0, ny - 1 - 1e-12)
@@ -428,16 +194,4 @@ def bilinear_steps_numpy(table, t_idx, wt, eta, eta0, inv_deta, out):
     w = wt[None, :]
     lo = table[i, j] * (1.0 - wy) + table[i, j + 1] * wy
     hi = table[i + 1, j] * (1.0 - wy) + table[i + 1, j + 1] * wy
-    out[:] = lo * (1.0 - w) + hi * w
-
-
-def bilinear_steps(table, t_idx, wt, eta, eta0, inv_deta):
-    """Evaluate a (time slice, log-state) table at per-step state arrays.
-
-    ``t_idx``/``wt`` give the bracketing slice index and weight for each
-    column of ``eta``.  Clamps outside the state range.
-    """
-    out = np.empty_like(eta)
-    fn = bilinear_steps_numba if numba_enabled() else bilinear_steps_numpy
-    fn(table, t_idx, wt, eta, float(eta0), float(inv_deta), out)
-    return out
+    return lo * (1.0 - w) + hi * w

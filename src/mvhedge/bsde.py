@@ -255,23 +255,19 @@ class BSDESolution:
             f.write(f"{self.times[-1]:.12g},{self.value[:, -1].mean():.12g},0,1\n")
 
 
-def driver(value_left, dw_loadings, jump_loadings, jump_rel, mpr, density_ratio,
-           z_weights, time_scales):
+def driver(dw_loadings, jump_loadings, jump_rel, mpr, z_weights, time_scales):
     """Driver of the backward equation at one time, vectorized over paths.
 
     g = sum_i Vbar_i * mpr_i - sum_components lambda * integral of
     Vtilde(z) * F(z) against the jump measure, with F the relative
-    surface jump and the density ratio entering through the loadings.
+    surface jump.
 
     Parameters
     ----------
-    value_left : (n,) current value (enters only through jump_loadings
-        when the structural form is used; accepted for interface parity).
     dw_loadings : (n, d)
-    jump_loadings : (n, nq) or list per component
+    jump_loadings : (n, nq)
     jump_rel : (n, nq) relative surface jumps F at the quadrature sizes
     mpr : (n, d) market price of risk
-    density_ratio : (n,) left-to-value density ratio (one off jumps)
     z_weights : (nq,) quadrature weights against the jump measure
     time_scales : per-component calendar intensity multipliers
     """
@@ -368,17 +364,12 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
 
     # realized jump records grouped by step for the bucket corrections
     rj = bundle.jumps
-    pidx = np.repeat(np.arange(rj.n_paths), np.diff(rj.offsets))
-    jump_step = rj.step_index
     if nq and rj.times.size:
         edges = np.quantile(z_nodes, np.linspace(0, 1, config.n_jump_buckets + 1))
         edges[0], edges[-1] = 0.0, max(z_nodes.max(), rj.sizes.max()) + 1e-12
         bucket_of_node = np.clip(np.searchsorted(edges, z_nodes, side="right") - 1, 0, config.n_jump_buckets - 1)
         jump_bucket = np.clip(np.searchsorted(edges, rj.sizes, side="right") - 1, 0, config.n_jump_buckets - 1)
-        order = np.argsort(jump_step, kind="stable")
-        js_sorted = jump_step[order]
-        step_lo = np.searchsorted(js_sorted, np.arange(nk), side="left")
-        step_hi = np.searchsorted(js_sorted, np.arange(nk), side="right")
+        events = rj.by_step(bundle.times)
     else:
         bucket_of_node = None
 
@@ -460,10 +451,9 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         corrections = np.zeros(nq)
         base_at_realized = corr_at_realized = None
         if bucket_of_node is not None:
-            lo, hi = step_lo[k], step_hi[k]
-            if hi > lo:
-                rows = order[lo:hi]
-                jp_paths = pidx[rows]
+            rows = events.rows(k)
+            if rows.size:
+                jp_paths = events.path[rows]
                 jb = jump_bucket[rows]
                 if shift is not None:
                     base_at_realized = shift.at(disc[jp_paths, k], yl[jp_paths, k], rj.sizes[rows])
@@ -489,7 +479,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
                 jl = base + corrections[None, :]
             else:
                 jl = np.zeros((n, 0))
-            g = driver(v_cur, vbar, jl, jump_rel, mpr, np.ones(n), z_weights, lam_cal)
+            g = driver(vbar, jl, jump_rel, mpr, z_weights, lam_cal)
             v_cur = v_hat - g * dt
         value[:, k] = v_cur
         dw_loadings[:, k] = vbar
@@ -499,8 +489,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             jump_loading_mean[k] = jl.mean(axis=0)
             jump_mart_acc -= lam_cal * (jl @ z_weights) * dt
             if base_at_realized is not None:
-                rows = order[step_lo[k]:step_hi[k]]
-                np.add.at(jump_mart_acc, pidx[rows], base_at_realized + corr_at_realized)
+                np.add.at(jump_mart_acc, jp_paths, base_at_realized + corr_at_realized)
         if k == 0:
             g_last = g
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
+from ._kernels import gains_step
 from .bsde import BSDESolution, ConstantPayoff
 from .levy import ConfigurationError
 from .market import PathBundle, adjustment
@@ -37,14 +38,6 @@ def pure_hedge(model, d_prices, y_left, dw_loadings):
     rhs = np.einsum("nij,nj->ni", sig, vbar)
     x = np.linalg.solve(cov, rhs[..., None])[..., 0]
     return x / d_prices
-
-
-def gains_step(gains_left, xi, adj, v, value_left, d_increment):
-    """One Euler update of cumulative strategy gains."""
-    base = np.sum((np.atleast_2d(xi) - (v - np.atleast_1d(value_left))[:, None] * np.atleast_2d(adj))
-                  * np.atleast_2d(d_increment), axis=-1)
-    feedback = gains_left * np.sum(np.atleast_2d(adj) * np.atleast_2d(d_increment), axis=-1)
-    return gains_left + base - feedback
 
 
 def strategy_position(xi, adj, v, gains_left, value_left):
@@ -170,23 +163,12 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         value, vbar = _value_arrays(bundle, solution, payoff, cfg)
         if p0 is None:
             p0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
-        d1 = bundle.model.d == 1
         adj = np.empty((n, nk, bundle.model.d))
         xi = np.empty((n, nk, bundle.model.d))
         for k in range(nk):
             adj[:, k] = adjustment(bundle.model, disc[:, k], bundle.y_left[:, k])
             xi[:, k] = pure_hedge(bundle.model, disc[:, k], bundle.y_left[:, k], vbar[:, k])
-        if d1:
-            gains = kernels.hedge_sweep(
-                np.ascontiguousarray(disc[:, :, 0]), value, xi[:, :, 0], adj[:, :, 0], endowment
-            )
-        else:
-            gains = np.zeros(n)
-            g = np.zeros(n)
-            for k in range(nk):
-                dd = disc[:, k + 1] - disc[:, k]
-                g = gains_step(g, xi[:, k], adj[:, k], endowment, value[:, k], dd)
-            gains = g
+        gains = kernels.hedge_sweep(disc, value, xi, adj, endowment)
         h_term = payoff(bundle)
         shortfall = endowment + gains - h_term
         if cfg.record_paths and not recorded:

@@ -25,7 +25,10 @@ class CoefficientModel:
 
     Subclasses provide vectorized ``drift`` (shape (..., d)) and ``vol``
     (shape (..., d, d)) over factor states y of shape (..., h).
-    ``kernel_code`` is set for models the jitted kernels understand.
+    ``kernel_code`` and ``kernel_params`` are set by the one-asset,
+    one-factor models whose coefficients ``_kernels.simulate_d1h1``
+    evaluates in closed form; ``simulate_paths`` runs every other model
+    through the general engine.
     """
 
     d: int = 1
@@ -373,6 +376,35 @@ class RaggedJumps:
         sl = slice(self.offsets[i], self.offsets[i + 1])
         return JumpPath(self.times[sl], self.components[sl], self.sizes[sl], self.horizon, self.n_components)
 
+    def by_step(self, grid_times: np.ndarray) -> StepEvents:
+        """Group the events by the step of ``grid_times`` they fall in."""
+        order = np.argsort(self.step_index, kind="stable")
+        bounds = np.searchsorted(self.step_index[order], np.arange(grid_times.size))
+        return StepEvents(
+            path=np.repeat(np.arange(self.n_paths), np.diff(self.offsets)),
+            offset=self.times - grid_times[self.step_index],
+            order=order,
+            bounds=bounds,
+        )
+
+
+@dataclass(frozen=True)
+class StepEvents:
+    """Jump events grouped by grid step; arrays indexed in storage order.
+
+    path   : owning path of each event
+    offset : time of each event after the left node of its step
+    """
+
+    path: np.ndarray
+    offset: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray  # events of step k are order[bounds[k]:bounds[k + 1]]
+
+    def rows(self, k: int) -> np.ndarray:
+        """Storage indices of the events in step k, in storage order."""
+        return self.order[self.bounds[k]:self.bounds[k + 1]]
+
 
 def _pack_jumps(paths: list[JumpPath], grid: GridConfig) -> RaggedJumps:
     offsets = np.zeros(len(paths) + 1, dtype=np.int64)
@@ -474,24 +506,17 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
     return paths, dw
 
 
-def _simulate_general(model, ou, grid, s0, dw, rj: RaggedJumps):
-    """Reference engine for any dimensions; vectorized across paths.
+def _simulate_general(model, ou, grid, s0, dw, rj: RaggedJumps, events: StepEvents):
+    """Engine for any dimensions; vectorized across paths.
 
     Uses the same jump-inclusive quadrature and variance-matched
-    loading scaling as the one-asset kernels.
+    loading scaling as the one-asset kernel.
     """
     n, nk, d = dw.shape
     h = ou.dim
     lam = ou.mean_reversion
     delta = grid.step
     edel = np.exp(-lam * delta)
-
-    pidx = np.repeat(np.arange(rj.n_paths), np.diff(rj.offsets))
-    order = np.argsort(rj.step_index, kind="stable")
-    js = rj.step_index[order]
-    lo_k = np.searchsorted(js, np.arange(nk), side="left")
-    hi_k = np.searchsorted(js, np.arange(nk), side="right")
-    u_all = rj.times - grid.times[rj.step_index]
 
     y_out = np.empty((n, nk + 1, h))
     logs = np.empty((n, nk + 1, d))
@@ -504,10 +529,10 @@ def _simulate_general(model, ou, grid, s0, dw, rj: RaggedJumps):
     y_out[:, 0] = y
     logs[:, 0] = ls
     for k in range(nk):
-        ev = order[lo_k[k]:hi_k[k]]
-        pths = pidx[ev]
+        ev = events.rows(k)
+        pths = events.path[ev]
         comps = rj.components[ev]
-        u = u_all[ev]
+        u = events.offset[ev]
         sz = rj.sizes[ev]
         acc = np.zeros(n)
         for q in range(kernels.SEG_NODES.size):
@@ -562,19 +587,22 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid)
 
+    # the step grouping is built inside each call so it is freed before
+    # the price arrays are exponentiated
     if model.kernel_code is not None and model.d == 1 and model.h == 1:
         alpha, beta = model.kernel_params
-        u_rel = rj.times - grid.times[rj.step_index]
         y, logs, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
             model.kernel_code, alpha, beta, model.rate,
             ou.y0[0], ou.mean_reversion[0], grid.step, s0[0],
-            dw[:, :, 0], rj.offsets, rj.step_index, u_rel, rj.sizes,
+            dw[:, :, 0], rj.by_step(grid.times), rj.sizes,
         )
         y = y[:, :, None]
         s = np.exp(logs)[:, :, None]
         factor_int = factor_int[:, :, None]
     else:
-        y, s, sharpe_int, mpr_dw, factor_int = _simulate_general(model, ou, grid, s0, dw, rj)
+        y, s, sharpe_int, mpr_dw, factor_int = _simulate_general(
+            model, ou, grid, s0, dw, rj, rj.by_step(grid.times)
+        )
     return PathBundle(model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
                       factor_int, rj, master_seed, path_offset)
 

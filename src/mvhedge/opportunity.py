@@ -1,4 +1,4 @@
-"""Opportunity surface, variance-optimal density path and driver inputs.
+"""Opportunity surface and variance-optimal density path.
 
 The surface P(t, y) = E[exp(-integral of the squared market price of
 risk along the factor started at (t, y))] has two independent
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .levy import (
     jump_quadrature,
     sample_jump_path,
 )
-from .market import adjustment, market_price_of_risk, sharpe_squared  # noqa: F401 (re-export)
+from .market import sharpe_squared
 from .ngou import OUParams
 
 
@@ -112,25 +113,32 @@ class IpdeSurface(OpportunitySurface):
         i = int(x)
         return i, x - i
 
+    def _lookup(self, t_idx, wts, y):
+        """Values at states y (n, m), column k at time bracket (t_idx[k], wts[k]).
+
+        Counts the states clamped at the floor and continues the surface
+        log-linearly above the mesh top.
+        """
+        eta = np.log(np.maximum(y, 1e-300))
+        self.n_below_floor += int(np.count_nonzero(eta < self.eta[0]))
+        out = kernels.bilinear_steps(self.table, t_idx, wts, eta, self.eta[0], 1.0 / self._deta)
+        above = eta > self.eta[-1]
+        if np.any(above):
+            self.n_above_top += int(np.count_nonzero(above))
+            rows, cols = np.nonzero(above)
+            i, w = t_idx[cols], wts[cols]
+            top = (1 - w)[:, None] * self.table[i, -2:] + w[:, None] * self.table[i + 1, -2:]
+            slope = (np.log(np.maximum(top[:, 1], 1e-300))
+                     - np.log(np.maximum(top[:, 0], 1e-300))) / self._deta
+            out[rows, cols] = top[:, 1] * np.exp(slope * (eta[rows, cols] - self.eta[-1]))
+        return out
+
     def value_at_states(self, t, y):
         y = np.asarray(y, dtype=float)
         if y.ndim == 2:
             y = y[:, 0]
         i, wt = self._t_bracket(t)
-        eta = np.log(np.maximum(y, 1e-300))
-        below = eta < self.eta[0]
-        above = eta > self.eta[-1]
-        self.n_below_floor += int(np.count_nonzero(below))
-        self.n_above_top += int(np.count_nonzero(above))
-        out = kernels.bilinear_steps(
-            self.table, np.array([i]), np.array([wt]), eta[:, None], self.eta[0], 1.0 / self._deta
-        )[:, 0]
-        if np.any(above):
-            # log-linear continuation beyond the top of the mesh
-            row = (1 - wt) * self.table[i] + wt * self.table[i + 1]
-            slope = (np.log(max(row[-1], 1e-300)) - np.log(max(row[-2], 1e-300))) / self._deta
-            out = np.where(above, row[-1] * np.exp(slope * (eta - self.eta[-1])), out)
-        return out
+        return self._lookup(np.array([i]), np.array([wt]), y[:, None])[:, 0]
 
     def value(self, t, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -139,23 +147,12 @@ class IpdeSurface(OpportunitySurface):
     def value_along(self, times, y):
         if y.ndim == 3:
             y = y[:, :, 0]
+        times = np.asarray(times)
         t_idx = np.empty(times.size, dtype=np.int64)
         wts = np.empty(times.size)
         for k, t in enumerate(times):
             t_idx[k], wts[k] = self._t_bracket(t)
-        eta = np.log(np.maximum(y, 1e-300))
-        self.n_below_floor += int(np.count_nonzero(eta < self.eta[0]))
-        out = kernels.bilinear_steps(self.table, t_idx, wts, eta, self.eta[0], 1.0 / self._deta)
-        above = eta > self.eta[-1]
-        if np.any(above):
-            self.n_above_top += int(np.count_nonzero(above))
-            rows, cols = np.nonzero(above)
-            blend = (1 - wts[cols])[:, None] * self.table[t_idx[cols]] \
-                + wts[cols][:, None] * self.table[t_idx[cols] + 1]
-            slope = (np.log(np.maximum(blend[:, -1], 1e-300))
-                     - np.log(np.maximum(blend[:, -2], 1e-300))) / self._deta
-            out[rows, cols] = blend[:, -1] * np.exp(slope * (eta[rows, cols] - self.eta[-1]))
-        return out
+        return self._lookup(t_idx, wts, y)
 
     def export_csv(self, fname):
         with open(fname, "w") as f:
@@ -289,35 +286,14 @@ def estimate_opportunity_mc(model, ou: OUParams, specs, t: float, y, horizon: fl
     if span == 0:
         return 1.0, 0.0
     paths = [sample_jump_path(specs, span, rng) for _ in range(n_inner)]
-    if model.kernel_code is not None and ou.dim == 1:
-        offsets = np.zeros(n_inner + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(p) for p in paths])
-        times = np.concatenate([p.times for p in paths]) if offsets[-1] else np.empty(0)
-        sizes = np.concatenate([p.sizes for p in paths]) if offsets[-1] else np.empty(0)
-        alpha, beta = model.kernel_params
-        expo = kernels.opportunity_mc_exponent(
-            model.kernel_code, alpha, beta, model.rate, ou.mean_reversion[0],
-            y[0], 0.0, span, offsets, times, sizes,
-        )
-    else:
-        expo = np.empty(n_inner)
-        lam = ou.mean_reversion
-        qn, qw = kernels.SEG_NODES, kernels.SEG_WEIGHTS
-        for p, jp in enumerate(paths):
-            yc = y.copy()
-            tc = 0.0
-            acc = 0.0
-            breakpoints = list(jp.times) + [span]
-            for idx, t_next in enumerate(breakpoints):
-                seg = t_next - tc
-                if seg > 0:
-                    nodes = yc[None, :] * np.exp(-lam[None, :] * qn[:, None] * seg)
-                    acc += float(qw @ sharpe_squared(model, nodes)) * seg
-                    yc = yc * np.exp(-lam * seg)
-                if idx < len(jp.times):
-                    yc[jp.components[idx]] += jp.sizes[idx]
-                tc = t_next
-            expo[p] = acc
+    offsets = np.zeros(n_inner + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(p) for p in paths])
+    expo = kernels.opportunity_mc_exponent(
+        partial(sharpe_squared, model), ou.mean_reversion, y, span, offsets,
+        np.concatenate([p.times for p in paths]),
+        np.concatenate([p.components for p in paths]),
+        np.concatenate([p.sizes for p in paths]),
+    )
     vals = np.exp(-expo)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_inner))
@@ -427,29 +403,3 @@ def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
     o0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
     o_t = surface.value_at_states(bundle.times[-1], bundle.y[:, -1])
     return o_t * np.exp(-a_dot_d[:, -1] - 0.5 * qv[:, -1]) / o0
-
-
-def surface_jump_rel(surface, t: float, y_left: np.ndarray, z: float, component: int = 0,
-                     h: int = 1) -> np.ndarray:
-    """Relative surface move if a jump of size z hits one component now."""
-    y_left = np.atleast_2d(y_left)
-    shifted = y_left.copy()
-    shifted[:, component] += z
-    base = surface.value_at_states(t, y_left)
-    return surface.value_at_states(t, shifted) / base - 1.0
-
-
-def driver_ingredients(surface, bundle, density: DensityPath, k: int, z: float,
-                       component: int = 0):
-    """(F, market price of risk, left-to-value density ratio) at step k.
-
-    F is the relative surface jump for a hypothetical jump of size z in
-    the given component; the density ratio equals one away from realized
-    jump times.
-    """
-    t = bundle.times[k]
-    yl = bundle.y_left[:, k]
-    f = surface_jump_rel(surface, t, yl, z, component)
-    mpr = market_price_of_risk(bundle.model, yl)
-    zbar = density.density_left[:, k] / density.density[:, k]
-    return f, mpr, zbar

@@ -63,8 +63,8 @@ class TestPayoffs:
 
 class TestDriver:
     def test_all_zero(self):
-        g = bsde.driver(np.zeros(3), np.zeros((3, 1)), np.zeros((3, 2)),
-                        np.zeros((3, 2)), np.zeros((3, 1)), np.ones(3), np.ones(2), 1.0)
+        g = bsde.driver(np.zeros((3, 1)), np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((3, 1)),
+                        np.ones(2), 1.0)
         assert np.array_equal(g, np.zeros(3))
 
     def test_flat_surface_single_term(self):
@@ -72,8 +72,7 @@ class TestDriver:
         # for one asset it is Vbar * (alpha - r) / beta
         vbar = np.array([[2.0], [3.0]])
         mpr = np.full((2, 1), (0.1 - 0.0) / 0.2)
-        g = bsde.driver(np.zeros(2), vbar, np.zeros((2, 0)), np.zeros((2, 0)), mpr,
-                        np.ones(2), np.empty(0), 1.0)
+        g = bsde.driver(vbar, np.zeros((2, 0)), np.zeros((2, 0)), mpr, np.empty(0), 1.0)
         assert g == pytest.approx(vbar[:, 0] * 0.5)
 
     def test_atomic_integral_term(self):
@@ -83,7 +82,7 @@ class TestDriver:
         f = np.array([[0.2]])
         mpr = np.array([[0.5]])
         z_w = np.array([2.0])
-        g = bsde.driver(np.array([7.0]), vbar, jl, f, mpr, np.ones(1), z_w, 1.0)
+        g = bsde.driver(vbar, jl, f, mpr, z_w, 1.0)
         assert g[0] == pytest.approx(1.0 * 0.5 - 1.0 * 2.0 * 0.3 * 0.2, rel=1e-14)
 
     def test_structural_loading(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mvhedge import _kernels as kernels
 from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp
 
 
@@ -76,6 +77,22 @@ class TestStrategyPieces:
         xi = hedge.pure_hedge(m, np.array([[50.0]]), np.array([[10.0]]), np.array([[4.0]]))
         assert xi[0, 0] == pytest.approx(4.0 / (50.0 * 0.2), rel=1e-14)
 
+    def test_pure_hedge_two_assets(self):
+        # the discounted-price-weighted position sigma' (D xi) recovers the loadings
+        model = TwoAssetConstant([0.1, 0.05], [[0.2, 0.0], [0.1, 0.3]])
+        d_prices = np.array([[50.0, 80.0], [120.0, 20.0]])
+        vbar = np.array([[4.0, -1.0], [0.5, 2.0]])
+        xi = hedge.pure_hedge(model, d_prices, np.full((2, 1), 10.0), vbar)
+        assert (d_prices * xi) @ model.sigma == pytest.approx(vbar, rel=1e-13)
+
+    def test_adjustment_two_assets(self):
+        # sigma sigma' diag(D) a = B
+        model = TwoAssetConstant([0.1, 0.05], [[0.3, 0.0], [0.25, 0.12]])
+        d_prices = np.array([[50.0, 80.0]])
+        a = market.adjustment(model, d_prices, np.array([[10.0]]))
+        cov = model.sigma @ model.sigma.T
+        assert cov @ (d_prices * a)[0] == pytest.approx(model.b, rel=1e-13)
+
     def test_pure_hedge_zero_loadings(self):
         m = market.BNS(0.5, 0.02)
         xi = hedge.pure_hedge(m, np.array([[50.0]]), np.array([[10.0]]), np.zeros((1, 1)))
@@ -110,6 +127,23 @@ class TestStrategyPieces:
         phi = hedge.strategy_position(np.array([[0.5]]), np.array([[0.0]]), 1e4,
                                       np.array([123.0]), np.array([3e4]))
         assert phi[0, 0] == 0.5
+
+
+class TwoAssetConstant(market.CoefficientModel):
+    """Two correlated assets with flat drift and volatility; the factor is ignored."""
+
+    d, h, rate = 2, 1, 0.0
+
+    def __init__(self, drift, sigma):
+        self.b = np.asarray(drift, dtype=float)
+        self.sigma = np.asarray(sigma, dtype=float)
+        self.constant_sharpe = float(self.b @ np.linalg.solve(self.sigma @ self.sigma.T, self.b))
+
+    def drift(self, y):
+        return np.broadcast_to(self.b, np.shape(y)[:-1] + (2,))
+
+    def vol(self, y):
+        return np.broadcast_to(self.sigma, np.shape(y)[:-1] + (2, 2))
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +190,17 @@ class TestRunHedge:
         gains = np.sum(rec["position"][:, :, 0] * np.diff(rec["discounted"][:, :, 0], axis=1), axis=1)
         assert np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains)) < 1e-6 * 1e4
 
+    def test_recorded_wealth_matches_sweep(self, bns_world, ou, monkeypatch):
+        model, cpe, grid, _, surface = bns_world
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
+        pay = bsde.DiscountedCall(100.0)
+        sol = bsde.solve_backward(bundle, surface, pay)
+        swept = []
+        sweep = kernels.hedge_sweep
+        monkeypatch.setattr(kernels, "hedge_sweep", lambda *args: swept.append(sweep(*args)) or swept[-1])
+        rep = hedge.run_hedge(bundle, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=8))
+        assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + swept[0][:8])
+
     def test_chunked_stream(self, bns_world, ou):
         model, cpe, grid, _, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
@@ -177,6 +222,28 @@ class TestRunHedge:
         text = rep.summary()
         assert "mean squared error" in text
         assert (tmp_path / "rep.csv").read_text().startswith("quantity,value")
+
+
+def test_two_asset_constant_claim_matches_herr(ou):
+    # general engine, matrix covariance solve and the two-asset sweep;
+    # the closed form is P0 (p - v)^2 with P0 = exp(-theta' Sigma^-1 theta T)
+    # correlated enough that an adjustment ignoring the off-diagonal
+    # covariance raises the MSE by about 15 %, twice the band
+    model = TwoAssetConstant([0.1, 0.05], [[0.3, 0.0], [0.25, 0.12]])
+    spec = levy.TableMeasure(())
+    grid = market.GridConfig(1.0, 0.01)
+    bundle = market.simulate_paths(model, ou, [spec], [100.0, 50.0], grid, 6000, 37)
+    surface = opp.make_surface(model, ou, [spec], 1.0)
+    pay = bsde.ConstantPayoff(30000.0)
+    rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
+                          hedge.HedgeConfig(use_closed_form_value=True, record_paths=8))
+    herr = math.exp(-model.constant_sharpe) * 2e4**2
+    assert rep.comparators["hedging_error"] == pytest.approx(herr, rel=1e-12)
+    assert abs(rep.mse - herr) <= max(4 * rep.se_mse, 0.02 * herr)
+    # self-financing: gains are the positions summed against both price moves
+    rec = rep.recorded
+    gains = np.sum(rec["position"] * np.diff(rec["discounted"], axis=1), axis=(1, 2))
+    assert np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains)) < 1e-6 * 1e4
 
 
 class TestCompleteMarket:

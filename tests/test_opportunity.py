@@ -1,11 +1,65 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
+from mvhedge import _kernels as kernels
 from mvhedge import levy, market, ngou, opportunity as opp
 
-from conftest import empty_jump_path
+
+class TwoFactorBNS(market.CoefficientModel):
+    """Two uncorrelated BNS assets, asset i driven by factor i."""
+
+    d, h, rate = 2, 2, 0.0
+
+    def __init__(self, alpha, beta):
+        self.alpha = np.asarray(alpha, dtype=float)
+        self.beta = np.asarray(beta, dtype=float)
+
+    def drift(self, y):
+        return self.alpha + self.beta * np.asarray(y)
+
+    def vol(self, y):
+        y = np.asarray(y)
+        return np.sqrt(y)[..., :, None] * np.eye(2)
+
+
+def bns_segment_integral(alpha, beta, lam, y, s):
+    """Exact integral of (alpha + beta Y)^2 / Y while Y decays from y for a time s."""
+    return (alpha**2 * math.expm1(lam * s) / (lam * y) + 2 * alpha * beta * s
+            - beta**2 * y * math.expm1(-lam * s) / lam)
+
+
+def exact_bns_exponent(alpha, beta, lam, y0, horizon, times, comps, sizes):
+    """Sum of the exact segment integrals over every factor of one path."""
+    y = np.array(y0, dtype=float)
+    t = 0.0
+    total = 0.0
+    for t_next, c, z in list(zip(times, comps, sizes)) + [(horizon, None, 0.0)]:
+        s = t_next - t
+        total += sum(bns_segment_integral(alpha[i], beta[i], lam[i], y[i], s) for i in range(y.size))
+        y = y * np.exp(-np.asarray(lam) * s)
+        if c is not None:
+            y[c] += z
+        t = t_next
+    return total
+
+
+def per_path_exponent(sharpe2, lam, y0, horizon, path):
+    """Reference: one path at a time, one inter-jump segment at a time."""
+    y = np.array(y0, dtype=float)
+    t = 0.0
+    acc = 0.0
+    for idx, t_next in enumerate(list(path.times) + [horizon]):
+        seg = t_next - t
+        nodes = y[None, :] * np.exp(-lam[None, :] * kernels.SEG_NODES[:, None] * seg)
+        acc += float(kernels.SEG_WEIGHTS @ sharpe2(nodes)) * seg
+        y = y * np.exp(-lam * seg)
+        if idx < len(path.times):
+            y[path.components[idx]] += path.sizes[idx]
+        t = t_next
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +104,48 @@ class TestMonteCarloEstimator:
         with pytest.raises(levy.ConfigurationError):
             opp.estimate_opportunity_mc(bns, ou, [cpe], 0.0, [10.0], 1.0, n_inner=50, seed=1)
 
-    def test_general_fallback_matches_kernel(self, bns, ou, cpe):
-        est1, _ = opp.estimate_opportunity_mc(bns, ou, [cpe], 0.0, [10.0], 1.0, n_inner=500, seed=4)
-        plain = market.BNS(0.5, 0.02)
-        plain.kernel_code = None
-        est2, _ = opp.estimate_opportunity_mc(plain, ou, [cpe], 0.0, [10.0], 1.0, n_inner=500, seed=4)
-        assert est1 == pytest.approx(est2, rel=1e-12)
+    @pytest.mark.parametrize("two_factor", [False, True])
+    def test_exponent_matches_per_path_loop(self, bns, cpe, two_factor):
+        if two_factor:
+            model, lam, y0 = TwoFactorBNS([0.5, 0.3], [0.02, 0.05]), np.array([1.0, 0.5]), [10.0, 5.0]
+            specs = [cpe, levy.TableMeasure(((1.0, 2.0),))]
+        else:
+            model, lam, y0, specs = bns, np.array([1.0]), [10.0], [cpe]
+        paths = [levy.sample_jump_path(specs, 1.0, (4, i)) for i in range(300)]
+        offsets = np.concatenate([[0], np.cumsum([len(p) for p in paths])])
+        got = kernels.opportunity_mc_exponent(
+            partial(market.sharpe_squared, model), lam, y0, 1.0, offsets,
+            np.concatenate([p.times for p in paths]), np.concatenate([p.components for p in paths]),
+            np.concatenate([p.sizes for p in paths]))
+        ref = [per_path_exponent(partial(market.sharpe_squared, model), lam, y0, 1.0, p) for p in paths]
+        assert got == pytest.approx(ref, rel=1e-12)
+
+
+class TestMcExponentClosedForm:
+    """The quadrature exponent against the exact BNS segment integrals."""
+
+    def test_one_factor_paths(self, bns):
+        # no jumps; a jump at the start time; three jumps, two close together
+        paths = [([], []), ([0.0, 0.55], [2.0, 1.0]), ([0.2, 0.21, 0.9], [0.5, 3.0, 0.1])]
+        offsets = np.concatenate([[0], np.cumsum([len(t) for t, _ in paths])])
+        times = np.concatenate([t for t, _ in paths])
+        sizes = np.concatenate([z for _, z in paths])
+        got = kernels.opportunity_mc_exponent(
+            partial(market.sharpe_squared, bns), [1.0], [10.0], 1.0, offsets, times,
+            np.zeros(times.size, dtype=np.int64), sizes)
+        for p, (t, z) in enumerate(paths):
+            exact = exact_bns_exponent([0.5], [0.02], [1.0], [10.0], 1.0, t, [0] * len(t), z)
+            assert got[p] == pytest.approx(exact, rel=1e-6)
+
+    def test_two_factor_path(self):
+        model = TwoFactorBNS([0.5, 0.3], [0.02, 0.05])
+        times, comps, sizes = [0.1, 0.4, 0.4, 0.8], [1, 0, 1, 0], [2.0, 1.5, 0.5, 0.7]
+        got = kernels.opportunity_mc_exponent(
+            partial(market.sharpe_squared, model), [1.0, 0.5], [10.0, 5.0], 1.0,
+            np.array([0, 4]), np.array(times), np.array(comps), np.array(sizes))
+        exact = exact_bns_exponent([0.5, 0.3], [0.02, 0.05], [1.0, 0.5], [10.0, 5.0], 1.0,
+                                   times, comps, sizes)
+        assert got[0] == pytest.approx(exact, rel=1e-6)
 
 
 class TestIpdeSurface:
@@ -88,6 +178,19 @@ class TestIpdeSurface:
         for i, (t, yv) in enumerate([(0.0, 10.0), (0.3, 8.0), (0.6, 11.0), (0.8, 16.0)]):
             est, se = opp.estimate_opportunity_mc(bns, ou, [cpe], t, [yv], 1.0, 2000, (5, i))
             assert abs(bns_surface.value(t, yv) - est) <= 4 * se + 1e-4
+
+    def test_state_and_path_lookups_agree(self, bns_surface):
+        # states below the floor, inside the mesh and above its top
+        lo, hi = bns_surface.y_nodes[0], bns_surface.y_nodes[-1]
+        ys = np.array([1e-3, 0.5 * lo, lo, 0.5 * (lo + hi), 0.9 * hi, hi, 1.5 * hi, 4.0 * hi])
+        for t in (0.0, 0.37, 1.0):
+            before = (bns_surface.n_below_floor, bns_surface.n_above_top)
+            by_state = bns_surface.value_at_states(t, ys)
+            mid = (bns_surface.n_below_floor, bns_surface.n_above_top)
+            along = bns_surface.value_along([t], ys[:, None])[:, 0]
+            after = (bns_surface.n_below_floor, bns_surface.n_above_top)
+            assert np.array_equal(by_state, along)
+            assert np.subtract(mid, before).tolist() == np.subtract(after, mid).tolist() == [2, 2]
 
     def test_extrapolation_above_top_flagged(self, bns_surface):
         before = bns_surface.n_above_top
@@ -180,33 +283,6 @@ class TestDensityPath:
             opp.density_path(bns_surface, b)
 
 
-class TestDriverIngredients:
-    def test_flat_surface_zero_jump_rel(self, ou):
-        m = market.ConstantBS(0.1, 0.2, rate=0.0)
-        surf = opp.make_surface(m, ou, [levy.TableMeasure(())], 1.0)
-        f = opp.surface_jump_rel(surf, 0.3, np.array([[10.0]]), 0.7)
-        assert f[0] == 0.0
-
-    def test_ratio_one_off_jumps(self, bns, ou, cpe, bns_surface):
-        grid = market.GridConfig(1.0, 0.25)
-        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 5, 3,
-                                  jump_paths=[empty_jump_path(1.0)] * 5)
-        dp = opp.density_path(bns_surface, b)
-        f, mpr, zbar = opp.driver_ingredients(bns_surface, b, dp, 2, 0.5)
-        assert np.allclose(zbar, 1.0, atol=1e-13)
-        assert mpr.shape == (5, 1)
-        assert (f > 0).all()  # surface increases with the factor here
-
-    def test_mpr_scalar_reduction(self, bns, ou, cpe, bns_surface):
-        grid = market.GridConfig(1.0, 0.25)
-        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 4, 4)
-        dp = opp.density_path(bns_surface, b)
-        _, mpr, _ = opp.driver_ingredients(bns_surface, b, dp, 1, 0.3)
-        y = b.y_left[:, 1, 0]
-        expect = (0.5 + 0.02 * y) / np.sqrt(y)
-        assert mpr[:, 0] == pytest.approx(expect, rel=1e-12)
-
-
 class TestMcSurface:
     def test_cache_and_determinism(self, bns, ou, cpe):
         s1 = opp.McSurface(bns, ou, [cpe], 1.0, n_inner=300, master_seed=5)
@@ -256,8 +332,10 @@ def test_surface_decomposition_along_path(bns, ou, cpe, bns_surface):
     assert acc_lhs == pytest.approx(acc_rhs, rel=0.02)
     k_jump = int(np.searchsorted(grid, 0.42))
     jump_ratio = bns_surface.value(0.42, fp.values[k_jump]) / bns_surface.value(0.42, fp.left_values[k_jump]) - 1.0
-    f_direct = opp.surface_jump_rel(bns_surface, 0.42, fp.left_values[k_jump][None, :], 1.5, 0)[0]
+    y_left = fp.left_values[k_jump]
+    f_direct = bns_surface.value(0.42, y_left + 1.5) / bns_surface.value(0.42, y_left) - 1.0
     assert jump_ratio == pytest.approx(f_direct, rel=1e-9)
+    assert jump_ratio > 0  # the surface increases with the factor here
 
 
 def test_practical_floor_respects_hard_bound(ou, cpe):
