@@ -190,8 +190,11 @@ def bilinear_steps(table, t_idx, wt, eta, eta0, inv_deta):
     x = np.clip(x, 0.0, ny - 1 - 1e-12)
     j = x.astype(np.int64)
     wy = x - j
-    i = t_idx[None, :]
     w = wt[None, :]
-    lo = table[i, j] * (1.0 - wy) + table[i, j + 1] * wy
-    hi = table[i + 1, j] * (1.0 - wy) + table[i + 1, j + 1] * wy
+    # flat gather: row t_idx, column j of the table is element t_idx*ny + j
+    flat = table.ravel()
+    lo_at = t_idx[None, :] * ny + j
+    hi_at = lo_at + ny
+    lo = flat.take(lo_at) * (1.0 - wy) + flat.take(lo_at + 1) * wy
+    hi = flat.take(hi_at) * (1.0 - wy) + flat.take(hi_at + 1) * wy
     return lo * (1.0 - w) + hi * w

@@ -205,26 +205,49 @@ class RegressionTable:
         return v, vbar
 
 
-def _fit_ls(xs, targets, rcond):
-    """Least squares with intercept on standardized columns.
+class _LeastSquares:
+    """One thin SVD of a design matrix, shared by every target fitted on it.
 
-    Returns (predictions per target, coefficients, r2 of first target,
-    effective condition number, rank deficiency flag).  Collinear
-    directions are truncated at ``rcond`` and reported, not fatal.
+    The design's first column is the intercept.  Singular values at or
+    below ``rcond`` times the largest are truncated, as
+    ``np.linalg.lstsq`` does, so collinear directions are dropped and
+    reported (``deficient``), not fatal.  ``cond`` is the
+    effective condition number over the kept directions.
     """
-    n = xs.shape[0]
-    a = np.column_stack([np.ones(n), xs])
-    stacked = np.column_stack(targets)
-    coef, _, rank, sv = np.linalg.lstsq(a, stacked, rcond=rcond)
-    preds = a @ coef
-    used = sv[sv > sv[0] * rcond] if sv.size else sv
-    cond = float(sv[0] / used[-1]) if used.size else math.inf
-    deficient = rank < a.shape[1]
-    y0 = stacked[:, 0]
-    ss_res = float(np.sum((y0 - preds[:, 0]) ** 2))
-    ss_tot = float(np.sum((y0 - y0.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return preds, coef, r2, cond, deficient
+
+    def __init__(self, a, rcond):
+        u, sv, vt = np.linalg.svd(a, full_matrices=False)
+        used = sv > sv[0] * rcond
+        self.deficient = bool(np.count_nonzero(used) < a.shape[1])
+        self.cond = float(sv[0] / sv[used][-1])
+        self._u = u[:, used]
+        self._vs = vt[used].T / sv[used]
+
+    def fit(self, targets):
+        """(predictions, coefficients) for targets (n,) or (n, m).
+
+        A target's mean is fitted exactly by the intercept and only the
+        deviation goes through the factorization: rounding scales with
+        the spread, not with the level.
+        """
+        level = targets.mean(axis=0)
+        proj = self._u.T @ (targets - level)
+        coef = self._vs @ proj
+        coef[0] += level
+        return self._u @ proj + level, coef
+
+
+def _r2(target, pred):
+    """Share of the target's spread explained; 1 when there is no spread.
+
+    A spread at rounding level relative to the target's mean, such as a
+    constant claim can carry, counts as none.
+    """
+    mean = target.mean()
+    ss_tot = float(np.sum((target - mean) ** 2))
+    if ss_tot <= target.size * (1e3 * np.finfo(float).eps * mean) ** 2:
+        return 1.0
+    return 1.0 - float(np.sum((target - pred) ** 2)) / ss_tot
 
 
 @dataclass
@@ -289,48 +312,31 @@ def structural_jump_loading(value_left, jump_rel):
     return -np.atleast_1d(value_left)[:, None] * f / (1.0 + f)
 
 
-class _FactorShift:
+def _factor_shift(labels, keep, coef, scale, d_prices, y):
     """Analytic change of a fitted value function under a factor jump.
 
     Only the factor-dependent basis columns move when y0 -> y0 + z, so
     the fitted-value difference is linear in their coefficients; means
-    and the intercept cancel.
+    and the intercept cancel.  It is ``slope * z + quad * z**2`` with a
+    per-path slope from the Y0, Y0^2 and D·Y0 columns.  Returns
+    (slope, quad) at states (n, d) and (n, 1), or None when no kept
+    column depends on the factor.
     """
-
-    def __init__(self, labels, keep, coef, scale):
-        self.terms = []
-        for pos, col in enumerate(np.where(keep)[0]):
-            lab = labels[col]
-            c = coef[pos + 1] / scale[pos]
-            if lab == "Y0":
-                self.terms.append(("lin", None, c))
-            elif lab == "Y0^2":
-                self.terms.append(("quad", None, c))
-            elif lab.startswith("D") and lab.endswith("Y0"):
-                self.terms.append(("cross", int(lab[1:-2]), c))
-
-    @property
-    def has_signal(self):
-        return bool(self.terms)
-
-    def at(self, d_prices, y, z):
-        """Shift for states (n,) against jump sizes z (n,) or (nq,)."""
-        z = np.asarray(z)
-        pathwise = z.shape == y.shape[:1]
-        out = np.zeros(y.shape[0] if pathwise else (y.shape[0], z.size))
-        for kind, m, c in self.terms:
-            if kind == "lin":
-                term = c * z
-            elif kind == "quad":
-                if pathwise:
-                    term = c * (2.0 * y[:, 0] * z + z**2)
-                else:
-                    term = c * (2.0 * y[:, 0][:, None] * z[None, :] + (z**2)[None, :])
-            else:
-                dp = d_prices[:, m]
-                term = c * (dp * z if pathwise else dp[:, None] * z[None, :])
-            out += term
-        return out
+    slope, quad, signal = np.zeros(y.shape[0]), 0.0, False
+    for pos, col in enumerate(np.flatnonzero(keep)):
+        lab = labels[col]
+        c = coef[pos + 1] / scale[pos]
+        if lab == "Y0":
+            slope += c
+        elif lab == "Y0^2":
+            quad = c
+            slope += 2.0 * c * y[:, 0]
+        elif lab.startswith("D") and lab.endswith("Y0"):
+            slope += c * d_prices[:, int(lab[1:-2])]
+        else:
+            continue
+        signal = True
+    return (slope, quad) if signal else None
 
 
 def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
@@ -376,6 +382,12 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     table = RegressionTable(config.basis, payoff, bundle.times[-1], bundle.rate)
     table.steps = [None] * nk
     labels = table.feature_labels(d, h, config.n_knots if "knots" in config.basis else 0)
+    # a D·Y column without its Y column's spread is a multiple of D
+    col = {lab: j for j, lab in enumerate(labels)}
+    dy_pairs = np.array([(col[f"D{m}Y{i}"], col[f"Y{i}"]) for m in range(d) for i in range(h)
+                         if f"D{m}Y{i}" in col and f"Y{i}" in col], dtype=np.int64).reshape(-1, 2)
+    # per-step lookup states are [y, y + z_1, ..., y + z_nq]
+    state_shifts = np.concatenate([[0.0], z_nodes])
 
     value = np.empty((n, nk + 1))
     value[:, nk] = h_term
@@ -394,13 +406,8 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         v_next = value[:, k + 1]
         mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl[:, k]))
         if nq:
-            base = surface.value_at_states(t_k, yl[:, k])
-            shifted = np.empty((n, nq))
-            for q in range(nq):
-                yq = yl[:, k].copy()
-                yq[:, 0] += z_nodes[q]
-                shifted[:, q] = surface.value_at_states(t_k, yq)
-            jump_rel = shifted / base[:, None] - 1.0
+            p_states = surface.value_along(np.full(nq + 1, t_k), yl[:, k, :1] + state_shifts)
+            jump_rel = p_states[:, 1:] / p_states[:, :1] - 1.0
         else:
             jump_rel = np.zeros((n, 0))
 
@@ -418,35 +425,35 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
                 qs = np.linspace(0.0, 1.0, config.n_knots + 2)[1:-1]
                 knots = np.quantile(disc[:, k], qs, axis=0)
             xs_raw = table.features(disc[:, k], y[:, k], knots=knots)
-            std_raw = xs_raw.std(axis=0)
-            keep = std_raw > 1e-10 * (1.0 + np.abs(xs_raw.mean(axis=0)))
-            xs_kept = xs_raw[:, keep]
-            mean = xs_kept.mean(axis=0)
-            scale = xs_kept.std(axis=0)
-            xs = (xs_kept - mean) / scale
-            preds, coef_v, r2_k, cond_k, defic = _fit_ls(xs, [v_next], config.rcond)
-            v_hat = preds[:, 0]
+            mean = xs_raw.mean(axis=0)
+            scale = xs_raw.std(axis=0)
+            keep = scale > 1e-10 * (1.0 + np.abs(mean))
+            keep[dy_pairs[:, 0]] &= keep[dy_pairs[:, 1]]
+            mean, scale = mean[keep], scale[keep]
+            # standardized design with the intercept first, factored once
+            # for the value target and the Brownian-loading targets
+            a = np.empty((n, mean.size + 1))
+            a[:, 0] = 1.0
+            np.divide(xs_raw[:, keep] - mean, scale, out=a[:, 1:])
+            ls = _LeastSquares(a, config.rcond)
+            v_hat, coef_v = ls.fit(v_next)
             # martingale-residual control variate: center before the
             # Brownian-loading regressions to kill the dW sample-mean noise
             centered = v_next - v_hat
-            preds_w, coef_w, _, _, defic_w = _fit_ls(
-                xs, [centered * bundle.dw[:, k, m] for m in range(d)], config.rcond
-            )
+            preds_w, coef_w = ls.fit(centered[:, None] * bundle.dw[:, k])
             vbar = preds_w / dt
-            n_deficient += int(defic or defic_w)
-            table.steps[k] = StepFit(keep, mean, scale, coef_v[:, 0], coef_w.T / dt, r2_k, cond_k, knots)
-            r2[k] = r2_k
-            cond[k] = cond_k
+            n_deficient += int(ls.deficient)
+            r2[k] = _r2(v_next, v_hat)
+            cond[k] = ls.cond
+            table.steps[k] = StepFit(keep, mean, scale, coef_v, coef_w.T / dt, r2[k], cond[k], knots)
             resid = centered - np.sum(vbar * bundle.dw[:, k], axis=-1)
 
         # regression-implied loading from the factor sensitivity of the
         # fitted value function; structural surface term as the fallback
-        shift = None
-        if nq and table.steps[k] is not None:
-            cand = _FactorShift(labels, table.steps[k].keep, table.steps[k].coef_value, table.steps[k].scale)
-            if cand.has_signal:
-                shift = cand
-        base_nodes = shift.at(disc[:, k], yl[:, k], z_nodes) if shift is not None else None
+        shift = _factor_shift(labels, keep, coef_v, scale, disc[:, k], yl[:, k]) if nq and k > 0 else None
+        if shift is not None:
+            slope, quad = shift
+            base_nodes = slope[:, None] * z_nodes + quad * z_nodes**2
 
         corrections = np.zeros(nq)
         base_at_realized = corr_at_realized = None
@@ -455,13 +462,13 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             if rows.size:
                 jp_paths = events.path[rows]
                 jb = jump_bucket[rows]
+                sizes = rj.sizes[rows]
                 if shift is not None:
-                    base_at_realized = shift.at(disc[jp_paths, k], yl[jp_paths, k], rj.sizes[rows])
+                    base_at_realized = slope[jp_paths] * sizes + quad * sizes**2
                 else:
-                    y_at = yl[jp_paths, k]
-                    y_shift = y_at.copy()
-                    y_shift[:, 0] += rj.sizes[rows]
-                    f_at = surface.value_at_states(t_k, y_shift) / surface.value_at_states(t_k, y_at) - 1.0
+                    y_at = yl[jp_paths, k, 0]
+                    p_at = surface.value_along(np.full(2, t_k), np.column_stack([y_at, y_at + sizes]))
+                    f_at = p_at[:, 1] / p_at[:, 0] - 1.0
                     base_at_realized = -v_hat[jp_paths] * f_at / (1.0 + f_at)
                 obs = resid[jp_paths] - base_at_realized
                 csum = np.zeros(config.n_jump_buckets)
@@ -472,10 +479,12 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
                 corrections = per_bucket[bucket_of_node]
                 corr_at_realized = per_bucket[jb]
 
+        # only the structural loading depends on the value, so only the
+        # fallback needs the inner fixed-point sweep
         v_cur = v_hat
-        for _ in range(max(1, config.inner_sweeps)):
+        for _ in range(max(1, config.inner_sweeps) if nq and shift is None else 1):
             if nq:
-                base = base_nodes if base_nodes is not None else structural_jump_loading(v_cur, jump_rel)
+                base = base_nodes if shift is not None else structural_jump_loading(v_cur, jump_rel)
                 jl = base + corrections[None, :]
             else:
                 jl = np.zeros((n, 0))

@@ -114,6 +114,26 @@ class TestSolveBackward:
         sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
         target = bs_call_price(100.0, 100.0, 0.0, 0.2, 1.0)
         assert abs(sol.value_at_zero - target) <= 3 * sol.se_at_zero
+        # without jumps Y has no spread, so D·Y is a multiple of D and is dropped with Y
+        assert "rank_deficient_steps" not in sol.diagnostics
+
+    def test_constant_claim_r2_in_unit_interval(self, bns_setup):
+        # the value target's spread is rounding noise: no spread, r2 = 1
+        _, bundle, surface = bns_setup
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(30000.0))
+        assert np.all((sol.r2 >= 0.0) & (sol.r2 <= 1.0))
+
+    def test_structural_fallback_matches_oracle(self, bns_setup):
+        # no Y columns: no factor shift, so the jump loadings come from the
+        # surface term and the inner sweep runs at every step
+        _, bundle, surface = bns_setup
+        pay = bsde.DiscountedCall(100.0)
+        basis = ("1", "D", "D2", "logD", "payoff", "knots")
+        sols = [bsde.solve_backward(bundle, surface, pay, bsde.BsdeConfig(basis=basis, inner_sweeps=m))
+                for m in (1, 2)]
+        est, se = bsde.mc_value_at_zero(surface, bundle, pay)
+        assert abs(sols[1].value_at_zero - est) <= 4 * (sols[1].se_at_zero + se)
+        assert sols[0].value_at_zero != sols[1].value_at_zero
 
     def test_oracle_agreement(self, bns_setup):
         _, bundle, surface = bns_setup
@@ -156,6 +176,48 @@ class TestSolveBackward:
         out = tmp_path / "sol.csv"
         sol.export_csv(out)
         assert out.read_text().splitlines()[0] == "t,mean_value,mean_loading,r2"
+
+
+class TestLeastSquares:
+    @staticmethod
+    def design(n, collinear):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, 4)) * [1.0, 3.0, 0.1, 2.0] + [0.0, 5.0, -1.0, 2.0]
+        if collinear:
+            x[:, 3] = 2.0 * x[:, 1]
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        return np.column_stack([np.ones(n), x]), rng
+
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_matches_lstsq(self, collinear):
+        rcond = bsde.BsdeConfig().rcond
+        a, rng = self.design(500, collinear)
+        targets = 30.0 + a[:, 1:] @ [1.0, -2.0, 0.5, 0.3] + rng.standard_normal((500, 3)).T
+        targets = targets.T
+        ls = bsde._LeastSquares(a, rcond)
+        coef, _, rank, sv = np.linalg.lstsq(a, targets, rcond=rcond)
+        used = sv[sv > sv[0] * rcond]
+        preds, coef_ls = ls.fit(targets)
+        ref = a @ coef
+        assert np.max(np.abs(preds - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(a @ coef_ls - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert ls.deficient == (rank < a.shape[1]) == collinear
+        assert ls.cond == pytest.approx(sv[0] / used[-1], rel=1e-8)
+        # one target at a time gives the same fit as the stacked targets
+        alone, _ = ls.fit(targets[:, 0])
+        assert np.max(np.abs(alone - preds[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_r2_treats_rounding_spread_as_none(self):
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal(1000)
+        level = np.full(1000, 3e4)
+        # spread at 1e-10 on 3e4 is rounding noise: nothing to explain
+        assert bsde._r2(level + 1e-10 * noise, level) == 1.0
+        assert bsde._r2(np.zeros(1000), np.zeros(1000)) == 1.0
+        # a real spread keeps the usual definition
+        target = level + noise
+        assert bsde._r2(target, level + 0.5 * noise) == pytest.approx(
+            1.0 - np.sum((0.5 * noise) ** 2) / np.sum((target - target.mean()) ** 2), rel=1e-12)
 
 
 class TestOracle:

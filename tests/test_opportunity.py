@@ -191,6 +191,32 @@ class TestIpdeSurface:
             after = (bns_surface.n_below_floor, bns_surface.n_above_top)
             assert np.array_equal(by_state, along)
             assert np.subtract(mid, before).tolist() == np.subtract(after, mid).tolist() == [2, 2]
+            # the backward solver's call: every column of a state matrix at one time
+            states = ys[:, None] * np.array([1.0, 0.3, 1.7, 5.0])
+            before = (bns_surface.n_below_floor, bns_surface.n_above_top)
+            per_column = np.column_stack([bns_surface.value_at_states(t, col) for col in states.T])
+            mid = (bns_surface.n_below_floor, bns_surface.n_above_top)
+            batched = bns_surface.value_along(np.full(states.shape[1], t), states)
+            after = (bns_surface.n_below_floor, bns_surface.n_above_top)
+            assert np.array_equal(per_column, batched)
+            assert np.subtract(mid, before).tolist() == np.subtract(after, mid).tolist()
+            assert min(np.subtract(mid, before)) > 0
+
+    def test_bilinear_steps_matches_pointwise_reference(self):
+        # a non-square table, so a transposed flat index would show
+        rng = np.random.default_rng(2)
+        table = rng.random((5, 7))
+        t_idx, wt = np.array([0, 3, 2]), np.array([0.0, 0.25, 0.9])
+        eta = rng.uniform(-0.5, 7.0, size=(4, 3))  # clamps on both sides
+        out = kernels.bilinear_steps(table, t_idx, wt, eta, 0.0, 1.0)
+        for r in range(4):
+            for c in range(3):
+                x = min(max(eta[r, c], 0.0), 6 - 1e-12)
+                i, j, w = t_idx[c], int(x), wt[c]
+                wy = x - j
+                lo = table[i, j] * (1.0 - wy) + table[i, j + 1] * wy
+                hi = table[i + 1, j] * (1.0 - wy) + table[i + 1, j + 1] * wy
+                assert out[r, c] == lo * (1.0 - w) + hi * w
 
     def test_extrapolation_above_top_flagged(self, bns_surface):
         before = bns_surface.n_above_top
