@@ -7,6 +7,10 @@ inner Monte Carlo (``opportunity_mc_exponent``) and bilinear table
 lookups along paths (``bilinear_steps``).  Each runs a Python loop over
 time steps or jump ordinals and numpy over paths.  All random numbers
 are drawn by the callers.
+
+Per-step arrays are stored step-major (``step_major``): the public
+shape is (n_paths, n_steps, ...), but the memory runs step by step, so
+the slice ``[:, k]`` a step loop reads or writes is contiguous.
 """
 
 from __future__ import annotations
@@ -42,6 +46,16 @@ def gauss_legendre_01(n: int):
 SEG_NODES, SEG_WEIGHTS = gauss_legendre_01(4)
 
 
+def step_major(n_steps, n_paths, *tail):
+    """Uninitialized (n_paths, n_steps, *tail) array stored step by step.
+
+    The memory is a C-ordered (n_steps, n_paths, *tail) block and the
+    result is its view with the first two axes swapped: ``out[:, k]`` is
+    contiguous, ``out[i]`` is strided.
+    """
+    return np.empty((n_steps, n_paths, *tail)).swapaxes(0, 1)
+
+
 def simulate_d1h1(code, alpha, beta, rate, y0, lam, delta, s0, dw, events, sizes):
     """Forward sweep of factor, log-price and quadrature accumulators.
 
@@ -66,11 +80,11 @@ def simulate_d1h1(code, alpha, beta, rate, y0, lam, delta, s0, dw, events, sizes
             return np.full_like(y, (alpha - rate) / beta)
         return (alpha + beta * y - rate) / np.sqrt(y)
 
-    y_out = np.empty((n, nk + 1))
-    logs_out = np.empty((n, nk + 1))
-    sharpe_int = np.empty((n, nk))
-    mpr_dw = np.empty((n, nk))
-    factor_int = np.empty((n, nk))
+    y_out = step_major(nk + 1, n)
+    logs_out = step_major(nk + 1, n)
+    sharpe_int = step_major(nk, n)
+    mpr_dw = step_major(nk, n)
+    factor_int = step_major(nk, n)
     y = np.full(n, float(y0))
     ls = np.full(n, math.log(s0))
     y_out[:, 0] = y

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import step_major
 from .levy import ConfigurationError, jump_quadrature
 from .market import PathBundle, market_price_of_risk
 from .opportunity import OpportunitySurface, density_terminal
@@ -192,16 +193,17 @@ class RegressionTable:
                 raise ConfigurationError(f"unknown basis entry {name!r}")
         if not cols:
             return np.empty((d_prices.shape[0], 0))
-        return np.column_stack(cols)
+        # (n, q) view of feature-major rows: each column is contiguous
+        return np.stack(cols).T
 
     def value_and_loadings(self, k, d_prices, y):
         fit = self.steps[k]
         if fit is None:  # degenerate time-zero state
             raise ValueError("step has no regression fit")
-        raw = self.features(d_prices, y, knots=fit.knots)
-        x = (raw[:, fit.keep] - fit.mean) / fit.scale
-        v = fit.coef_value[0] + x @ fit.coef_value[1:]
-        vbar = fit.coef_dw[:, 0][None, :] + x @ fit.coef_dw[:, 1:].T
+        xs = self.features(d_prices, y, knots=fit.knots).T
+        x = (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]
+        v = fit.coef_value[0] + fit.coef_value[1:] @ x
+        vbar = fit.coef_dw[:, 0][None, :] + x.T @ fit.coef_dw[:, 1:].T
         return v, vbar
 
 
@@ -217,11 +219,12 @@ class _LeastSquares:
 
     def __init__(self, a, rcond):
         u, sv, vt = np.linalg.svd(a, full_matrices=False)
-        used = sv > sv[0] * rcond
-        self.deficient = bool(np.count_nonzero(used) < a.shape[1])
-        self.cond = float(sv[0] / sv[used][-1])
-        self._u = u[:, used]
-        self._vs = vt[used].T / sv[used]
+        # singular values come sorted, so the kept directions lead
+        r = int(np.count_nonzero(sv > sv[0] * rcond))
+        self.deficient = r < a.shape[1]
+        self.cond = float(sv[0] / sv[r - 1])
+        self._u = u[:, :r]
+        self._vs = vt[:r].T / sv[:r]
 
     def fit(self, targets):
         """(predictions, coefficients) for targets (n,) or (n, m).
@@ -389,9 +392,9 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     # per-step lookup states are [y, y + z_1, ..., y + z_nq]
     state_shifts = np.concatenate([[0.0], z_nodes])
 
-    value = np.empty((n, nk + 1))
+    value = step_major(nk + 1, n)
     value[:, nk] = h_term
-    dw_loadings = np.zeros((n, nk, d))
+    dw_loadings = step_major(nk, n, d)
     jump_loading_mean = np.zeros((nk, nq))
     r2 = np.ones(nk)
     cond = np.zeros(nk)
@@ -424,18 +427,21 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             if "knots" in config.basis and config.n_knots > 0:
                 qs = np.linspace(0.0, 1.0, config.n_knots + 2)[1:-1]
                 knots = np.quantile(disc[:, k], qs, axis=0)
-            xs_raw = table.features(disc[:, k], y[:, k], knots=knots)
-            mean = xs_raw.mean(axis=0)
-            scale = xs_raw.std(axis=0)
+            xs = table.features(disc[:, k], y[:, k], knots=knots).T
+            mean = xs.mean(axis=1)
+            scale = xs.std(axis=1)
             keep = scale > 1e-10 * (1.0 + np.abs(mean))
             keep[dy_pairs[:, 0]] &= keep[dy_pairs[:, 1]]
             mean, scale = mean[keep], scale[keep]
-            # standardized design with the intercept first, factored once
-            # for the value target and the Brownian-loading targets
-            a = np.empty((n, mean.size + 1))
-            a[:, 0] = 1.0
-            np.divide(xs_raw[:, keep] - mean, scale, out=a[:, 1:])
-            ls = _LeastSquares(a, config.rcond)
+            # standardized design with the intercept first, built as
+            # contiguous feature rows (the transpose is the column-major
+            # matrix LAPACK factors) and factored once for the value
+            # target and the Brownian-loading targets
+            a = np.empty((mean.size + 1, n))
+            a[0] = 1.0
+            np.subtract(xs[keep], mean[:, None], out=a[1:])
+            a[1:] /= scale[:, None]
+            ls = _LeastSquares(a.T, config.rcond)
             v_hat, coef_v = ls.fit(v_next)
             # martingale-residual control variate: center before the
             # Brownian-loading regressions to kill the dW sample-mean noise
@@ -449,8 +455,12 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             resid = centered - np.sum(vbar * bundle.dw[:, k], axis=-1)
 
         # regression-implied loading from the factor sensitivity of the
-        # fitted value function; structural surface term as the fallback
-        shift = _factor_shift(labels, keep, coef_v, scale, disc[:, k], yl[:, k]) if nq and k > 0 else None
+        # fitted value function (at k = 0, where all paths share one state,
+        # the step-1 fit's); structural surface term as the fallback
+        fit = table.steps[max(k, 1)] if nk > 1 else None
+        shift = None
+        if nq and fit is not None:
+            shift = _factor_shift(labels, fit.keep, fit.coef_value, fit.scale, disc[:, k], yl[:, k])
         if shift is not None:
             slope, quad = shift
             base_nodes = slope[:, None] * z_nodes + quad * z_nodes**2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
-from ._kernels import gains_step
+from ._kernels import gains_step, step_major
 from .bsde import BSDESolution, ConstantPayoff
 from .levy import ConfigurationError
 from .market import PathBundle, adjustment
@@ -117,15 +117,16 @@ class HedgeReport:
 def _value_arrays(bundle: PathBundle, solution: BSDESolution | None, payoff, cfg: HedgeConfig):
     """Per-step value and loadings along a bundle (out-of-sample safe)."""
     n, nk = bundle.n_paths, bundle.n_steps
-    d = bundle.model.d
+    value = step_major(nk, n)
+    vbar = step_major(nk, n, bundle.model.d)
     if cfg.use_closed_form_value:
         if not isinstance(payoff, ConstantPayoff):
             raise ConfigurationError("closed-form value path applies to constant payoffs only")
-        return np.full((n, nk), payoff.p), np.zeros((n, nk, d))
+        value[...] = payoff.p
+        vbar[...] = 0.0
+        return value, vbar
     if solution is None:
         raise ConfigurationError("a backward solution is required unless the closed form is enabled")
-    value = np.empty((n, nk))
-    vbar = np.empty((n, nk, d))
     disc = bundle.discounted
     for k in range(nk):
         if solution.table.steps[k] is None:
@@ -163,8 +164,8 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         value, vbar = _value_arrays(bundle, solution, payoff, cfg)
         if p0 is None:
             p0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
-        adj = np.empty((n, nk, bundle.model.d))
-        xi = np.empty((n, nk, bundle.model.d))
+        adj = step_major(nk, n, bundle.model.d)
+        xi = step_major(nk, n, bundle.model.d)
         for k in range(nk):
             adj[:, k] = adjustment(bundle.model, disc[:, k], bundle.y_left[:, k])
             xi[:, k] = pure_hedge(bundle.model, disc[:, k], bundle.y_left[:, k], vbar[:, k])

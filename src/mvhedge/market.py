@@ -420,6 +420,10 @@ def _pack_jumps(paths: list[JumpPath], grid: GridConfig) -> RaggedJumps:
 class PathBundle:
     """One simulated chunk: factor, prices, increments and jump records.
 
+    Per-step arrays have shape (n_paths, n_steps[+1], ...) and are stored
+    step-major (``_kernels.step_major``), so one step's slice ``[:, k]``
+    is contiguous.
+
     Per-step integral accumulators:
 
     sharpe_int : integral of the squared market price of risk
@@ -475,7 +479,7 @@ class PathBundle:
                     self.times[np.minimum(node, self.times.size - 1)] == j.times
                 )
             if j.times.size and np.any(on_node):
-                yl = self.y.copy()
+                yl = self.y.copy(order="K")
                 pidx = np.repeat(np.arange(j.n_paths), np.diff(j.offsets))
                 np.subtract.at(
                     yl,
@@ -492,17 +496,26 @@ class PathBundle:
         return evolve(self.ou, jp, merge_grid(self.times, jp.times))
 
 
+# Paths whose normals are drawn into one path-major block before the
+# block is scaled into the step-major increments (1 MB at 500 steps).
+DRAW_BLOCK = 256
+
+
 def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, jump_paths):
     paths = []
-    dw = np.empty((n_paths, grid.n_steps, d))
+    dw = kernels.step_major(grid.n_steps, n_paths, d)
+    block = np.empty((min(DRAW_BLOCK, n_paths), grid.n_steps, d))
     sqdt = math.sqrt(grid.step)
-    for i in range(n_paths):
-        rng = rng_for_path(master_seed, path_offset + i)
-        if jump_paths is None:
-            paths.append(sample_jump_path(specs, grid.horizon, rng))
-        else:
-            paths.append(jump_paths[i])
-        dw[i] = rng.standard_normal((grid.n_steps, d)) * sqdt
+    for i0 in range(0, n_paths, DRAW_BLOCK):
+        m = min(DRAW_BLOCK, n_paths - i0)
+        for j in range(m):
+            rng = rng_for_path(master_seed, path_offset + i0 + j)
+            if jump_paths is None:
+                paths.append(sample_jump_path(specs, grid.horizon, rng))
+            else:
+                paths.append(jump_paths[i0 + j])
+            rng.standard_normal((grid.n_steps, d), out=block[j])
+        np.multiply(block[:m], sqdt, out=dw[i0:i0 + m])
     return paths, dw
 
 
@@ -518,11 +531,11 @@ def _simulate_general(model, ou, grid, s0, dw, rj: RaggedJumps, events: StepEven
     delta = grid.step
     edel = np.exp(-lam * delta)
 
-    y_out = np.empty((n, nk + 1, h))
-    logs = np.empty((n, nk + 1, d))
-    sharpe_int = np.empty((n, nk))
-    mpr_dw = np.empty((n, nk))
-    factor_int = np.empty((n, nk, h))
+    y_out = kernels.step_major(nk + 1, n, h)
+    logs = kernels.step_major(nk + 1, n, d)
+    sharpe_int = kernels.step_major(nk, n)
+    mpr_dw = kernels.step_major(nk, n)
+    factor_int = kernels.step_major(nk, n, h)
 
     y = np.tile(ou.y0, (n, 1))
     ls = np.tile(np.log(s0), (n, 1))

@@ -372,10 +372,14 @@ def _adjusted_gain_parts(bundle):
     for flat-coefficient models.
     """
     n, nk = bundle.sharpe_int.shape
-    r_cum = np.zeros((n, nk + 1))
-    np.cumsum(bundle.sharpe_int, axis=1, out=r_cum[:, 1:])
-    m_cum = np.zeros((n, nk + 1))
-    np.cumsum(bundle.mpr_dw, axis=1, out=m_cum[:, 1:])
+    # step-major running sums, one contiguous add per step (a cumsum
+    # along the step axis would walk each path with a stride)
+    r_cum = kernels.step_major(nk + 1, n)
+    m_cum = kernels.step_major(nk + 1, n)
+    r_cum[:, 0] = m_cum[:, 0] = 0.0
+    for k in range(nk):
+        np.add(r_cum[:, k], bundle.sharpe_int[:, k], out=r_cum[:, k + 1])
+        np.add(m_cum[:, k], bundle.mpr_dw[:, k], out=m_cum[:, k + 1])
     return r_cum + m_cum, r_cum
 
 

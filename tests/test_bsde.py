@@ -117,6 +117,23 @@ class TestSolveBackward:
         # without jumps Y has no spread, so D·Y is a multiple of D and is dropped with Y
         assert "rank_deficient_steps" not in sol.diagnostics
 
+    def test_constant_claim_exact_at_time_zero(self, bns_setup):
+        # the time-zero step borrows the step-1 fit's factor sensitivity,
+        # which is exactly zero for a constant claim, in place of the
+        # structural loading -V F / (1 + F)
+        _, bundle, surface = bns_setup
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(30000.0))
+        assert sol.value_at_zero == pytest.approx(30000.0, rel=1e-12)
+        assert np.all(sol.jump_loading_mean[0] == 0.0)
+
+    def test_step_slices_contiguous(self, flat_setup):
+        # step-major storage behind the (n, K + 1) and (n, K, d) shapes
+        _, bundle, surface = flat_setup
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(10.0))
+        assert sol.value.shape == (bundle.n_paths, bundle.n_steps + 1)
+        assert all(sol.value[:, k].flags.c_contiguous for k in range(bundle.n_steps + 1))
+        assert all(sol.dw_loadings[:, k].flags.c_contiguous for k in range(bundle.n_steps))
+
     def test_constant_claim_r2_in_unit_interval(self, bns_setup):
         # the value target's spread is rounding noise: no spread, r2 = 1
         _, bundle, surface = bns_setup

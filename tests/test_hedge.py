@@ -201,6 +201,23 @@ class TestRunHedge:
         rep = hedge.run_hedge(bundle, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=8))
         assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + swept[0][:8])
 
+    def test_step_slices_contiguous(self, bns_world, ou, monkeypatch):
+        model, cpe, grid, _, surface = bns_world
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
+        pay = bsde.DiscountedCall(100.0)
+        sol = bsde.solve_backward(bundle, surface, pay)
+        swept = []
+        sweep = kernels.hedge_sweep
+        monkeypatch.setattr(kernels, "hedge_sweep", lambda *args: swept.append(args) or sweep(*args))
+        hedge.run_hedge(bundle, surface, sol, pay, 8.0)
+        d_path, value, xi, adj, _ = swept[0]
+        for k in (0, 1, bundle.n_steps - 1):
+            for arr in (d_path, value, xi, adj):
+                assert arr[:, k].flags.c_contiguous
+        for cfg in (hedge.HedgeConfig(), hedge.HedgeConfig(use_closed_form_value=True)):
+            value, vbar = hedge._value_arrays(bundle, sol, bsde.ConstantPayoff(1.0), cfg)
+            assert value[:, 1].flags.c_contiguous and vbar[:, 1].flags.c_contiguous
+
     def test_chunked_stream(self, bns_world, ou):
         model, cpe, grid, _, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
@@ -222,6 +239,40 @@ class TestRunHedge:
         text = rep.summary()
         assert "mean squared error" in text
         assert (tmp_path / "rep.csv").read_text().startswith("quantity,value")
+
+
+def path_major(bundle):
+    """The same bundle with every per-step array copied path by path."""
+    arrays = [np.ascontiguousarray(a) for a in (bundle.y, bundle.s, bundle.dw, bundle.sharpe_int,
+                                                 bundle.mpr_dw, bundle.factor_int)]
+    return market.PathBundle(bundle.model, bundle.ou, bundle.specs, bundle.s0, bundle.grid, *arrays,
+                             bundle.jumps, bundle.master_seed, bundle.path_offset)
+
+
+@pytest.mark.parametrize("case", ["bns_constant", "flat_call"])
+def test_results_do_not_depend_on_layout(case, bns_world, ou):
+    # step-major storage is a layout choice only: a path-major copy of
+    # the bundle gives the same density, backward solution and hedge
+    if case == "bns_constant":
+        _, _, _, bundle, surface = bns_world
+        pay, endowment = bsde.ConstantPayoff(30000.0), 10000.0
+    else:
+        model = market.ConstantBS(0.1, 0.2, rate=0.0)
+        spec = levy.TableMeasure(())
+        bundle = market.simulate_paths(model, ou, [spec], [100.0], market.GridConfig(1.0, 0.01), 2000, 41)
+        surface = opp.make_surface(model, ou, [spec], 1.0)
+        pay, endowment = bsde.DiscountedCall(100.0), 8.0
+    other = path_major(bundle)
+    assert other.y[0].flags.c_contiguous and not other.y[:, 1].flags.c_contiguous
+    for name in ("y", "y_left", "s", "discounted", "dw", "sharpe_int", "mpr_dw", "factor_int"):
+        assert np.array_equal(getattr(bundle, name), getattr(other, name)), name
+    assert np.array_equal(opp.density_terminal(surface, bundle), opp.density_terminal(surface, other))
+    sols = [bsde.solve_backward(b, surface, pay) for b in (bundle, other)]
+    for name in ("value", "dw_loadings"):
+        a, b = (getattr(sol, name) for sol in sols)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
+    reps = [hedge.run_hedge(b, surface, sol, pay, endowment) for b, sol in zip((bundle, other), sols)]
+    assert reps[1].mse == pytest.approx(reps[0].mse, rel=1e-13)
 
 
 def test_two_asset_constant_claim_matches_herr(ou):

@@ -8,6 +8,13 @@ from mvhedge import levy, market, ngou
 from conftest import empty_jump_path
 
 
+def assert_step_slices_contiguous(bundle):
+    # per-step arrays are stored step-major behind their (n, K, ...) shapes
+    for name in ("y", "s", "dw", "sharpe_int", "mpr_dw", "factor_int", "discounted"):
+        arr = getattr(bundle, name)
+        assert all(arr[:, k].flags.c_contiguous for k in range(arr.shape[1])), name
+
+
 class TestCoefficientAlgebra:
     def test_sharpe_squared_flat(self):
         m = market.ConstantBS(2.0, 100.0, rate=0.0)
@@ -114,6 +121,18 @@ class TestSimulation:
         glued = np.concatenate([p.s for p in parts], axis=0)
         assert np.array_equal(whole.s, glued)
 
+    def test_normals_follow_per_path_streams(self, bns_model, ou_unit, cpe_spec):
+        # normals are drawn in blocks of paths; each path still reads its
+        # own stream, right after its jumps
+        grid = market.GridConfig(0.1, 0.01)
+        n = market.DRAW_BLOCK + 3
+        b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, n, 8, path_offset=5)
+        for i in (0, market.DRAW_BLOCK - 1, market.DRAW_BLOCK, n - 1):
+            rng = levy.rng_for_path(8, 5 + i)
+            levy.sample_jump_path([cpe_spec], grid.horizon, rng)
+            ref = rng.standard_normal((grid.n_steps, 1)) * math.sqrt(grid.step)
+            assert np.array_equal(b.dw[i], ref)
+
     def test_factor_path_roundtrip(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(1.0, 0.05)
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 4, 12)
@@ -129,6 +148,9 @@ class TestSimulation:
                                   jump_paths=[jp, jp])
         k = 5  # t = 0.5 is a grid node
         assert b.y[0, k, 0] - b.y_left[0, k, 0] == pytest.approx(2.0, rel=1e-14)
+        # the left limits are a copy that keeps the step-major layout
+        assert not np.shares_memory(b.y_left, b.y)
+        assert all(b.y_left[:, j].flags.c_contiguous for j in range(b.n_steps + 1))
 
     def test_dimension_mismatch_raises(self, bns_model, cpe_spec):
         ou2 = ngou.OUParams([1.0, 1.0], [10.0, 10.0])
@@ -145,6 +167,8 @@ class TestSimulation:
         b2 = market.simulate_paths(m2, ou_unit, [cpe_spec], [100.0], grid, 100, 5)
         assert np.max(np.abs(b1.s - b2.s) / b2.s) < 1e-10
         assert np.max(np.abs(b1.sharpe_int - b2.sharpe_int)) < 1e-12
+        assert_step_slices_contiguous(b1)
+        assert_step_slices_contiguous(b2)
 
     def test_two_factor_general_engine(self, cpe_spec):
         ou2 = ngou.OUParams([1.0, 0.5], [10.0, 6.0])
@@ -165,6 +189,7 @@ class TestSimulation:
                                   [50.0], grid, 40, 6)
         assert b.y.shape == (40, 51, 2)
         assert (b.s > 0).all()
+        assert_step_slices_contiguous(b)
         lam_int = b.factor_int.sum(axis=1)
         l_tot = np.array([b.jumps.path(i).totals() for i in range(b.n_paths)])
         resid = lam_int - (np.array([10.0, 6.0]) + l_tot - b.y[:, -1])

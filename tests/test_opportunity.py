@@ -286,6 +286,17 @@ class TestDensityPath:
         se = zt.std(ddof=1) / math.sqrt(zt.size)
         assert abs(zt.mean() - 1.0) <= 4 * se + 0.004
 
+    def test_running_sums_match_cumsum(self, bns, ou, cpe):
+        # the per-step loop adds in the same order as a cumulative sum along each path
+        grid = market.GridConfig(1.0, 0.02)
+        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
+        a_dot_d, qv = opp._adjusted_gain_parts(b)
+        r = np.cumsum(np.ascontiguousarray(b.sharpe_int), axis=1)
+        m = np.cumsum(np.ascontiguousarray(b.mpr_dw), axis=1)
+        assert np.all(qv[:, 0] == 0.0) and np.all(a_dot_d[:, 0] == 0.0)
+        assert np.array_equal(qv[:, 1:], r)
+        assert np.array_equal(a_dot_d[:, 1:], r + m)
+
     def test_density_terminal_matches_path_variant(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(1.0, 0.02)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
