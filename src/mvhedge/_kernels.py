@@ -1,7 +1,7 @@
 """Hot numeric loops, vectorized across paths with numpy.
 
-Four loops carry the pipeline's work: the one-asset path simulation
-(``simulate_d1h1``), the hedge gains sweep (``hedge_sweep``, one
+Four loops carry the pipeline's work: the path simulation for every
+model (``simulate_d1h1``), the hedge gains sweep (``hedge_sweep``, one
 ``gains_step`` per time step), the pathwise exponent of the surface's
 inner Monte Carlo (``opportunity_mc_exponent``) and bilinear table
 lookups along paths (``bilinear_steps``).  Each runs a Python loop over
@@ -19,11 +19,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-# Model codes of the one-asset, one-factor models ``simulate_d1h1`` runs.
-MODEL_CONSTANT = 0  # drift alpha, volatility beta, both flat in y
-MODEL_BNS = 1  # drift alpha + beta*y, volatility sqrt(y)
-
 
 def numba_enabled() -> bool:
     """Always False: the kernels have one numpy backend.
@@ -56,79 +51,81 @@ def step_major(n_steps, n_paths, *tail):
     return np.empty((n_steps, n_paths, *tail)).swapaxes(0, 1)
 
 
-def simulate_d1h1(code, alpha, beta, rate, y0, lam, delta, s0, dw, events, sizes):
-    """Forward sweep of factor, log-price and quadrature accumulators.
+def simulate_d1h1(model, y0, lam, delta, s0, dw, events, components, sizes):
+    """Forward sweep of factor, price and quadrature accumulators, any model.
 
+    The one simulation engine; the name is kept because benchmark
+    records report it.  ``dw`` (n, K, d) holds the Brownian increments,
     ``events`` groups the jump events by grid step (``rows(k)``, owning
-    ``path`` and within-step ``offset``); ``sizes`` are the event sizes
-    in storage order.  Returns (y, log_s, sharpe_int, mpr_dw,
-    factor_int): per-step integrals of the squared market price of risk
-    (jump-inclusive quadrature), the variance-matched loading against
-    the Brownian increments, and lambda * Y (exact).
+    ``path`` and within-step ``offset``), and ``components``/``sizes``
+    are the events' factor and size in storage order.  The model is
+    read only through ``drift``, ``vol``, ``sharpe_squared`` and
+    ``market_price_of_risk`` at states (..., h).  Returns (y, s,
+    sharpe_int, mpr_dw, factor_int): per-step integrals of the squared
+    market price of risk (jump-inclusive quadrature), the
+    variance-matched loading against the Brownian increments, and
+    lambda * Y (exact).
     """
-    n, nk = dw.shape
-    edel = math.exp(-lam * delta)
+    n, nk, d = dw.shape
+    h = lam.size
+    nq = SEG_NODES.size
+    # decay factors per component, as scalars: a step's factor decays by
+    # edel, and from its left node to quadrature node q by node_decay[q]
+    edel = np.array([math.exp(-lam_i * delta) for lam_i in lam])
+    node_times = SEG_NODES * delta
+    node_decay = np.array([[math.exp(-lam_i * xi) for lam_i in lam] for xi in node_times])
 
-    def sharpe2(y):
-        if code == MODEL_CONSTANT:
-            return np.full_like(y, (alpha - rate) ** 2 / beta**2)
-        e = alpha + beta * y - rate
-        return e * e / y
-
-    def mpr(y):
-        if code == MODEL_CONSTANT:
-            return np.full_like(y, (alpha - rate) / beta)
-        return (alpha + beta * y - rate) / np.sqrt(y)
-
-    y_out = step_major(nk + 1, n)
-    logs_out = step_major(nk + 1, n)
+    y_out = step_major(nk + 1, n, h)
+    logs = step_major(nk + 1, n, d)
     sharpe_int = step_major(nk, n)
     mpr_dw = step_major(nk, n)
-    factor_int = step_major(nk, n)
-    y = np.full(n, float(y0))
-    ls = np.full(n, math.log(s0))
+    factor_int = step_major(nk, n, h)
+    # row 0: the step-left state y, updated in place at the end of each
+    # step; row 1 + q: the state at quadrature node q
+    states = np.empty((1 + nq, n, h))
+    y = states[0]
+    y[:] = y0
+    ls = np.tile([math.log(s0_m) for s0_m in s0], (n, 1))
     y_out[:, 0] = y
-    logs_out[:, 0] = ls
+    logs[:, 0] = ls
     for k in range(nk):
         ev = events.rows(k)
-        pths = events.path[ev]
+        comps = components[ev]
+        # flat index of each event's (path, factor) entry in an (n, h) array
+        at = events.path[ev] * h + comps
+        lam_ev = lam[comps]
         u = events.offset[ev]
         sz = sizes[ev]
+        np.multiply(y, node_decay[:, None, :], out=states[1:])
+        if ev.size:
+            # events before each node, node by node, in storage order
+            node, j = np.nonzero(u < node_times[:, None])
+            w = sz[j] * np.exp(-lam_ev[j] * (node_times[node] - u[j]))
+            states[1:] += np.bincount(node * (n * h) + at[j], w, minlength=nq * n * h).reshape(nq, n, h)
+        rho = model.sharpe_squared(states)
         acc = np.zeros(n)
-        for q in range(len(SEG_NODES)):
-            xi = SEG_NODES[q] * delta
-            yq = y * math.exp(-lam * xi)
-            if ev.size:
-                mask = u < xi
-                contrib = np.zeros(n)
-                np.add.at(contrib, pths[mask], sz[mask] * np.exp(-lam * (xi - u[mask])))
-                yq = yq + contrib
-            acc += SEG_WEIGHTS[q] * sharpe2(yq)
+        for q in range(nq):
+            acc += SEG_WEIGHTS[q] * rho[1 + q]
         r_step = acc * delta
         sharpe_int[:, k] = r_step
         # scale the frozen loading so its conditional variance matches
         # the same integral; keeps the density mean exact given jumps
-        rho_left = sharpe2(y)
-        scale = np.where(rho_left * delta > 1e-300, np.sqrt(r_step / np.maximum(rho_left * delta, 1e-300)), 1.0)
-        mpr_dw[:, k] = mpr(y) * dw[:, k] * scale
-        if code == MODEL_CONSTANT:
-            b = np.full(n, alpha)
-            v = np.full(n, beta**2)
-        else:
-            b = alpha + beta * y
-            v = y.copy()
-        ls = ls + (b - 0.5 * v) * delta + np.sqrt(v) * dw[:, k]
-        jend = np.zeros(n)
-        jint = np.zeros(n)
+        r_left = rho[0] * delta
+        scale = np.where(r_left > 1e-300, np.sqrt(r_step / np.maximum(r_left, 1e-300)), 1.0)
+        mpr_dw[:, k] = np.einsum("ni,ni->n", model.market_price_of_risk(y), dw[:, k]) * scale
+        vol = model.vol(y)
+        diag_cov = np.einsum("nij,nij->ni", vol, vol)
+        ls = ls + (model.drift(y) - 0.5 * diag_cov) * delta + np.einsum("nij,nj->ni", vol, dw[:, k])
+        factor_int[:, k] = y * (1.0 - edel)
+        y *= edel
         if ev.size:
-            e = np.exp(-lam * (delta - u))
-            np.add.at(jend, pths, sz * e)
-            np.add.at(jint, pths, sz * (1.0 - e))
-        factor_int[:, k] = y * (1.0 - edel) + jint
-        y = y * edel + jend
+            e = np.exp(-lam_ev * (delta - u))
+            factor_int[:, k] += np.bincount(at, sz * (1.0 - e), minlength=n * h).reshape(n, h)
+            y += np.bincount(at, sz * e, minlength=n * h).reshape(n, h)
         y_out[:, k + 1] = y
-        logs_out[:, k + 1] = ls
-    return y_out, logs_out, sharpe_int, mpr_dw, factor_int
+        logs[:, k + 1] = ls
+    # in place, so log prices and prices never take memory at once
+    return y_out, np.exp(logs, out=logs), sharpe_int, mpr_dw, factor_int
 
 
 def gains_step(gains_left, xi, adj, v, value_left, d_increment):

@@ -24,18 +24,15 @@ class CoefficientModel:
     """Drift/volatility maps b(y), sigma(y) with constant interest rate.
 
     Subclasses provide vectorized ``drift`` (shape (..., d)) and ``vol``
-    (shape (..., d, d)) over factor states y of shape (..., h).
-    ``kernel_code`` and ``kernel_params`` are set by the one-asset,
-    one-factor models whose coefficients ``_kernels.simulate_d1h1``
-    evaluates in closed form; ``simulate_paths`` runs every other model
-    through the general engine.
+    (shape (..., d, d)) over factor states y of shape (..., h).  The
+    squared market price of risk and the market price of risk follow
+    from them here; a model with closed forms overrides the two methods,
+    and every caller reads them through the model.
     """
 
     d: int = 1
     h: int = 1
     rate: float = 0.0
-    kernel_code = None
-    kernel_params = (0.0, 0.0)
     constant_sharpe: float | None = None
     declared_bounds: dict = {}
 
@@ -44,6 +41,18 @@ class CoefficientModel:
 
     def vol(self, y):
         raise NotImplementedError
+
+    def sharpe_squared(self, y):
+        """Squared market price of risk B'(sigma sigma')^{-1} B, shape (...)."""
+        b = excess_drift(self, y)
+        x = _solve_cov(self, y, b)
+        return np.sum(b * x, axis=-1)
+
+    def market_price_of_risk(self, y):
+        """sigma'(sigma sigma')^{-1} B, shape (..., d)."""
+        b = excess_drift(self, y)
+        x = _solve_cov(self, y, b)
+        return np.einsum("...ji,...j->...i", self.vol(y), x)
 
 
 class ConstantBS(CoefficientModel):
@@ -57,8 +66,6 @@ class ConstantBS(CoefficientModel):
         self.rate = float(rate)
         self.d = 1
         self.h = 1
-        self.kernel_code = kernels.MODEL_CONSTANT
-        self.kernel_params = (self.alpha, self.beta)
         self.constant_sharpe = (self.alpha - self.rate) ** 2 / self.beta**2
         self.declared_bounds = {
             "A_b": abs(self.alpha),
@@ -79,6 +86,12 @@ class ConstantBS(CoefficientModel):
         y = np.asarray(y, dtype=float)
         return np.full(y.shape[:-1] + (1, 1), self.beta)
 
+    def sharpe_squared(self, y):
+        return np.full(np.shape(y)[:-1], self.constant_sharpe)
+
+    def market_price_of_risk(self, y):
+        return np.full(np.shape(y)[:-1] + (1,), (self.alpha - self.rate) / self.beta)
+
     def __repr__(self):
         return f"ConstantBS(alpha={self.alpha}, beta={self.beta}, rate={self.rate})"
 
@@ -92,8 +105,6 @@ class BNS(CoefficientModel):
         self.rate = float(rate)
         self.d = 1
         self.h = 1
-        self.kernel_code = kernels.MODEL_BNS
-        self.kernel_params = (self.alpha, self.beta)
         self.constant_sharpe = None
         self.declared_bounds = {
             "A_b": abs(self.alpha),
@@ -112,6 +123,21 @@ class BNS(CoefficientModel):
     def vol(self, y):
         y = np.asarray(y, dtype=float)
         return np.sqrt(y)[..., None]
+
+    def _excess(self, y):
+        """Factor level and excess drift alpha + beta*y - r; y must be positive."""
+        y = np.asarray(y, dtype=float)[..., 0]
+        if (y <= 0).any():
+            raise np.linalg.LinAlgError("singular volatility covariance (condition number inf)")
+        return y, self.alpha + self.beta * y - self.rate
+
+    def sharpe_squared(self, y):
+        y, e = self._excess(y)
+        return e * e / y
+
+    def market_price_of_risk(self, y):
+        y, e = self._excess(y)
+        return (e / np.sqrt(y))[..., None]
 
     def __repr__(self):
         return f"BNS(alpha={self.alpha}, beta={self.beta}, rate={self.rate})"
@@ -174,17 +200,12 @@ def _solve_cov(model, y, rhs):
 
 def sharpe_squared(model, y):
     """Squared market price of risk B'(sigma sigma')^{-1} B, nonnegative."""
-    b = excess_drift(model, y)
-    x = _solve_cov(model, y, b)
-    return np.sum(b * x, axis=-1)
+    return model.sharpe_squared(y)
 
 
 def market_price_of_risk(model, y):
     """sigma'(sigma sigma')^{-1} B, the Brownian loading of the risk premium."""
-    b = excess_drift(model, y)
-    x = _solve_cov(model, y, b)
-    sig = model.vol(y)
-    return np.einsum("...ji,...j->...i", sig, x)
+    return model.market_price_of_risk(y)
 
 
 def adjustment(model, d_prices, y):
@@ -519,69 +540,6 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
     return paths, dw
 
 
-def _simulate_general(model, ou, grid, s0, dw, rj: RaggedJumps, events: StepEvents):
-    """Engine for any dimensions; vectorized across paths.
-
-    Uses the same jump-inclusive quadrature and variance-matched
-    loading scaling as the one-asset kernel.
-    """
-    n, nk, d = dw.shape
-    h = ou.dim
-    lam = ou.mean_reversion
-    delta = grid.step
-    edel = np.exp(-lam * delta)
-
-    y_out = kernels.step_major(nk + 1, n, h)
-    logs = kernels.step_major(nk + 1, n, d)
-    sharpe_int = kernels.step_major(nk, n)
-    mpr_dw = kernels.step_major(nk, n)
-    factor_int = kernels.step_major(nk, n, h)
-
-    y = np.tile(ou.y0, (n, 1))
-    ls = np.tile(np.log(s0), (n, 1))
-    y_out[:, 0] = y
-    logs[:, 0] = ls
-    for k in range(nk):
-        ev = events.rows(k)
-        pths = events.path[ev]
-        comps = rj.components[ev]
-        u = events.offset[ev]
-        sz = rj.sizes[ev]
-        acc = np.zeros(n)
-        for q in range(kernels.SEG_NODES.size):
-            xi = kernels.SEG_NODES[q] * delta
-            yq = y * np.exp(-lam * xi)
-            if ev.size:
-                mask = u < xi
-                contrib = np.zeros((n, h))
-                np.add.at(contrib, (pths[mask], comps[mask]),
-                          sz[mask] * np.exp(-lam[comps[mask]] * (xi - u[mask])))
-                yq = yq + contrib
-            acc += kernels.SEG_WEIGHTS[q] * sharpe_squared(model, yq)
-        r_step = acc * delta
-        sharpe_int[:, k] = r_step
-        rho_left = sharpe_squared(model, y)
-        scale = np.where(rho_left * delta > 1e-300,
-                         np.sqrt(r_step / np.maximum(rho_left * delta, 1e-300)), 1.0)
-        mpr_dw[:, k] = np.sum(market_price_of_risk(model, y) * dw[:, k], axis=-1) * scale
-        b = np.atleast_2d(model.drift(y))
-        sig = covariance(model, y)
-        diag_var = np.einsum("...ii->...i", sig)
-        vol = model.vol(y)
-        ls = ls + (b - 0.5 * diag_var) * delta + np.einsum("nmj,nj->nm", vol, dw[:, k])
-        jend = np.zeros((n, h))
-        jint = np.zeros((n, h))
-        if ev.size:
-            e = np.exp(-lam[comps] * (delta - u))
-            np.add.at(jend, (pths, comps), sz * e)
-            np.add.at(jint, (pths, comps), sz * (1.0 - e))
-        factor_int[:, k] = y * (1.0 - edel) + jint
-        y = y * edel + jend
-        y_out[:, k + 1] = y
-        logs[:, k + 1] = ls
-    return y_out, np.exp(logs), sharpe_int, mpr_dw, factor_int
-
-
 def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: int,
                    master_seed: int, jump_paths=None, path_offset: int = 0) -> PathBundle:
     """Simulate a bundle of paths, reproducible per (master_seed, path index).
@@ -599,23 +557,10 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
         raise ConfigurationError("initial prices must be positive, one per asset")
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid)
-
-    # the step grouping is built inside each call so it is freed before
-    # the price arrays are exponentiated
-    if model.kernel_code is not None and model.d == 1 and model.h == 1:
-        alpha, beta = model.kernel_params
-        y, logs, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
-            model.kernel_code, alpha, beta, model.rate,
-            ou.y0[0], ou.mean_reversion[0], grid.step, s0[0],
-            dw[:, :, 0], rj.by_step(grid.times), rj.sizes,
-        )
-        y = y[:, :, None]
-        s = np.exp(logs)[:, :, None]
-        factor_int = factor_int[:, :, None]
-    else:
-        y, s, sharpe_int, mpr_dw, factor_int = _simulate_general(
-            model, ou, grid, s0, dw, rj, rj.by_step(grid.times)
-        )
+    y, s, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
+        model, ou.y0, ou.mean_reversion, grid.step, s0, dw,
+        rj.by_step(grid.times), rj.components, rj.sizes,
+    )
     return PathBundle(model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
                       factor_int, rj, master_seed, path_offset)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .levy import (
     jump_quadrature,
     sample_jump_path,
 )
-from .market import sharpe_squared
 from .ngou import OUParams
 
 
@@ -215,7 +213,7 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     eta = np.linspace(math.log(floor), math.log(top), mesh.n_y)
     deta = eta[1] - eta[0]
     y_nodes = np.exp(eta)
-    rho = sharpe_squared(model, y_nodes[:, None])
+    rho = model.sharpe_squared(y_nodes[:, None])
     nu_mass = float(z_weights.sum())
 
     # stability limits for the explicit transport and jump pieces
@@ -289,7 +287,7 @@ def estimate_opportunity_mc(model, ou: OUParams, specs, t: float, y, horizon: fl
     offsets = np.zeros(n_inner + 1, dtype=np.int64)
     offsets[1:] = np.cumsum([len(p) for p in paths])
     expo = kernels.opportunity_mc_exponent(
-        partial(sharpe_squared, model), ou.mean_reversion, y, span, offsets,
+        model.sharpe_squared, ou.mean_reversion, y, span, offsets,
         np.concatenate([p.times for p in paths]),
         np.concatenate([p.components for p in paths]),
         np.concatenate([p.sizes for p in paths]),
@@ -402,8 +400,17 @@ def density_path(surface: OpportunitySurface, bundle) -> DensityPath:
 
 
 def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
-    """Terminal density values only; avoids storing whole density paths."""
-    a_dot_d, qv = _adjusted_gain_parts(bundle)
+    """Terminal density values only; avoids storing whole density paths.
+
+    The two running sums of ``_adjusted_gain_parts`` are kept for the
+    last step alone, added step by step in the same order, so the
+    values equal ``density_path(...).terminal`` bitwise.
+    """
+    qv = np.zeros(bundle.n_paths)
+    m = np.zeros(bundle.n_paths)
+    for k in range(bundle.n_steps):
+        qv += bundle.sharpe_int[:, k]
+        m += bundle.mpr_dw[:, k]
     o0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
     o_t = surface.value_at_states(bundle.times[-1], bundle.y[:, -1])
-    return o_t * np.exp(-a_dot_d[:, -1] - 0.5 * qv[:, -1]) / o0
+    return o_t * np.exp(-(qv + m) - 0.5 * qv) / o0

@@ -276,7 +276,8 @@ def test_results_do_not_depend_on_layout(case, bns_world, ou):
 
 
 def test_two_asset_constant_claim_matches_herr(ou):
-    # general engine, matrix covariance solve and the two-asset sweep;
+    # two assets through the simulation engine, the matrix covariance
+    # solve and the sweep;
     # the closed form is P0 (p - v)^2 with P0 = exp(-theta' Sigma^-1 theta T)
     # correlated enough that an adjustment ignoring the off-diagonal
     # covariance raises the MSE by about 15 %, twice the band

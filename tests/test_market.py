@@ -48,6 +48,25 @@ class TestCoefficientAlgebra:
         got = market.market_price_of_risk(bns_model, np.array([[10.0]]))[0, 0]
         assert got == pytest.approx(0.7 / math.sqrt(10.0), rel=1e-14)
 
+    @pytest.mark.parametrize("model", [market.BNS(0.5, 0.02, rate=0.03), market.ConstantBS(0.1, 0.2, rate=0.03)],
+                             ids=["bns", "constant"])
+    def test_closed_forms_match_definition(self, model):
+        # the models' closed forms against the generic B'(sigma sigma')^{-1} B route
+        y = np.geomspace(1e-3, 1e3, 61)[:, None]
+        for name in ("sharpe_squared", "market_price_of_risk"):
+            got = getattr(model, name)(y)
+            ref = getattr(market.CoefficientModel, name)(model, y)
+            assert got.shape == ref.shape, name
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0, err_msg=name)
+
+    def test_bns_rejects_nonpositive_factor(self):
+        m = market.BNS(0.5, 0.02)
+        for y in (0.0, -1.0):
+            with pytest.raises(np.linalg.LinAlgError):
+                m.sharpe_squared([[y]])
+            with pytest.raises(np.linalg.LinAlgError):
+                m.market_price_of_risk([[y]])
+
     def test_singular_covariance_reports_condition(self):
         m = market.TabulatedModel([1.0, 2.0], [0.1, 0.1], [1e-200, 1e-200])
         with pytest.raises(np.linalg.LinAlgError):
@@ -158,17 +177,42 @@ class TestSimulation:
             market.simulate_paths(bns_model, ou2, [cpe_spec, cpe_spec], [100.0],
                                   market.GridConfig(1.0, 0.1), 4, 1)
 
-    def test_general_engine_matches_kernel(self, ou_unit, cpe_spec):
-        grid = market.GridConfig(0.5, 0.01)
-        m = market.BNS(0.5, 0.02)
-        b1 = market.simulate_paths(m, ou_unit, [cpe_spec], [100.0], grid, 100, 5)
-        m2 = market.BNS(0.5, 0.02)
-        m2.kernel_code = None  # force the general engine
-        b2 = market.simulate_paths(m2, ou_unit, [cpe_spec], [100.0], grid, 100, 5)
-        assert np.max(np.abs(b1.s - b2.s) / b2.s) < 1e-10
-        assert np.max(np.abs(b1.sharpe_int - b2.sharpe_int)) < 1e-12
-        assert_step_slices_contiguous(b1)
-        assert_step_slices_contiguous(b2)
+    def test_constant_model_matches_closed_form(self, ou_unit, no_jumps):
+        # flat coefficients: log S_k = log s0 + (alpha - beta^2/2) t_k + beta W_k,
+        # and the accumulators are theta^2 dt and theta dW with theta = (alpha - r)/beta
+        alpha, beta, rate = 0.1, 0.2, 0.03
+        m = market.ConstantBS(alpha, beta, rate=rate)
+        grid = market.GridConfig(1.0, 0.01)
+        b = market.simulate_paths(m, ou_unit, [no_jumps], [100.0], grid, 200, 5)
+        w = np.concatenate([np.zeros((200, 1)), np.cumsum(b.dw[:, :, 0], axis=1)], axis=1)
+        log_s = math.log(100.0) + (alpha - 0.5 * beta**2) * b.times[None, :] + beta * w
+        np.testing.assert_allclose(np.log(b.s[:, :, 0]), log_s, rtol=1e-12, atol=0)
+        theta = (alpha - rate) / beta
+        np.testing.assert_allclose(b.sharpe_int, np.full((200, grid.n_steps), theta**2 * grid.step),
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b.mpr_dw, theta * b.dw[:, :, 0], rtol=1e-12, atol=0)
+        assert_step_slices_contiguous(b)
+
+    def test_bns_sharpe_integral_matches_closed_form(self, ou_unit, cpe_spec):
+        # jumps on grid nodes only, so inside every step the factor decays
+        # as y_k exp(-lam s) and the quadrature has an exact integral
+        alpha, beta, rate = 0.5, 0.02, 0.03
+        grid = market.GridConfig(1.0, 0.05)
+        jp = levy.JumpPath(np.array([0.25, 0.6]), np.array([0, 0]), np.array([1.5, 3.0]), 1.0, 1)
+        b = market.simulate_paths(market.BNS(alpha, beta, rate=rate), ou_unit, [cpe_spec], [100.0],
+                                  grid, 3, 2, jump_paths=[jp] * 3)
+        assert np.all(np.diff(b.y[:, :, 0], axis=1)[:, [4, 11]] > 1.0)
+        a, lam, dt = alpha - rate, 1.0, grid.step
+        y = b.y[:, :-1, 0]
+        exact = (a**2 * math.expm1(lam * dt) / (lam * y) + 2 * a * beta * dt
+                 - beta**2 * y * math.expm1(-lam * dt) / lam)
+        np.testing.assert_allclose(b.sharpe_int, exact, rtol=1e-12, atol=0)
+        assert_step_slices_contiguous(b)
+
+    def test_engine_propagates_singular_covariance(self, ou_unit, no_jumps):
+        m = market.TabulatedModel([1.0, 2.0], [0.1, 0.1], [1e-200, 1e-200])
+        with pytest.raises(np.linalg.LinAlgError):
+            market.simulate_paths(m, ou_unit, [no_jumps], [100.0], market.GridConfig(0.1, 0.01), 4, 1)
 
     def test_two_factor_general_engine(self, cpe_spec):
         ou2 = ngou.OUParams([1.0, 0.5], [10.0, 6.0])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -300,9 +301,22 @@ class TestDensityPath:
     def test_density_terminal_matches_path_variant(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(1.0, 0.02)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
+        assert b.jumps.times.size > 0
         dp = opp.density_path(bns_surface, b)
         zt = opp.density_terminal(bns_surface, b)
-        assert zt == pytest.approx(dp.density[:, -1], rel=1e-12)
+        assert np.array_equal(zt, dp.terminal)
+
+    def test_density_terminal_keeps_no_running_sum_paths(self, bns, ou, cpe, bns_surface):
+        # only per-path running sums: the peak stays below two (n, K+1) arrays
+        grid = market.GridConfig(1.0, 0.01)
+        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 2000, 11)
+        tracemalloc.start()
+        try:
+            opp.density_terminal(bns_surface, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * b.n_paths * (b.n_steps + 1) * 8
 
     def test_jumps_only_at_jump_times(self, bns, ou, cpe, bns_surface):
         jp = levy.JumpPath(np.array([0.5]), np.array([0]), np.array([2.0]), 1.0, 1)
