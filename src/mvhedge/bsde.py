@@ -142,8 +142,6 @@ class RegressionTable:
                 labels += [f"D{m}Y{i}" for m in range(d) for i in range(h)]
             elif name == "D2":
                 labels += [f"D{m}^2" for m in range(d)]
-            elif name == "D3":
-                labels += [f"D{m}^3" for m in range(d)]
             elif name == "Y2":
                 labels += [f"Y{i}^2" for i in range(h)]
             elif name == "logD":
@@ -174,8 +172,6 @@ class RegressionTable:
                         cols.append(d_prices[:, m] * y[:, i])
             elif name == "D2":
                 cols.extend((d_prices**2).T)
-            elif name == "D3":
-                cols.extend((d_prices**3).T)
             elif name == "Y2":
                 cols.extend((y**2).T)
             elif name == "logD":
@@ -555,6 +551,8 @@ def mc_value_at_zero(surface: OpportunitySurface, bundles, payoff):
         total += float(zh.sum())
         total_sq += float((zh**2).sum())
         count += zh.size
+        # release the chunk before a generator simulates the next one
+        del bundle, zh
     mean = total / count
     var = max(total_sq / count - mean**2, 0.0) * count / max(count - 1, 1)
     return mean, math.sqrt(var / count)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -67,7 +66,7 @@ DEFAULTS = {
     "initial_prices": [100.0],
     "endowment": 10000.0,
     "moment_exponent": 4.0,
-    "surface": {"mode": "auto"},
+    "surface": {},
     "bsde": {},
     "hedge": {},
     "figure": {},
@@ -164,13 +163,7 @@ def build_surface(cfg, model, ou, specs, horizon):
     for key in ("n_y", "n_time_slices", "n_quad", "y_top", "y_floor"):
         if key in sc:
             setattr(mesh, key, sc[key])
-    return opportunity.make_surface(
-        model, ou, specs, horizon,
-        mesh=mesh,
-        mode=sc.get("mode", "auto"),
-        n_inner=sc.get("n_inner", 2000),
-        master_seed=cfg["paths"]["master_seed"] + 104729,
-    )
+    return opportunity.make_surface(model, ou, specs, horizon, mesh)
 
 
 def output_dir(cfg, args) -> Path:
@@ -266,15 +259,8 @@ def cmd_hedge(cfg, args):
 
 
 def _closed_error_curve(model, ou, specs, horizons):
-    """Time-zero opportunity value per horizon, cheapest route available."""
-    p0 = []
-    for t_end in horizons:
-        if model.constant_sharpe is not None:
-            p0.append(math.exp(-model.constant_sharpe * t_end))
-        else:
-            surf = opportunity.solve_opportunity_ipde(model, ou, specs[0], t_end)
-            p0.append(surf.value(0.0, ou.y0))
-    return np.array(p0)
+    """Time-zero opportunity value per horizon."""
+    return np.array([opportunity.make_surface(model, ou, specs, t).value(0.0, ou.y0) for t in horizons])
 
 
 def cmd_figure(cfg, args):

@@ -180,6 +180,9 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         sq_sq += float((sq**2).sum())
         payoff_sum += float(h_term.sum())
         count += n
+        # release the chunk and its per-step arrays before a generator
+        # simulates the next one
+        del bundle, disc, value, vbar, adj, xi, gains
     mse = sq_sum / count
     var_sq = max(sq_sq / count - mse**2, 0.0) * count / max(count - 1, 1)
     report = HedgeReport(
@@ -207,7 +210,7 @@ def _record_paths(bundle, value, xi, adj, endowment, n_record):
     """Keep full strategy paths for a few leading paths (exports/tests)."""
     n = min(n_record, bundle.n_paths)
     nk = bundle.n_steps
-    disc = bundle.discounted[:n, :, :]
+    disc = bundle.discounted[:n].copy()  # a view would keep the whole chunk alive
     gains = np.zeros((n, nk + 1))
     position = np.zeros((n, nk, bundle.model.d))
     for k in range(nk):

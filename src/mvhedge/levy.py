@@ -63,10 +63,6 @@ class CompoundPoissonExp:
     def critical_exponent(self) -> float:
         return self.jump_rate
 
-    def mean_rate(self) -> float:
-        """Mean of L(1) per unit subordinator time."""
-        return self.event_rate / self.jump_rate
-
 
 @dataclass(frozen=True)
 class TableMeasure:
@@ -95,9 +91,6 @@ class TableMeasure:
     @property
     def critical_exponent(self) -> float:
         return math.inf
-
-    def mean_rate(self) -> float:
-        return sum(z * nu for z, nu in self.atoms)
 
 
 SubordinatorSpec = CompoundPoissonExp | TableMeasure

@@ -234,16 +234,6 @@ class ConditionReport:
     def ok(self) -> bool:
         return all(r.satisfied for r in self.rows)
 
-    def __str__(self):
-        lines = [f"coefficient conditions ({'pass' if self.ok else 'FAIL'})"]
-        for r in self.rows:
-            tag = "ok " if r.satisfied else "BAD"
-            lines.append(f"  [{tag}] {r.name}: {r.detail}")
-        lines.append(f"  max cov condition number: {self.max_cov_condition:.4g}")
-        for w in self.warnings:
-            lines.append(f"  warning: {w}")
-        return "\n".join(lines)
-
 
 def _sup_norm(a):
     return np.max(np.abs(a), axis=tuple(range(1, a.ndim))) if a.ndim > 1 else np.abs(a)

@@ -36,10 +36,6 @@ class OUParams:
     def dim(self) -> int:
         return self.y0.size
 
-    def floor(self, horizon: float) -> np.ndarray:
-        """Deterministic lower bound of each component on [0, horizon]."""
-        return self.y0 * np.exp(-self.mean_reversion * horizon)
-
 
 @dataclass(frozen=True)
 class FactorPath:

@@ -1,11 +1,11 @@
 """Opportunity surface and variance-optimal density path.
 
 The surface P(t, y) = E[exp(-integral of the squared market price of
-risk along the factor started at (t, y))] has two independent
-evaluators: a Monte Carlo estimator (any factor dimension) and a
-backward finite-difference solve of its integro-PDE (one factor).
-Models with a flat market price of risk short-circuit to the closed
-form exp(-s2 * (T - t)).
+risk along the factor started at (t, y))] is evaluated in closed form,
+exp(-s2 * (T - t)), when the squared market price of risk is flat, and
+by a backward finite-difference solve of its integro-PDE (one factor)
+otherwise.  A Monte Carlo estimator at single states (any factor
+dimension) is the independent check of both.
 
 The density path combines the surface with the stochastic exponential
 of the adjusted price integral; its terminal value is the change of
@@ -42,10 +42,7 @@ class OpportunitySurface:
 
     def value_along(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Evaluate at (times[k], y[:, k]) for every step column."""
-        out = np.empty(y.shape[:2])
-        for k, t in enumerate(times):
-            out[:, k] = self.value_at_states(t, y[:, k])
-        return out
+        raise NotImplementedError
 
 
 class ConstantSharpeSurface(OpportunitySurface):
@@ -178,21 +175,17 @@ def practical_floor(ou: OUParams, specs, horizon: float, odds: float = 1e16) -> 
 
 
 def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
-                           mesh: MeshConfig | None = None,
-                           force_mesh: bool = False) -> OpportunitySurface:
+                           mesh: MeshConfig | None = None) -> IpdeSurface:
     """Backward solve of the surface equation for a one-factor model.
 
     First-order upwind in log-state for the mean-reversion transport,
     theta-weighted reaction, explicit jump integral by quadrature with
-    tail truncation; terminal data P(T, .) = 1.  Models with a flat
-    squared market price of risk short-circuit to the closed form
-    unless ``force_mesh`` is set.
+    tail truncation; terminal data P(T, .) = 1.  Flat coefficients are
+    solved on the mesh too (``make_surface`` takes the closed form).
     """
     mesh = mesh or MeshConfig()
     if ou.dim != 1 or model.h != 1:
-        raise ConfigurationError("grid solve supports one factor; use the MC evaluator")
-    if model.constant_sharpe is not None and not force_mesh:
-        return ConstantSharpeSurface(model.constant_sharpe, horizon)
+        raise ConfigurationError("grid solve supports one factor only")
     lam = ou.mean_reversion[0]
     z_nodes, z_weights = jump_quadrature(spec, mesh.tail_eps, mesh.n_quad)
     z_weights = z_weights * spec.time_scale  # calendar-time intensity lambda*nu
@@ -298,44 +291,10 @@ def estimate_opportunity_mc(model, ou: OUParams, specs, t: float, y, horizon: fl
     return est, se
 
 
-class McSurface(OpportunitySurface):
-    """Pointwise Monte Carlo surface with memoized, seeded evaluations."""
-
-    def __init__(self, model, ou, specs, horizon, n_inner=2000, master_seed=0):
-        self.model = model
-        self.ou = ou
-        self.specs = list(specs)
-        self.horizon = float(horizon)
-        self.n_inner = n_inner
-        self.master_seed = master_seed
-        self._cache = {}
-
-    def value(self, t, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        key = (float(t),) + tuple(float(v) for v in y)
-        if key not in self._cache:
-            bits = tuple(int(np.float64(v).view(np.uint64)) for v in key)
-            seed = np.random.SeedSequence((self.master_seed,) + bits)
-            est, se = estimate_opportunity_mc(
-                self.model, self.ou, self.specs, t, y, self.horizon, self.n_inner, seed
-            )
-            self._cache[key] = (est, se)
-        return self._cache[key][0]
-
-    def value_at_states(self, t, y):
-        y = np.asarray(y, dtype=float).reshape(-1, self.ou.dim)
-        return np.array([self.value(t, row) for row in y])
-
-
-def make_surface(model, ou, specs, horizon, mesh: MeshConfig | None = None,
-                 mode: str = "auto", n_inner: int = 2000, master_seed: int = 0):
-    """Pick the surface evaluator: closed form, grid solve, or Monte Carlo."""
-    if mode not in ("auto", "ipde", "mc"):
-        raise ConfigurationError(f"unknown surface mode {mode!r}")
-    if model.constant_sharpe is not None and mode != "mc":
+def make_surface(model, ou, specs, horizon, mesh: MeshConfig | None = None):
+    """Closed form for a flat squared market price of risk, else the grid solve."""
+    if model.constant_sharpe is not None:
         return ConstantSharpeSurface(model.constant_sharpe, horizon)
-    if mode == "mc" or (mode == "auto" and ou.dim != 1):
-        return McSurface(model, ou, specs, horizon, n_inner, master_seed)
     return solve_opportunity_ipde(model, ou, specs[0], horizon, mesh)
 
 

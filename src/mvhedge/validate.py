@@ -175,7 +175,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.add("surface decreases with horizon", bool(mono), "")
 
     mesh = opportunity.MeshConfig(n_y=60, n_time_slices=65, n_time_steps=512)
-    surf_flat = opportunity.solve_opportunity_ipde(cbs, ou, cpe, 1.0, mesh, force_mesh=True)
+    surf_flat = opportunity.solve_opportunity_ipde(cbs, ou, cpe, 1.0, mesh)
     errs = []
     for t in surf_flat.t_slices[[0, 26, 58]]:
         target = math.exp(-cbs.constant_sharpe * (1.0 - t))

@@ -126,6 +126,12 @@ class TestSolveBackward:
         assert sol.value_at_zero == pytest.approx(30000.0, rel=1e-12)
         assert np.all(sol.jump_loading_mean[0] == 0.0)
 
+    def test_intercept_only_basis(self, flat_setup):
+        # a constant claim needs no state feature: the intercept carries it exactly
+        _, bundle, surface = flat_setup
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(10.0), bsde.BsdeConfig(basis=("1",)))
+        assert np.all(sol.value == 10.0) and np.all(sol.dw_loadings == 0.0)
+
     def test_step_slices_contiguous(self, flat_setup):
         # step-major storage behind the (n, K + 1) and (n, K, d) shapes
         _, bundle, surface = flat_setup
@@ -158,6 +164,25 @@ class TestSolveBackward:
         sol = bsde.solve_backward(bundle, surface, pay)
         est, se = bsde.mc_value_at_zero(surface, bundle, pay)
         assert abs(sol.value_at_zero - est) <= 4 * (sol.se_at_zero + se)
+
+    @pytest.mark.parametrize("case", ["flat", "flat_rate", "bns"])
+    def test_put_call_parity(self, case, flat_setup, bns_setup, ou):
+        # D_T is worth D_0 under the variance-optimal measure, so
+        # V0(call) - V0(put) = D_0 - K exp(-rT) up to the regression noise
+        if case == "flat":
+            _, bundle, surface = flat_setup
+        elif case == "bns":
+            _, bundle, surface = bns_setup
+        else:
+            model = market.ConstantBS(0.1, 0.2, rate=0.03)
+            spec = levy.TableMeasure(())
+            bundle = market.simulate_paths(model, ou, [spec], [100.0], market.GridConfig(1.0, 0.01), 4000, 11)
+            surface = opp.make_surface(model, ou, [spec], 1.0)
+        call, put = (bsde.solve_backward(bundle, surface, pay).value_at_zero
+                     for pay in (bsde.DiscountedCall(100.0), bsde.DiscountedPut(100.0)))
+        parity = 100.0 - 100.0 * math.exp(-bundle.rate * bundle.times[-1])
+        d_t = bundle.discounted[:, -1, 0]
+        assert abs(call - put - parity) <= 4 * d_t.std(ddof=1) / math.sqrt(bundle.n_paths)
 
     def test_martingale_residuals(self, bns_setup):
         # per-step mean of the unexplained increment stays within noise

@@ -1,8 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
-from mvhedge import cli
+from mvhedge import bsde, cli, opportunity
 
 
 def run(args):
@@ -48,6 +50,32 @@ class TestConfig:
         }))
         assert run(["simulate", "--config", str(bad)]) == 2
 
+    @pytest.mark.parametrize("surface", [{"mode": "mc"}, {"n_inner": 2000}])
+    def test_removed_surface_knobs_exit_2(self, tmp_path, capsys, surface):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"surface": surface}))
+        assert run(["simulate", "--config", str(cfg), "--outdir", str(tmp_path)]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_every_schema_knob_is_read(self):
+        # a declared knob the CLI never names is an option nobody can use
+        schema = cli.load_schema()
+        names = set()
+
+        def collect(node):
+            if isinstance(node, dict):
+                names.update(node.get("properties", {}))
+                for child in node.values():
+                    collect(child)
+            elif isinstance(node, list):
+                for child in node:
+                    collect(child)
+
+        collect(schema)
+        tree = ast.parse(Path(cli.__file__).read_text())
+        literals = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+        assert names and not names - literals
+
     def test_components_roundtrip(self):
         cfg = cli._merge(cli.DEFAULTS, {})
         model, ou, specs = cli.build_components(cfg)
@@ -84,6 +112,21 @@ class TestFigureExperiments:
         run(["figure", "1", "--outdir", str(tmp_path / "a")])
         run(["figure", "1", "--outdir", str(tmp_path / "b")])
         assert (tmp_path / "a/figure1.csv").read_bytes() == (tmp_path / "b/figure1.csv").read_bytes()
+
+    def test_figure3_simulated_errors_and_gnuplot(self, tmp_path):
+        cfg = tmp_path / "f3.json"
+        cfg.write_text(json.dumps({
+            "grid": {"horizon": 0.5},
+            "paths": {"n_paths": 2000, "n_fit_paths": 2000},
+            "figure": {"sweep_points": 2, "simulate_errors": True, "simulate_t_max": 0.5, "gnuplot": True},
+        }))
+        assert run(["figure", "3", "--outdir", str(tmp_path), "--config", str(cfg)]) == 0
+        rows = (tmp_path / "figure3.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2
+        for row in rows:
+            _, _, herr, _, sim, sim_se = (float(x) for x in row.split(","))
+            assert abs(sim - herr) <= max(4 * sim_se, 0.02 * herr)
+        assert '"figure3.csv" using 1:2' in (tmp_path / "figure3.gp").read_text()
 
     def test_figure3_closed_forms_small(self, tmp_path):
         # reduced sweep: closed-form columns only, small path budget
@@ -124,6 +167,49 @@ class TestOtherCommands:
                     "--n-paths", "2000", "--horizon", "0.5"]) == 0
         text = (tmp_path / "hedge_report.txt").read_text()
         assert "closed-form error" in text
+
+    def test_flat_tabulated_paths_match_constant_bs(self, tmp_path):
+        atoms = {"subordinators": [{"kind": "table", "atoms": [[1.0, 0.5]]}],
+                 "grid": {"horizon": 0.2, "step": 0.05}, "paths": {"n_paths": 5}}
+        models = {
+            "tab": {"kind": "tabulated", "y_nodes": [1.0, 100.0], "drift_values": [0.1, 0.1],
+                    "vol_values": [0.2, 0.2]},
+            "bs": {"kind": "constant_bs", "alpha": 0.1, "beta": 0.2},
+        }
+        for name, model in models.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(dict(atoms, model=model)))
+            assert run(["simulate", "--config", str(cfg), "--outdir", str(tmp_path / name)]) == 0
+        assert (tmp_path / "tab/paths.csv").read_bytes() == (tmp_path / "bs/paths.csv").read_bytes()
+
+    def test_solve_bsde_put_with_overrides(self, tmp_path, monkeypatch):
+        seen = []
+        solve = bsde.solve_backward
+        monkeypatch.setattr(bsde, "solve_backward", lambda *args: seen.append(args) or solve(*args))
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({
+            "payoff": {"kind": "put", "strike": 100.0},
+            "bsde": {"basis": ["1", "D", "Y", "payoff", "knots"], "n_knots": 3},
+            "surface": {"n_y": 64},
+        }))
+        assert run(["solve-bsde", "--config", str(cfg), "--outdir", str(tmp_path), "--n-paths", "500",
+                    "--n-fit-paths", "500", "--horizon", "0.2"]) == 0
+        (_, surface, payoff, config), = seen
+        assert isinstance(payoff, bsde.DiscountedPut)
+        assert config.basis == ("1", "D", "Y", "payoff", "knots") and config.n_knots == 3
+        assert isinstance(surface, opportunity.IpdeSurface) and surface.y_nodes.size == 64
+        assert (tmp_path / "bsde_solution.csv").exists()
+
+    def test_hedge_fitted_solution_and_endowment_flag(self, tmp_path):
+        cfg = tmp_path / "h.json"
+        cfg.write_text(json.dumps({"payoff": {"kind": "constant", "level": 30000.0}}))
+        assert run(["hedge", "--config", str(cfg), "--outdir", str(tmp_path), "--n-paths", "2000",
+                    "--n-fit-paths", "2000", "--horizon", "0.5", "--endowment", "12000"]) == 0
+        rows = dict(line.split(",") for line in (tmp_path / "hedge_report.csv").read_text().splitlines()[1:])
+        assert float(rows["endowment"]) == 12000.0
+        herr, mse, se = float(rows["hedging_error"]), float(rows["mse"]), float(rows["se_mse"])
+        assert herr == pytest.approx(float(rows["p0"]) * 18000.0**2, rel=1e-12)
+        assert abs(mse - herr) <= max(4 * se, 0.02 * herr)
 
     def test_validate_passes(self):
         assert run(["validate"]) == 0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,31 @@ class TestRunHedge:
         text = rep.summary()
         assert "mean squared error" in text
         assert (tmp_path / "rep.csv").read_text().startswith("quantity,value")
+
+
+@pytest.mark.parametrize("stage, bound", [("oracle", 1.8), ("hedge", 2.6)])
+def test_stream_releases_each_chunk(stage, bound, bns_world, ou):
+    # the previous chunk and its per-step arrays are released before the
+    # generator simulates the next one; holding them adds about one chunk
+    model, cpe, grid, _, surface = bns_world
+    pay = bsde.ConstantPayoff(30000.0)
+    run = {
+        "oracle": lambda chunks: bsde.mc_value_at_zero(surface, chunks, pay),
+        "hedge": lambda chunks: hedge.run_hedge(chunks, surface, None, pay, 10000.0,
+                                                hedge.HedgeConfig(use_closed_form_value=True)),
+    }[stage]
+    tracemalloc.start()
+    try:
+        chunk = market.simulate_paths(model, ou, [cpe], [100.0], grid, 2000, 5)
+        size = tracemalloc.get_traced_memory()[0]
+        del chunk
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 6000, 5, 2000))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * size
 
 
 def path_major(bundle):

@@ -139,6 +139,8 @@ class TestTruncation:
         jp = levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], 2.0, 3)
         out = jp.truncated_at_level(1e9)
         assert len(out) == len(jp)
+        empty = levy.sample_jump_path([levy.TableMeasure(())], 2.0, 3)
+        assert empty.truncated_at_level(1.0) is empty
 
 
 def test_jump_quadrature_integrates_levy_measure():

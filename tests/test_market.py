@@ -85,6 +85,11 @@ class TestConditionReport:
         row = next(r for r in rep.rows if r.name == "inverse covariance bound")
         assert row.implied_constant == pytest.approx(1.0, rel=1e-9)
 
+    def test_inverse_covariance_derivative_warned_near_zero(self, bns_model):
+        # d(1/y)/dy = -1/y^2 exceeds the warning level below y = 1e-3
+        rep = market.check_conditions(bns_model, np.array([[1e-4], [1.0]]))
+        assert any("inverse-covariance derivative is large" in w for w in rep.warnings)
+
     def test_degenerate_vol_flagged(self):
         m = market.TabulatedModel([1.0, 2.0], [0.1, 0.1], [1e-300, 1e-300])
         rep = market.check_conditions(m, np.array([[1.5]]))

@@ -86,6 +86,7 @@ class TestIntegratedFactor:
         total = ngou.integrated_factor(fp, 0.0, 1.0)
         split = ngou.integrated_factor(fp, 0.0, 0.37) + ngou.integrated_factor(fp, 0.37, 1.0)
         assert split == pytest.approx(total, rel=1e-12)
+        assert np.array_equal(ngou.integrated_factor(fp, 0.37, 0.37), [0.0])
 
     def test_balance_identity_sampled_paths(self, ou_unit, cpe_spec):
         # lam * integral of Y over [0, T] equals y0 + L(lam T) - Y(T) exactly

@@ -153,7 +153,7 @@ class TestIpdeSurface:
     def test_flat_mesh_closed_form(self, ou, cpe):
         m = market.ConstantBS(0.1, 0.2, rate=0.0)
         mesh = opp.MeshConfig(n_y=60, n_time_slices=65, n_time_steps=512)
-        surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0, mesh, force_mesh=True)
+        surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0, mesh)
         ys = np.linspace(4.0, 15.0, 9)
         for t in surf.t_slices[[0, 13, 44]]:
             target = math.exp(-m.constant_sharpe * (1.0 - t))
@@ -161,8 +161,17 @@ class TestIpdeSurface:
 
     def test_zero_premium_identically_one(self, ou, cpe):
         m = market.ConstantBS(0.05, 0.3, rate=0.05)
-        surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0, force_mesh=True)
+        surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0)
         assert np.max(np.abs(surf.table - 1.0)) < 1e-13
+
+    def test_no_jumps_matches_deterministic_factor(self, bns, ou):
+        # without jumps the factor decays deterministically from its
+        # state, so P is the exponential of one exact segment integral
+        surf = opp.solve_opportunity_ipde(bns, ou, levy.TableMeasure(()), 1.0)
+        for t in (0.0, 0.3, 0.6, 0.9):
+            y = 10.0 * math.exp(-t)
+            exact = math.exp(-bns_segment_integral(0.5, 0.02, 1.0, y, 1.0 - t))
+            assert surf.value(t, y) == pytest.approx(exact, abs=1e-4)
 
     def test_bounds_and_terminal(self, bns_surface):
         assert bns_surface.table.min() > 0.0
@@ -334,29 +343,19 @@ class TestDensityPath:
             opp.density_path(bns_surface, b)
 
 
-class TestMcSurface:
-    def test_cache_and_determinism(self, bns, ou, cpe):
-        s1 = opp.McSurface(bns, ou, [cpe], 1.0, n_inner=300, master_seed=5)
-        s2 = opp.McSurface(bns, ou, [cpe], 1.0, n_inner=300, master_seed=5)
-        assert s1.value(0.2, [9.0]) == s2.value(0.2, [9.0])
-        assert s1.value(0.2, [9.0]) == s1.value(0.2, [9.0])
-
-    def test_two_factor_support(self, cpe):
-        ou2 = ngou.OUParams([1.0, 0.5], [10.0, 5.0])
-
-        class TwoFactor(market.CoefficientModel):
-            d, h, rate = 1, 2, 0.0
-
-            def drift(self, y):
-                return (0.2 + 0.01 * np.asarray(y).sum(-1))[..., None]
-
-            def vol(self, y):
-                return np.sqrt(np.asarray(y).sum(-1))[..., None, None]
-
-        surf = opp.make_surface(TwoFactor(), ou2, [cpe, levy.TableMeasure(((1.0, 0.5),))], 1.0,
-                                n_inner=200, master_seed=3)
-        val = surf.value(0.0, [10.0, 5.0])
-        assert 0.0 < val <= 1.0
+def test_two_factor_estimate_is_product_of_grid_solves(cpe):
+    # independent factors and a separable squared market price of risk:
+    # P(t, y) = P_1(t, y_1) * P_2(t, y_2), each factor a one-factor BNS
+    alpha, beta, lam, y0 = [0.5, 0.3], [0.02, 0.05], [1.0, 0.5], [10.0, 5.0]
+    specs = [cpe, levy.TableMeasure(((1.0, 0.5),))]
+    ou2 = ngou.OUParams(lam, y0)
+    factors = [opp.solve_opportunity_ipde(market.BNS(alpha[i], beta[i]), ngou.OUParams([lam[i]], [y0[i]]),
+                                          specs[i], 1.0) for i in range(2)]
+    # states inside both reachable wedges, where the grid solves are accurate
+    for i, (t, ys) in enumerate([(0.0, [10.0, 5.0]), (0.4, [8.0, 6.0])]):
+        est, se = opp.estimate_opportunity_mc(TwoFactorBNS(alpha, beta), ou2, specs, t, ys, 1.0, 2000, (7, i))
+        product = factors[0].value(t, ys[0]) * factors[1].value(t, ys[1])
+        assert abs(est - product) <= 4 * se + 1e-4
 
 
 def test_surface_decomposition_along_path(bns, ou, cpe, bns_surface):
