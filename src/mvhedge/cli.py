@@ -258,11 +258,6 @@ def cmd_hedge(cfg, args):
     return 0
 
 
-def _closed_error_curve(model, ou, specs, horizons):
-    """Time-zero opportunity value per horizon."""
-    return np.array([opportunity.make_surface(model, ou, specs, t).value(0.0, ou.y0) for t in horizons])
-
-
 def cmd_figure(cfg, args):
     model, ou, specs = build_components(cfg)
     fig_cfg = cfg.get("figure", {})
@@ -271,10 +266,13 @@ def cmd_figure(cfg, args):
     horizons = np.linspace(t_max / n_pts, t_max, n_pts)
     p_level = cfg["payoff"]["level"]
     v = cfg["endowment"]
-    p0 = _closed_error_curve(model, ou, specs, horizons)
     rows = []
     sim_max = fig_cfg.get("simulate_t_max", 0.0) if fig_cfg.get("simulate_errors", False) else 0.0
-    for t_end, p0_t in zip(horizons, p0):
+    for t_end in horizons:
+        # one surface per horizon: its time-zero value gives the closed
+        # forms, and the simulated row's density and solve use it too
+        surface = build_surface(cfg, model, ou, specs, float(t_end))
+        p0_t = surface.value(0.0, ou.y0)
         if p_level == v:
             var = herr = gap = 0.0
         else:
@@ -284,7 +282,6 @@ def cmd_figure(cfg, args):
         if sim_max and t_end <= sim_max:
             sub = _merge(cfg, {"grid": {"horizon": float(t_end)}})
             grid = _grid(sub)
-            surface = build_surface(sub, model, ou, specs, grid.horizon)
             payoff = bsde.ConstantPayoff(p_level)
             _, solution = _fit_solution(sub, model, ou, specs, grid, surface, payoff)
             chunks = market.iter_path_chunks(

@@ -114,8 +114,12 @@ class HedgeReport:
                 f.write(f"{key},{val}\n")
 
 
-def _value_arrays(bundle: PathBundle, solution: BSDESolution | None, payoff, cfg: HedgeConfig):
-    """Per-step value and loadings along a bundle (out-of-sample safe)."""
+def _value_arrays(bundle: PathBundle, disc: np.ndarray, solution: BSDESolution | None, payoff,
+                  cfg: HedgeConfig):
+    """Per-step value and loadings along a bundle (out-of-sample safe).
+
+    ``disc`` is the bundle's discounted prices, computed once by the caller.
+    """
     n, nk = bundle.n_paths, bundle.n_steps
     value = step_major(nk, n)
     vbar = step_major(nk, n, bundle.model.d)
@@ -127,7 +131,6 @@ def _value_arrays(bundle: PathBundle, solution: BSDESolution | None, payoff, cfg
         return value, vbar
     if solution is None:
         raise ConfigurationError("a backward solution is required unless the closed form is enabled")
-    disc = bundle.discounted
     for k in range(nk):
         if solution.table.steps[k] is None:
             # shared time-zero state: constant fit across paths
@@ -161,7 +164,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     for bundle in bundles:
         n, nk = bundle.n_paths, bundle.n_steps
         disc = bundle.discounted
-        value, vbar = _value_arrays(bundle, solution, payoff, cfg)
+        value, vbar = _value_arrays(bundle, disc, solution, payoff, cfg)
         if p0 is None:
             p0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
         adj = step_major(nk, n, bundle.model.d)
@@ -173,7 +176,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         h_term = payoff(bundle)
         shortfall = endowment + gains - h_term
         if cfg.record_paths and not recorded:
-            recorded = _record_paths(bundle, value, xi, adj, endowment, cfg.record_paths)
+            recorded = _record_paths(bundle, disc, value, xi, adj, endowment, cfg.record_paths)
         total += float(shortfall.sum())
         sq = shortfall**2
         sq_sum += float(sq.sum())
@@ -206,11 +209,11 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     return report
 
 
-def _record_paths(bundle, value, xi, adj, endowment, n_record):
+def _record_paths(bundle, disc, value, xi, adj, endowment, n_record):
     """Keep full strategy paths for a few leading paths (exports/tests)."""
     n = min(n_record, bundle.n_paths)
     nk = bundle.n_steps
-    disc = bundle.discounted[:n].copy()  # a view would keep the whole chunk alive
+    disc = disc[:n].copy()  # a view would keep the whole chunk alive
     gains = np.zeros((n, nk + 1))
     position = np.zeros((n, nk, bundle.model.d))
     for k in range(nk):

@@ -157,6 +157,50 @@ def jump_quadrature(spec: SubordinatorSpec, tail_eps: float = 1e-8, n_nodes: int
     return z, 0.5 * z_max * w * dens
 
 
+def check_events(offsets, times, components, sizes, horizon: float, n_components: int):
+    """Validate the jump events of many paths in flat arrays.
+
+    Path p owns ``times[offsets[p]:offsets[p + 1]]`` (and the same slice
+    of ``components`` and ``sizes``).  Raises ValueError unless every
+    event time lies in (0, horizon], every size is positive, every
+    component lies in [0, n_components) and the times of each
+    component of each path are strictly increasing.
+    """
+    if not times.size:
+        return
+    if times.min() <= 0 or times.max() > horizon:
+        raise ValueError("event times must lie in (0, horizon]")
+    if (sizes <= 0).any():
+        raise ValueError("jump sizes must be positive")
+    if components.min() < 0 or components.max() >= n_components:
+        raise ValueError("event components must lie in [0, n_components)")
+    key = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    if n_components > 1:
+        # group the events by (path, component), storage order kept within
+        key = key * n_components + components
+        order = np.argsort(key, kind="stable")
+        key, times = key[order], times[order]
+    if ((key[1:] == key[:-1]) & ~(times[1:] > times[:-1])).any():
+        raise ValueError("event times must be strictly increasing per component")
+
+
+def pack_events(paths, n_paths: int, horizon: float, n_components: int):
+    """Flat ``(offsets, times, components, sizes)`` of ``paths``, validated once.
+
+    Path p owns the slice ``offsets[p]:offsets[p + 1]`` of the flat
+    arrays; an empty ``paths`` stands for ``n_paths`` paths without events.
+    """
+    offsets = np.zeros(n_paths + 1, dtype=np.int64)
+    if not paths:
+        return offsets, np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
+    offsets[1:] = np.cumsum([len(p) for p in paths])
+    times = np.concatenate([p.times for p in paths])
+    components = np.concatenate([p.components for p in paths])
+    sizes = np.concatenate([p.sizes for p in paths])
+    check_events(offsets, times, components, sizes, horizon, n_components)
+    return offsets, times, components, sizes
+
+
 @dataclass(frozen=True)
 class JumpPath:
     """Realized jump events of all components on (0, horizon].
@@ -175,15 +219,23 @@ class JumpPath:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "components", np.asarray(self.components, dtype=np.int64))
         object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
-        if self.times.size:
-            if self.times.min() <= 0 or self.times.max() > self.horizon:
-                raise ValueError("event times must lie in (0, horizon]")
-            if (self.sizes <= 0).any():
-                raise ValueError("jump sizes must be positive")
-            for i in range(self.n_components):
-                ti = self.times[self.components == i]
-                if ti.size > 1 and not (np.diff(ti) > 0).all():
-                    raise ValueError("event times must be strictly increasing per component")
+        check_events(np.array([0, self.times.size]), self.times, self.components, self.sizes,
+                     self.horizon, self.n_components)
+
+    @classmethod
+    def _unchecked(cls, times, components, sizes, horizon, n_components):
+        """Build from arrays of the field dtypes without validating them.
+
+        For the sampler only: its events are checked by ``pack_events``
+        once per packed chunk, where they reach a simulation.
+        """
+        path = object.__new__(cls)
+        object.__setattr__(path, "times", times)
+        object.__setattr__(path, "components", components)
+        object.__setattr__(path, "sizes", sizes)
+        object.__setattr__(path, "horizon", horizon)
+        object.__setattr__(path, "n_components", n_components)
+        return path
 
     def __len__(self):
         return self.times.size
@@ -227,8 +279,16 @@ class JumpPath:
 
 
 def rng_for_path(master_seed: int, path_index: int) -> np.random.Generator:
-    """Independent per-path stream: master seed hashed with the path index."""
-    return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(path_index))))
+    """Independent per-path stream: master seed hashed with the path index.
+
+    SeedSequence splits Python ints into 32-bit words, so a uint32 pair
+    gives the same pool as the tuple (master_seed, path_index) and is
+    cheaper to hash; larger values keep the tuple.
+    """
+    entropy = (int(master_seed), int(path_index))
+    if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def sample_jump_path(specs, horizon: float, seed) -> JumpPath:
@@ -242,11 +302,23 @@ def sample_jump_path(specs, horizon: float, seed) -> JumpPath:
         Calendar horizon T (>= 0); zero yields an empty path.
     seed : int, SeedSequence or Generator
         Identical (specs, horizon, seed) gives a bit-identical path.
+
+    The path is not validated here: ``pack_events`` checks the events
+    of a whole chunk at once where they are used.
     """
     if horizon < 0:
         raise ConfigurationError("horizon must be nonnegative")
     specs = list(specs)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    horizon = float(horizon)
+    if len(specs) == 1 and isinstance(specs[0], CompoundPoissonExp):
+        # sorted times of one component are already in (time, component) order
+        spec = specs[0]
+        n = rng.poisson(spec.time_scale * spec.event_rate * horizon)
+        t = rng.uniform(0.0, horizon, size=n)
+        t.sort()
+        s = rng.exponential(1.0 / spec.jump_rate, size=n)
+        return JumpPath._unchecked(t, np.zeros(n, dtype=np.int64), s, horizon, 1)
     times, comps, sizes = [], [], []
     for i, spec in enumerate(specs):
         if isinstance(spec, CompoundPoissonExp):
@@ -268,4 +340,4 @@ def sample_jump_path(specs, horizon: float, seed) -> JumpPath:
     c = np.concatenate(comps) if comps else np.empty(0, dtype=np.int64)
     s = np.concatenate(sizes) if sizes else np.empty(0)
     order = np.lexsort((c, t))
-    return JumpPath(t[order], c[order], s[order], float(horizon), len(specs))
+    return JumpPath._unchecked(t[order], c[order], s[order], horizon, len(specs))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .levy import ConfigurationError, JumpPath, rng_for_path, sample_jump_path
+from .levy import ConfigurationError, JumpPath, pack_events, rng_for_path, sample_jump_path
 from .ngou import FactorPath, OUParams, evolve, merge_grid
 
 
@@ -417,15 +417,11 @@ class StepEvents:
         return self.order[self.bounds[k]:self.bounds[k + 1]]
 
 
-def _pack_jumps(paths: list[JumpPath], grid: GridConfig) -> RaggedJumps:
-    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(p) for p in paths])
-    times = np.concatenate([p.times for p in paths]) if paths else np.empty(0)
-    comps = np.concatenate([p.components for p in paths]) if paths else np.empty(0, dtype=np.int64)
-    sizes = np.concatenate([p.sizes for p in paths]) if paths else np.empty(0)
+def _pack_jumps(paths: list[JumpPath], grid: GridConfig, n_paths: int, n_components: int) -> RaggedJumps:
+    offsets, times, comps, sizes = pack_events(paths, n_paths, grid.horizon, n_components)
     step = np.searchsorted(grid.times, times, side="left") - 1
     step = np.clip(step, 0, grid.n_steps - 1)
-    return RaggedJumps(offsets, times, comps, sizes, step, grid.horizon, paths[0].n_components if paths else 1)
+    return RaggedJumps(offsets, times, comps, sizes, step, grid.horizon, n_components)
 
 
 class PathBundle:
@@ -513,6 +509,9 @@ DRAW_BLOCK = 256
 
 
 def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, jump_paths):
+    # Without intensity the sampler would draw n = 0 events from every
+    # stream, which consumes no state: skipping it leaves the normals as they were.
+    can_jump = any(spec.total_intensity > 0 for spec in specs)
     paths = []
     dw = kernels.step_major(grid.n_steps, n_paths, d)
     block = np.empty((min(DRAW_BLOCK, n_paths), grid.n_steps, d))
@@ -521,10 +520,10 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
         m = min(DRAW_BLOCK, n_paths - i0)
         for j in range(m):
             rng = rng_for_path(master_seed, path_offset + i0 + j)
-            if jump_paths is None:
-                paths.append(sample_jump_path(specs, grid.horizon, rng))
-            else:
+            if jump_paths is not None:
                 paths.append(jump_paths[i0 + j])
+            elif can_jump:
+                paths.append(sample_jump_path(specs, grid.horizon, rng))
             rng.standard_normal((grid.n_steps, d), out=block[j])
         np.multiply(block[:m], sqdt, out=dw[i0:i0 + m])
     return paths, dw
@@ -546,7 +545,7 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
     if s0.size != model.d or (s0 <= 0).any():
         raise ConfigurationError("initial prices must be positive, one per asset")
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
-    rj = _pack_jumps(paths, grid)
+    rj = _pack_jumps(paths, grid, n_paths, len(specs))
     y, s, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
         model, ou.y0, ou.mean_reversion, grid.step, s0, dw,
         rj.by_step(grid.times), rj.components, rj.sizes,

@@ -24,6 +24,7 @@ from .levy import (
     ConfigurationError,
     chernoff_quantile_bound,
     jump_quadrature,
+    pack_events,
     sample_jump_path,
 )
 from .ngou import OUParams
@@ -277,13 +278,8 @@ def estimate_opportunity_mc(model, ou: OUParams, specs, t: float, y, horizon: fl
     if span == 0:
         return 1.0, 0.0
     paths = [sample_jump_path(specs, span, rng) for _ in range(n_inner)]
-    offsets = np.zeros(n_inner + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum([len(p) for p in paths])
     expo = kernels.opportunity_mc_exponent(
-        model.sharpe_squared, ou.mean_reversion, y, span, offsets,
-        np.concatenate([p.times for p in paths]),
-        np.concatenate([p.components for p in paths]),
-        np.concatenate([p.sizes for p in paths]),
+        model.sharpe_squared, ou.mean_reversion, y, span, *pack_events(paths, n_inner, span, len(specs)),
     )
     vals = np.exp(-expo)
     est = float(vals.mean())

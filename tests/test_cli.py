@@ -113,14 +113,20 @@ class TestFigureExperiments:
         run(["figure", "1", "--outdir", str(tmp_path / "b")])
         assert (tmp_path / "a/figure1.csv").read_bytes() == (tmp_path / "b/figure1.csv").read_bytes()
 
-    def test_figure3_simulated_errors_and_gnuplot(self, tmp_path):
+    def test_figure3_simulated_errors_and_gnuplot(self, tmp_path, monkeypatch):
         cfg = tmp_path / "f3.json"
         cfg.write_text(json.dumps({
             "grid": {"horizon": 0.5},
             "paths": {"n_paths": 2000, "n_fit_paths": 2000},
             "figure": {"sweep_points": 2, "simulate_errors": True, "simulate_t_max": 0.5, "gnuplot": True},
         }))
+        solves = []
+        solve = opportunity.solve_opportunity_ipde
+        monkeypatch.setattr(opportunity, "solve_opportunity_ipde",
+                            lambda *args: solves.append(args[3]) or solve(*args))
         assert run(["figure", "3", "--outdir", str(tmp_path), "--config", str(cfg)]) == 0
+        # the closed-form curve and the simulated row share one surface per horizon
+        assert solves == [0.25, 0.5]
         rows = (tmp_path / "figure3.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 2
         for row in rows:
@@ -140,6 +146,22 @@ class TestFigureExperiments:
         assert len(rows) == 3
         var, herr, gap = (float(x) for x in rows[-1].split(",")[1:4])
         assert abs(var - herr - gap) <= 1e-9 * var
+
+    def test_figure3_curve_reads_surface_mesh(self, tmp_path):
+        # the closed-form curve comes from the configured grid solve
+        curves = []
+        for name, surface in (("default", {}), ("coarse", {"n_y": 60})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({
+                "grid": {"horizon": 2.0},
+                "surface": surface,
+                "figure": {"sweep_points": 2, "simulate_errors": False},
+            }))
+            assert run(["figure", "3", "--outdir", str(tmp_path / name), "--config", str(cfg)]) == 0
+            rows = (tmp_path / name / "figure3.csv").read_text().strip().splitlines()[1:]
+            curves.append([float(row.split(",")[2]) for row in rows])
+        assert curves[0] != curves[1]
+        assert curves[1] == pytest.approx(curves[0], rel=0.05)
 
 
 class TestOtherCommands:

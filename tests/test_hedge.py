@@ -216,7 +216,7 @@ class TestRunHedge:
             for arr in (d_path, value, xi, adj):
                 assert arr[:, k].flags.c_contiguous
         for cfg in (hedge.HedgeConfig(), hedge.HedgeConfig(use_closed_form_value=True)):
-            value, vbar = hedge._value_arrays(bundle, sol, bsde.ConstantPayoff(1.0), cfg)
+            value, vbar = hedge._value_arrays(bundle, bundle.discounted, sol, bsde.ConstantPayoff(1.0), cfg)
             assert value[:, 1].flags.c_contiguous and vbar[:, 1].flags.c_contiguous
 
     def test_chunked_stream(self, bns_world, ou):
@@ -230,6 +230,20 @@ class TestRunHedge:
                                hedge.HedgeConfig(use_closed_form_value=True))
         assert rep1.mse == pytest.approx(rep2.mse, rel=1e-12)
         assert rep2.n_paths == 400
+
+    def test_discounted_once_per_chunk(self, bns_world, ou, monkeypatch):
+        # the sweep, the value lookups and the recorded paths share one copy
+        model, cpe, grid, _, surface = bns_world
+        pay = bsde.DiscountedCall(100.0)
+        sol = bsde.solve_backward(market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31),
+                                  surface, pay)
+        built = []
+        prop = market.PathBundle.discounted
+        monkeypatch.setattr(market.PathBundle, "discounted",
+                            property(lambda b: built.append(b) or prop.fget(b)))
+        chunks = market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 300, 77, 100)
+        hedge.run_hedge(chunks, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=4))
+        assert len(built) == 3
 
     def test_report_exports(self, tmp_path, bns_world):
         _, _, _, bundle, surface = bns_world

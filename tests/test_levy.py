@@ -152,3 +152,23 @@ def test_jump_quadrature_integrates_levy_measure():
     zt, wt = levy.jump_quadrature(levy.TableMeasure(((1.0, 2.0), (0.25, 4.0))))
     assert wt.sum() == pytest.approx(6.0)
     assert (wt @ zt) == pytest.approx(2.0 + 1.0)
+
+
+@pytest.mark.parametrize("specs", [
+    [levy.CompoundPoissonExp(10.0, 8.0, 1.0)],
+    [levy.CompoundPoissonExp(6.0, 4.0, 1.5), levy.TableMeasure(((0.5, 3.0), (2.0, 4.0)), 0.7)],
+], ids=["cpe", "cpe_and_table"])
+def test_sampler_postconditions(specs):
+    # the sampler skips the per-path checks; its draws must pass them,
+    # path by path and as one packed chunk, in (time, component) order
+    from mvhedge import market
+
+    h = len(specs)
+    paths = [levy.sample_jump_path(specs, 2.0, levy.rng_for_path(17, i)) for i in range(2000)]
+    for jp in paths:
+        assert (jp.times.dtype, jp.components.dtype, jp.sizes.dtype) == (float, np.int64, float)
+        assert np.array_equal(np.lexsort((jp.components, jp.times)), np.arange(len(jp)))
+        levy.JumpPath(jp.times, jp.components, jp.sizes, jp.horizon, h)
+    rj = market._pack_jumps(paths, market.GridConfig(2.0, 0.1), len(paths), h)
+    assert np.bincount(rj.components, minlength=h).min() > 1000
+

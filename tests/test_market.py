@@ -253,3 +253,121 @@ def test_dump_paths_csv(tmp_path, bns_model, ou_unit, cpe_spec):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,t,Y_1,S_1,D_1"
     assert len(lines) == 1 + 2 * (b.n_steps + 1)
+
+
+def unchecked_paths(events, h, horizon=1.0):
+    """JumpPaths built without validation, as the sampler returns them."""
+    return [levy.JumpPath._unchecked(np.array(t, dtype=float), np.array(c, dtype=np.int64),
+                                     np.array(s, dtype=float), horizon, h) for t, c, s in events]
+
+
+# A valid two-component path: equal times across components are allowed.
+GOOD = ([0.2, 0.5, 0.5, 0.9], [0, 1, 0, 1], [1.0, 2.0, 0.5, 1.5])
+# Each breaks GOOD in its second component only.
+BROKEN = [
+    ("event times must lie in", ([0.2, 0.5, 0.5, 1.2], [0, 1, 0, 1], [1.0, 2.0, 0.5, 1.5])),
+    ("event times must lie in", ([0.2, 0.0, 0.5, 0.9], [0, 1, 0, 1], [1.0, 2.0, 0.5, 1.5])),
+    ("jump sizes must be positive", ([0.2, 0.5, 0.5, 0.9], [0, 1, 0, 1], [1.0, 2.0, 0.5, 0.0])),
+    ("strictly increasing per component", ([0.2, 0.5, 0.6, 0.4], [0, 1, 0, 1], [1.0, 2.0, 0.5, 1.5])),
+    ("components must lie in", ([0.2, 0.5, 0.5, 0.9], [0, 1, 0, 2], [1.0, 2.0, 0.5, 1.5])),
+]
+BROKEN_IDS = ["after_horizon", "at_zero", "zero_size", "not_increasing", "component_range"]
+
+
+class TestEventChecks:
+    """The JumpPath invariants, checked per path and once per packed chunk."""
+
+    grid = market.GridConfig(1.0, 0.1)
+
+    @pytest.mark.parametrize("message, events", BROKEN, ids=BROKEN_IDS)
+    def test_jump_path_rejects(self, message, events):
+        t, c, s = events
+        with pytest.raises(ValueError, match=message):
+            levy.JumpPath(np.array(t), np.array(c), np.array(s), 1.0, 2)
+
+    @pytest.mark.parametrize("message, events", BROKEN, ids=BROKEN_IDS)
+    def test_packed_chunk_rejects_a_later_path(self, message, events):
+        paths = unchecked_paths([GOOD, ([], [], []), GOOD, events], 2)
+        with pytest.raises(ValueError, match=message):
+            market._pack_jumps(paths, self.grid, len(paths), 2)
+
+    def test_paths_are_checked_apart(self):
+        # one component: a later path may start before the previous one ends,
+        # but a repeated time inside one path is rejected
+        paths = unchecked_paths([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1], [0], [1.0]), GOOD], 2)
+        rj = market._pack_jumps(paths, self.grid, 3, 2)
+        assert rj.offsets.tolist() == [0, 2, 3, 7]
+        single = unchecked_paths([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1, 0.1], [0, 0], [1.0, 1.0])], 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            market._pack_jumps(single, self.grid, 2, 1)
+
+    def test_probe_checks_inner_paths(self, bns_model, ou_unit, cpe_spec, monkeypatch):
+        from mvhedge import opportunity as opp
+
+        drawn = []
+        sample = opp.sample_jump_path
+
+        def sample_then_break(specs, span, rng):
+            jp = sample(specs, span, rng)
+            drawn.append(jp)
+            if len(drawn) == 7:
+                return unchecked_paths([([0.1, 0.05], [0, 0], [1.0, 1.0])], 1, span)[0]
+            return jp
+
+        monkeypatch.setattr(opp, "sample_jump_path", sample_then_break)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            opp.estimate_opportunity_mc(bns_model, ou_unit, [cpe_spec], 0.0, [10.0], 1.0, 100, 3)
+
+    def test_empty_chunk_keeps_component_count(self):
+        rj = market._pack_jumps([], self.grid, 3, 2)
+        assert rj.offsets.tolist() == [0, 0, 0, 0]
+        assert rj.n_components == 2 and rj.times.size == 0
+
+
+def reference_draw(spec, grid, master, index):
+    """One path's jumps and normals, drawn from its stream the way the sampler does."""
+    rng = np.random.default_rng(np.random.SeedSequence((master, index)))
+    if isinstance(spec, levy.CompoundPoissonExp):
+        n = rng.poisson(spec.time_scale * spec.event_rate * grid.horizon)
+        t = rng.uniform(0.0, grid.horizon, size=n)
+        t.sort()
+        s = rng.exponential(1.0 / spec.jump_rate, size=n)
+    else:
+        t, s = np.empty(0), np.empty(0)
+        for z, nu in spec.atoms:
+            n = rng.poisson(spec.time_scale * nu * grid.horizon)
+            assert n == 0
+            rng.uniform(0.0, grid.horizon, size=n)
+    return t, s, rng.standard_normal((grid.n_steps, 1)) * math.sqrt(grid.step)
+
+
+@pytest.mark.parametrize("setup", ["offset_near_2_32", "master_above_2_32", "no_atoms", "zero_atom"])
+def test_streams_pinned(setup, monkeypatch):
+    # every path reads (jumps, normals) from SeedSequence((master, index));
+    # the 32-bit fast encoding of the seed must not change the stream
+    spec = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
+    model = market.BNS(0.5, 0.02, rate=0.0)
+    master, offset, n = 71, 0, 5
+    if setup == "offset_near_2_32":
+        offset = 2**32 - 3
+    elif setup == "master_above_2_32":
+        master = 2**32 + 9
+    else:
+        model = market.ConstantBS(0.1, 0.2, rate=0.0)
+        spec = levy.TableMeasure(() if setup == "no_atoms" else ((0.5, 0.0),))
+    calls = []
+    sample = market.sample_jump_path
+    monkeypatch.setattr(market, "sample_jump_path", lambda *a: calls.append(a) or sample(*a))
+    grid = market.GridConfig(0.5, 0.05)
+    b = market.simulate_paths(model, ngou.OUParams([1.0], [10.0]), [spec], [100.0], grid, n, master,
+                              path_offset=offset)
+    refs = [reference_draw(spec, grid, master, offset + i) for i in range(n)]
+    assert np.array_equal(b.jumps.offsets, np.cumsum([0] + [r[0].size for r in refs]))
+    assert np.array_equal(b.jumps.times, np.concatenate([r[0] for r in refs]))
+    assert np.array_equal(b.jumps.sizes, np.concatenate([r[1] for r in refs]))
+    assert not b.jumps.components.any()
+    assert np.array_equal(b.dw, np.stack([r[2] for r in refs]))
+    # a spec that cannot jump draws no jump paths at all
+    can_jump = isinstance(spec, levy.CompoundPoissonExp)
+    assert len(calls) == (n if can_jump else 0)
+    assert (b.jumps.times.size > 0) == can_jump
