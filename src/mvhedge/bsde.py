@@ -203,24 +203,61 @@ class RegressionTable:
         return v, vbar
 
 
-class _LeastSquares:
-    """One thin SVD of a design matrix, shared by every target fitted on it.
+# CholeskyQR2 keeps its factors accurate to rounding only while the
+# design's condition number stays well below 1/sqrt(eps) (about 7e7);
+# designs estimated at or above this take the thin SVD
+_CHOLESKY_COND_LIMIT = 1e7
 
-    The design's first column is the intercept.  Singular values at or
-    below ``rcond`` times the largest are truncated, as
-    ``np.linalg.lstsq`` does, so collinear directions are dropped and
-    reported (``deficient``), not fatal.  ``cond`` is the
-    effective condition number over the kept directions.
+
+class _LeastSquares:
+    """One factorization of a design matrix, shared by every target fitted on it.
+
+    The design's first column is the intercept.  A well-conditioned
+    design is factored by CholeskyQR2: two Gram products and two p x p
+    Cholesky factors give ``a = Q R`` with Q orthonormal to rounding.
+    The first factor's singular values estimate the condition number;
+    at or above ``_CHOLESKY_COND_LIMIT`` or ``1/rcond``, or when a
+    Gram matrix is not numerically positive definite, the design takes
+    one thin SVD instead.  There singular values at or below ``rcond``
+    times the largest are truncated, as ``np.linalg.lstsq`` does, so
+    collinear directions are dropped and reported (``deficient``), not
+    fatal.  ``cond`` is the condition number over the kept directions
+    and ``route`` names the factorization taken.
     """
 
     def __init__(self, a, rcond):
+        rows = a.T
+        try:
+            l1 = np.linalg.cholesky(rows @ rows.T)
+            sv1 = np.linalg.svd(l1, compute_uv=False)
+            if not (sv1[0] < sv1[-1] * _CHOLESKY_COND_LIMIT and sv1[0] * rcond < sv1[-1]):
+                raise np.linalg.LinAlgError("design too ill-conditioned for CholeskyQR2")
+            # p x p inverses applied by one product each: a triangular
+            # solve with n right-hand sides costs more than the SVD
+            x1 = np.linalg.inv(l1)
+            q1 = x1 @ rows
+            l2 = np.linalg.cholesky(q1 @ q1.T)
+            x2 = np.linalg.inv(l2)
+        except np.linalg.LinAlgError:
+            self._svd(a, rcond)
+            return
+        self.route = "cholesky_qr2"
+        self.deficient = False
+        self._q = x2 @ q1
+        # a @ coef reproduces the predictions: Q's rows are (x2 x1) a.T
+        self._coef = (x2 @ x1).T
+        sv = np.linalg.svd(l1 @ l2, compute_uv=False)  # R = (l1 l2)^T
+        self.cond = float(sv[0] / sv[-1])
+
+    def _svd(self, a, rcond):
         u, sv, vt = np.linalg.svd(a, full_matrices=False)
         # singular values come sorted, so the kept directions lead
         r = int(np.count_nonzero(sv > sv[0] * rcond))
+        self.route = "svd"
         self.deficient = r < a.shape[1]
         self.cond = float(sv[0] / sv[r - 1])
-        self._u = u[:, :r]
-        self._vs = vt[:r].T / sv[:r]
+        self._q = u[:, :r].T
+        self._coef = vt[:r].T / sv[:r]
 
     def fit(self, targets):
         """(predictions, coefficients) for targets (n,) or (n, m).
@@ -230,10 +267,10 @@ class _LeastSquares:
         the spread, not with the level.
         """
         level = targets.mean(axis=0)
-        proj = self._u.T @ (targets - level)
-        coef = self._vs @ proj
+        proj = self._q @ (targets - level)
+        coef = self._coef @ proj
         coef[0] += level
-        return self._u @ proj + level, coef
+        return self._q.T @ proj + level, coef
 
 
 def _r2(target, pred):
@@ -396,6 +433,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     cond = np.zeros(nk)
     g_last = np.zeros(n)
     n_deficient = 0
+    routes = {"cholesky_qr2": 0, "svd": 0}
     drift_acc = np.zeros(n)
     mart_acc = np.zeros(n)
     jump_mart_acc = np.zeros(n)
@@ -445,6 +483,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             preds_w, coef_w = ls.fit(centered[:, None] * bundle.dw[:, k])
             vbar = preds_w / dt
             n_deficient += int(ls.deficient)
+            routes[ls.route] += 1
             r2[k] = _r2(v_next, v_hat)
             cond[k] = ls.cond
             table.steps[k] = StepFit(keep, mean, scale, coef_v, coef_w.T / dt, r2[k], cond[k], knots)
@@ -511,6 +550,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     if n_deficient:
         warnings.warn(f"collinear basis columns truncated at {n_deficient} steps")
         diagnostics["rank_deficient_steps"] = n_deficient
+    diagnostics["factorization"] = routes
     # pathwise control-variate estimate: terminal value minus the fitted
     # martingale parts and driver integral (diagnostic companion)
     pathwise = h_term - drift_acc - mart_acc - jump_mart_acc

@@ -243,11 +243,14 @@ def cmd_hedge(cfg, args):
         record_paths=hc.get("record_paths", 0),
     )
     solution = None
+    # a fitted solution is scored on the paths after its fit paths
+    offset = 0
     if not hcfg.use_closed_form_value:
-        _, solution = _fit_solution(cfg, model, ou, specs, grid, surface, payoff)
+        fit, solution = _fit_solution(cfg, model, ou, specs, grid, surface, payoff)
+        offset = fit.n_paths
     chunks = market.iter_path_chunks(
         model, ou, specs, cfg["initial_prices"], grid, cfg["paths"]["n_paths"],
-        cfg["paths"]["master_seed"], cfg["paths"]["chunk_size"],
+        cfg["paths"]["master_seed"], cfg["paths"]["chunk_size"], path_offset=offset,
     )
     report = hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"], hcfg)
     outdir = output_dir(cfg, args)
@@ -283,10 +286,10 @@ def cmd_figure(cfg, args):
             sub = _merge(cfg, {"grid": {"horizon": float(t_end)}})
             grid = _grid(sub)
             payoff = bsde.ConstantPayoff(p_level)
-            _, solution = _fit_solution(sub, model, ou, specs, grid, surface, payoff)
+            fit, solution = _fit_solution(sub, model, ou, specs, grid, surface, payoff)
             chunks = market.iter_path_chunks(
                 model, ou, specs, sub["initial_prices"], grid, sub["paths"]["n_paths"],
-                sub["paths"]["master_seed"], sub["paths"]["chunk_size"],
+                sub["paths"]["master_seed"], sub["paths"]["chunk_size"], path_offset=fit.n_paths,
             )
             rep = hedge.run_hedge(chunks, surface, solution, payoff, v)
             sim_err, sim_se = rep.mse, rep.se_mse

@@ -554,12 +554,13 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
                       factor_int, rj, master_seed, path_offset)
 
 
-def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_size=10_000):
-    """Yield PathBundle chunks covering ``n_paths`` paths."""
+def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_size=10_000,
+                     path_offset=0):
+    """Yield PathBundle chunks covering ``n_paths`` paths from index ``path_offset``."""
     done = 0
     while done < n_paths:
         n = min(chunk_size, n_paths - done)
-        yield simulate_paths(model, ou, specs, s0, grid, n, master_seed, path_offset=done)
+        yield simulate_paths(model, ou, specs, s0, grid, n, master_seed, path_offset=path_offset + done)
         done += n
 
 

@@ -116,6 +116,50 @@ class TestSolveBackward:
         assert abs(sol.value_at_zero - target) <= 3 * sol.se_at_zero
         # without jumps Y has no spread, so D·Y is a multiple of D and is dropped with Y
         assert "rank_deficient_steps" not in sol.diagnostics
+        assert sol.diagnostics["factorization"] == {"cholesky_qr2": bundle.n_steps - 1, "svd": 0}
+
+    def test_ill_conditioned_steps_take_svd(self, ou, cpe):
+        # at T = 5 the BNS designs reach cond 1e7 at some steps
+        model = market.BNS(0.5, 0.02, rate=0.0)
+        grid = market.GridConfig(5.0, 0.05)
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 1000, 71)
+        surface = opp.solve_opportunity_ipde(model, ou, cpe, 5.0)
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(3e4))
+        routes = sol.diagnostics["factorization"]
+        n_ill = int(np.count_nonzero(sol.cond[1:] >= bsde._CHOLESKY_COND_LIMIT))
+        assert routes == {"cholesky_qr2": bundle.n_steps - 1 - n_ill, "svd": n_ill}
+        assert n_ill > 0
+
+    def test_common_path_has_no_tall_svd(self, ou, flat_setup, monkeypatch):
+        # the guard against a thin SVD of the (n, p) design on every step
+        model, _, surface = flat_setup
+        grid = market.GridConfig(1.0, 0.02)
+        bundle = market.simulate_paths(model, ou, [levy.TableMeasure(())], [100.0], grid, 5000, 23)
+        pay = bsde.DiscountedCall(100.0)
+        tall = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if a.shape[-2] > a.shape[-1]:
+                tall.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", counting_svd)
+            sol = bsde.solve_backward(bundle, surface, pay)
+        assert tall == []
+        monkeypatch.setattr(bsde, "_CHOLESKY_COND_LIMIT", 0.0)
+        forced = bsde.solve_backward(bundle, surface, pay)
+        assert forced.diagnostics["factorization"] == {"cholesky_qr2": 0, "svd": bundle.n_steps - 1}
+
+        def close(x, ref, rel):
+            return np.max(np.abs(x - ref)) <= rel * np.max(np.abs(ref))
+
+        assert close(sol.value, forced.value, 1e-10)
+        assert close(sol.dw_loadings, forced.dw_loadings, 1e-10)
+        assert sol.value_at_zero == pytest.approx(forced.value_at_zero, rel=1e-10)
+        assert np.max(np.abs(sol.r2 - forced.r2)) <= 1e-8
+        assert sol.cond == pytest.approx(forced.cond, rel=1e-8)
 
     def test_constant_claim_exact_at_time_zero(self, bns_setup):
         # the time-zero step borrows the step-1 fit's factor sensitivity,
@@ -248,6 +292,63 @@ class TestLeastSquares:
         # one target at a time gives the same fit as the stacked targets
         alone, _ = ls.fit(targets[:, 0])
         assert np.max(np.abs(alone - preds[:, 0])) <= 1e-12 * np.max(np.abs(ref))
+
+    @staticmethod
+    def conditioned_design(cond, n=40000, p=11):
+        """Standardized design, intercept first, of condition number ``cond``.
+
+        Unit-spread columns sharing one direction: the correlation
+        matrix has eigenvalues alpha^2 (p - 2 times) and alpha^2 + p - 1
+        over 1 + alpha^2, so with the intercept cond = sqrt(1 + (p - 1) / alpha^2).
+        """
+        rng = np.random.default_rng(7)
+        z = rng.standard_normal((n, p))
+        q, _ = np.linalg.qr(z - z.mean(axis=0))
+        x = math.sqrt(p - 1) / cond * q[:, :-1] + q[:, -1:]
+        x = (x - x.mean(axis=0)) / x.std(axis=0)
+        # contiguous feature rows, as the solver builds them
+        rows = np.vstack([np.ones(n), x.T])
+        return rows.T, rng
+
+    @pytest.mark.parametrize("cond, route", [
+        (1e2, "cholesky_qr2"), (1e5, "cholesky_qr2"), (5e6, "cholesky_qr2"),
+        (2e7, "svd"), (1e9, "svd"), ("collinear", "svd"),
+    ])
+    def test_routes_match_lstsq(self, cond, route):
+        rcond = bsde.BsdeConfig().rcond
+        if cond == "collinear":
+            a, rng = self.conditioned_design(1e2)
+            a[:, -1] = a[:, 1] + 2.0 * a[:, 2]
+            a[:, -1] = (a[:, -1] - a[:, -1].mean()) / a[:, -1].std()
+        else:
+            a, rng = self.conditioned_design(cond)
+            assert route == ("cholesky_qr2" if cond < bsde._CHOLESKY_COND_LIMIT else "svd")
+        n, p = a.shape
+        targets = 30.0 + (a[:, 1:] @ rng.standard_normal(p - 1))[:, None] + rng.standard_normal((n, 3))
+        ls = bsde._LeastSquares(a, rcond)
+        coef, _, rank, sv = np.linalg.lstsq(a, targets, rcond=rcond)
+        used = sv[sv > sv[0] * rcond]
+        preds, coef_ls = ls.fit(targets)
+        ref = a @ coef
+        tol = 10 * np.finfo(float).eps * (sv[0] / used[-1]) * np.max(np.abs(ref))
+        assert ls.route == route
+        assert ls.cond == pytest.approx(sv[0] / used[-1], rel=1e-6)
+        assert np.max(np.abs(preds - ref)) <= tol
+        assert np.max(np.abs(a @ coef_ls - ref)) <= tol
+        assert ls.deficient == (rank < p) == (cond == "collinear")
+
+    def test_duplicated_column_takes_svd(self):
+        # its Gram matrix is exactly singular
+        a, _ = self.conditioned_design(1e2)
+        a[:, 5] = a[:, 4]
+        ls = bsde._LeastSquares(a, bsde.BsdeConfig().rcond)
+        assert ls.route == "svd" and ls.deficient
+
+    def test_user_rcond_truncates(self):
+        # a design the Cholesky route could take keeps the SVD's truncation
+        a, _ = self.conditioned_design(1e5)
+        ls = bsde._LeastSquares(a, 1e-4)
+        assert ls.route == "svd" and ls.deficient and ls.cond < 1e4
 
     def test_r2_treats_rounding_spread_as_none(self):
         rng = np.random.default_rng(5)

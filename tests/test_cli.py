@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mvhedge import bsde, cli, opportunity
+from mvhedge import bsde, cli, market, opportunity
 
 
 def run(args):
@@ -232,6 +232,25 @@ class TestOtherCommands:
         herr, mse, se = float(rows["hedging_error"]), float(rows["mse"]), float(rows["se_mse"])
         assert herr == pytest.approx(float(rows["p0"]) * 18000.0**2, rel=1e-12)
         assert abs(mse - herr) <= max(4 * se, 0.02 * herr)
+
+    def test_hedge_scores_paths_outside_the_fit(self, tmp_path, monkeypatch):
+        ranges = []
+        simulate = market.simulate_paths
+
+        def recording(*args, **kwargs):
+            bundle = simulate(*args, **kwargs)
+            ranges.append((bundle.master_seed, bundle.path_offset, bundle.path_offset + bundle.n_paths))
+            return bundle
+
+        monkeypatch.setattr(market, "simulate_paths", recording)
+        cfg = tmp_path / "h.json"
+        cfg.write_text(json.dumps({"payoff": {"kind": "constant", "level": 30000.0}}))
+        assert run(["hedge", "--config", str(cfg), "--outdir", str(tmp_path), "--n-paths", "1000",
+                    "--n-fit-paths", "1000", "--chunk-size", "400", "--horizon", "0.2"]) == 0
+        (seed, fit_lo, fit_hi), *hedged = ranges
+        assert [r[0] for r in hedged] == [seed] * 3
+        assert sum(hi - lo for _, lo, hi in hedged) == 1000
+        assert all(hi <= fit_lo or lo >= fit_hi for _, lo, hi in hedged)
 
     def test_validate_passes(self):
         assert run(["validate"]) == 0
