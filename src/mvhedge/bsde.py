@@ -24,23 +24,18 @@ from .opportunity import OpportunitySurface, density_terminal
 class ConstantPayoff:
     """Deterministic discounted payoff."""
 
-    kind = "constant"
-
     def __init__(self, p: float):
         self.p = float(p)
 
     def __call__(self, bundle: PathBundle) -> np.ndarray:
         return np.full(bundle.n_paths, self.p)
 
-    def basis_feature(self, d_prices, horizon, rate):
-        return None
-
     def __repr__(self):
         return f"ConstantPayoff({self.p})"
 
 
 class DiscountedCall:
-    kind = "call"
+    sign = 1.0  # the put's -1 flips S - K exactly: -(a - b) == b - a in rounding
 
     def __init__(self, strike: float, asset: int = 0):
         if strike <= 0:
@@ -51,35 +46,19 @@ class DiscountedCall:
     def __call__(self, bundle: PathBundle) -> np.ndarray:
         t_end = bundle.times[-1]
         s_t = bundle.s[:, -1, self.asset]
-        return np.exp(-bundle.rate * t_end) * np.maximum(s_t - self.strike, 0.0)
+        return np.exp(-bundle.rate * t_end) * np.maximum(self.sign * (s_t - self.strike), 0.0)
 
     def basis_feature(self, d_prices, horizon, rate):
         # intrinsic value in discounted units
-        return np.maximum(d_prices[:, self.asset] - self.strike * math.exp(-rate * horizon), 0.0)
+        strike = self.strike * math.exp(-rate * horizon)
+        return np.maximum(self.sign * (d_prices[:, self.asset] - strike), 0.0)
 
     def __repr__(self):
-        return f"DiscountedCall(strike={self.strike})"
+        return f"{type(self).__name__}(strike={self.strike})"
 
 
-class DiscountedPut:
-    kind = "put"
-
-    def __init__(self, strike: float, asset: int = 0):
-        if strike <= 0:
-            raise ConfigurationError("strike must be positive")
-        self.strike = float(strike)
-        self.asset = asset
-
-    def __call__(self, bundle: PathBundle) -> np.ndarray:
-        t_end = bundle.times[-1]
-        s_t = bundle.s[:, -1, self.asset]
-        return np.exp(-bundle.rate * t_end) * np.maximum(self.strike - s_t, 0.0)
-
-    def basis_feature(self, d_prices, horizon, rate):
-        return np.maximum(self.strike * math.exp(-rate * horizon) - d_prices[:, self.asset], 0.0)
-
-    def __repr__(self):
-        return f"DiscountedPut(strike={self.strike})"
+class DiscountedPut(DiscountedCall):
+    sign = -1.0
 
 
 def check_square_integrability(h_values: np.ndarray) -> dict:
@@ -119,78 +98,54 @@ class StepFit:
     knots: np.ndarray | None = None  # per-asset hinge positions
 
 
+def _basis_columns(basis, payoff, d, n_knots, horizon, rate):
+    """The design's state columns in order, as (column, role) pairs.
+
+    ``column(d_prices, y, knots)`` gives one column at states (n, d)
+    and (n, 1) with per-asset hinge positions ``knots`` (n_knots, d).
+    ``role`` says how the column moves with the factor: None (it does
+    not), ``"Y"``, ``"Y2"``, or the asset index m of a D_m·Y column.
+    The intercept ("1") is not a column here.
+    """
+    cols = []
+    for name in basis:
+        if name == "1":
+            continue
+        elif name == "D":
+            cols += [(lambda dp, y, kn, m=m: dp[:, m], None) for m in range(d)]
+        elif name == "Y":
+            cols.append((lambda dp, y, kn: y[:, 0], "Y"))
+        elif name == "DY":
+            cols += [(lambda dp, y, kn, m=m: dp[:, m] * y[:, 0], m) for m in range(d)]
+        elif name == "D2":
+            cols += [(lambda dp, y, kn, m=m: dp[:, m] ** 2, None) for m in range(d)]
+        elif name == "Y2":
+            cols.append((lambda dp, y, kn: y[:, 0] ** 2, "Y2"))
+        elif name == "logD":
+            cols += [(lambda dp, y, kn, m=m: np.log(np.maximum(dp[:, m], 1e-300)), None) for m in range(d)]
+        elif name == "payoff":
+            if not isinstance(payoff, ConstantPayoff):
+                cols.append((lambda dp, y, kn: payoff.basis_feature(dp, horizon, rate), None))
+        elif name == "knots":
+            cols += [(lambda dp, y, kn, m=m, j=j: np.maximum(dp[:, m] - kn[j, m], 0.0), None)
+                     for m in range(d) for j in range(n_knots)]
+        else:
+            raise ConfigurationError(f"unknown basis entry {name!r}")
+    return cols
+
+
 class RegressionTable:
     """Fitted per-step value and loading functions of the state."""
 
-    def __init__(self, basis, payoff, horizon, rate):
-        self.basis = basis
-        self.payoff = payoff
-        self.horizon = horizon
-        self.rate = rate
+    def __init__(self, columns):
+        self.columns = columns
         self.steps: list[StepFit | None] = []
 
-    def feature_labels(self, d: int, h: int, n_knots: int = 0):
-        labels = []
-        for name in self.basis:
-            if name == "1":
-                continue
-            elif name == "D":
-                labels += [f"D{m}" for m in range(d)]
-            elif name == "Y":
-                labels += [f"Y{i}" for i in range(h)]
-            elif name == "DY":
-                labels += [f"D{m}Y{i}" for m in range(d) for i in range(h)]
-            elif name == "D2":
-                labels += [f"D{m}^2" for m in range(d)]
-            elif name == "Y2":
-                labels += [f"Y{i}^2" for i in range(h)]
-            elif name == "logD":
-                labels += [f"logD{m}" for m in range(d)]
-            elif name == "payoff":
-                if not isinstance(self.payoff, ConstantPayoff):
-                    labels.append("payoff")
-            elif name == "knots":
-                labels += [f"knot{j}_D{m}" for m in range(d) for j in range(n_knots)]
-            else:
-                raise ConfigurationError(f"unknown basis entry {name!r}")
-        return labels
-
     def features(self, d_prices, y, knots=None):
-        cols = []
-        d_prices = np.atleast_2d(d_prices)
-        y = np.atleast_2d(y)
-        for name in self.basis:
-            if name == "1":
-                continue
-            elif name == "D":
-                cols.extend(d_prices.T)
-            elif name == "Y":
-                cols.extend(y.T)
-            elif name == "DY":
-                for m in range(d_prices.shape[1]):
-                    for i in range(y.shape[1]):
-                        cols.append(d_prices[:, m] * y[:, i])
-            elif name == "D2":
-                cols.extend((d_prices**2).T)
-            elif name == "Y2":
-                cols.extend((y**2).T)
-            elif name == "logD":
-                cols.extend(np.log(np.maximum(d_prices, 1e-300)).T)
-            elif name == "payoff":
-                feat = self.payoff.basis_feature(d_prices, self.horizon, self.rate)
-                if feat is not None:
-                    cols.append(feat)
-            elif name == "knots":
-                if knots is not None:
-                    for m in range(d_prices.shape[1]):
-                        for q in knots[:, m]:
-                            cols.append(np.maximum(d_prices[:, m] - q, 0.0))
-            else:
-                raise ConfigurationError(f"unknown basis entry {name!r}")
-        if not cols:
+        if not self.columns:
             return np.empty((d_prices.shape[0], 0))
         # (n, q) view of feature-major rows: each column is contiguous
-        return np.stack(cols).T
+        return np.stack([col(d_prices, y, knots) for col, _ in self.columns]).T
 
     def value_and_loadings(self, k, d_prices, y):
         fit = self.steps[k]
@@ -300,7 +255,6 @@ class BSDESolution:
     cond: np.ndarray
     value_at_zero: float
     se_at_zero: float
-    driver_at_zero: float
     diagnostics: dict = field(default_factory=dict)
 
     def export_csv(self, fname):
@@ -348,29 +302,29 @@ def structural_jump_loading(value_left, jump_rel):
     return -np.atleast_1d(value_left)[:, None] * f / (1.0 + f)
 
 
-def _factor_shift(labels, keep, coef, scale, d_prices, y):
+def _factor_shift(roles, keep, coef, scale, d_prices, y):
     """Analytic change of a fitted value function under a factor jump.
 
-    Only the factor-dependent basis columns move when y0 -> y0 + z, so
+    Only the factor-dependent basis columns move when y -> y + z, so
     the fitted-value difference is linear in their coefficients; means
     and the intercept cancel.  It is ``slope * z + quad * z**2`` with a
-    per-path slope from the Y0, Y0^2 and D·Y0 columns.  Returns
-    (slope, quad) at states (n, d) and (n, 1), or None when no kept
-    column depends on the factor.
+    per-path slope from the Y, Y^2 and D·Y columns, named by their
+    ``roles`` (see ``_basis_columns``).  Returns (slope, quad) at states
+    (n, d) and (n, 1), or None when no kept column depends on the factor.
     """
     slope, quad, signal = np.zeros(y.shape[0]), 0.0, False
     for pos, col in enumerate(np.flatnonzero(keep)):
-        lab = labels[col]
+        role = roles[col]
+        if role is None:
+            continue
         c = coef[pos + 1] / scale[pos]
-        if lab == "Y0":
+        if role == "Y":
             slope += c
-        elif lab == "Y0^2":
+        elif role == "Y2":
             quad = c
             slope += 2.0 * c * y[:, 0]
-        elif lab.startswith("D") and lab.endswith("Y0"):
-            slope += c * d_prices[:, int(lab[1:-2])]
         else:
-            continue
+            slope += c * d_prices[:, role]
         signal = True
     return (slope, quad) if signal else None
 
@@ -415,13 +369,12 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     else:
         bucket_of_node = None
 
-    table = RegressionTable(config.basis, payoff, bundle.times[-1], bundle.rate)
+    columns = _basis_columns(config.basis, payoff, d, config.n_knots, bundle.times[-1], bundle.rate)
+    table = RegressionTable(columns)
     table.steps = [None] * nk
-    labels = table.feature_labels(d, h, config.n_knots if "knots" in config.basis else 0)
-    # a D·Y column without its Y column's spread is a multiple of D
-    col = {lab: j for j, lab in enumerate(labels)}
-    dy_pairs = np.array([(col[f"D{m}Y{i}"], col[f"Y{i}"]) for m in range(d) for i in range(h)
-                         if f"D{m}Y{i}" in col and f"Y{i}" in col], dtype=np.int64).reshape(-1, 2)
+    roles = [role for _, role in columns]
+    # a D·Y column without the Y column's spread is a multiple of D
+    dy_cols = [j for j, role in enumerate(roles) if type(role) is int] if "Y" in roles else []
     # per-step lookup states are [y, y + z_1, ..., y + z_nq]
     state_shifts = np.concatenate([[0.0], z_nodes])
 
@@ -431,12 +384,8 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     jump_loading_mean = np.zeros((nk, nq))
     r2 = np.ones(nk)
     cond = np.zeros(nk)
-    g_last = np.zeros(n)
     n_deficient = 0
     routes = {"cholesky_qr2": 0, "svd": 0}
-    drift_acc = np.zeros(n)
-    mart_acc = np.zeros(n)
-    jump_mart_acc = np.zeros(n)
 
     for k in range(nk - 1, -1, -1):
         t_k = bundle.times[k]
@@ -465,7 +414,8 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             mean = xs.mean(axis=1)
             scale = xs.std(axis=1)
             keep = scale > 1e-10 * (1.0 + np.abs(mean))
-            keep[dy_pairs[:, 0]] &= keep[dy_pairs[:, 1]]
+            if dy_cols:
+                keep[dy_cols] &= keep[roles.index("Y")]
             mean, scale = mean[keep], scale[keep]
             # standardized design with the intercept first, built as
             # contiguous feature rows (the transpose is the column-major
@@ -495,13 +445,12 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         fit = table.steps[max(k, 1)] if nk > 1 else None
         shift = None
         if nq and fit is not None:
-            shift = _factor_shift(labels, fit.keep, fit.coef_value, fit.scale, disc[:, k], yl[:, k])
+            shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc[:, k], yl[:, k])
         if shift is not None:
             slope, quad = shift
             base_nodes = slope[:, None] * z_nodes + quad * z_nodes**2
 
         corrections = np.zeros(nq)
-        base_at_realized = corr_at_realized = None
         if bucket_of_node is not None:
             rows = events.rows(k)
             if rows.size:
@@ -522,7 +471,6 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
                 np.add.at(ccount, jb, 1.0)
                 per_bucket = np.where(ccount >= config.min_bucket_count, csum / np.maximum(ccount, 1), 0.0)
                 corrections = per_bucket[bucket_of_node]
-                corr_at_realized = per_bucket[jb]
 
         # only the structural loading depends on the value, so only the
         # fallback needs the inner fixed-point sweep
@@ -537,25 +485,13 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             v_cur = v_hat - g * dt
         value[:, k] = v_cur
         dw_loadings[:, k] = vbar
-        drift_acc += g * dt
-        mart_acc += np.sum(vbar * bundle.dw[:, k], axis=-1)
         if nq:
             jump_loading_mean[k] = jl.mean(axis=0)
-            jump_mart_acc -= lam_cal * (jl @ z_weights) * dt
-            if base_at_realized is not None:
-                np.add.at(jump_mart_acc, jp_paths, base_at_realized + corr_at_realized)
-        if k == 0:
-            g_last = g
 
     if n_deficient:
         warnings.warn(f"collinear basis columns truncated at {n_deficient} steps")
         diagnostics["rank_deficient_steps"] = n_deficient
     diagnostics["factorization"] = routes
-    # pathwise control-variate estimate: terminal value minus the fitted
-    # martingale parts and driver integral (diagnostic companion)
-    pathwise = h_term - drift_acc - mart_acc - jump_mart_acc
-    diagnostics["value_at_zero_pathwise"] = float(pathwise.mean())
-    diagnostics["se_at_zero_pathwise"] = float(pathwise.std(ddof=1) / math.sqrt(n))
     # the regression controls correlate in-sample residuals, so the raw
     # payoff dispersion is the trustworthy error scale for the estimate
     se0 = float(h_term.std(ddof=1) / math.sqrt(n))
@@ -570,7 +506,6 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         cond=cond,
         value_at_zero=float(value[:, 0].mean()),
         se_at_zero=se0,
-        driver_at_zero=float(np.mean(g_last)),
         diagnostics=diagnostics,
     )
 

@@ -52,6 +52,11 @@ class TestPayoffs:
         # put-call parity in discounted units (rate is zero here)
         assert call - put == pytest.approx(s_t - 100.0, rel=1e-12)
 
+    @pytest.mark.parametrize("payoff, strike", [(bsde.DiscountedCall, 0.0), (bsde.DiscountedPut, -1.0)])
+    def test_nonpositive_strike_rejected(self, payoff, strike):
+        with pytest.raises(levy.ConfigurationError, match="strike must be positive"):
+            payoff(strike)
+
     def test_constant(self, flat_setup):
         _, bundle, _ = flat_setup
         assert np.array_equal(bsde.ConstantPayoff(5.0)(bundle), np.full(bundle.n_paths, 5.0))
@@ -242,6 +247,23 @@ class TestSolveBackward:
             drift = incr.mean()
             se = incr.std(ddof=1) / math.sqrt(incr.size)
             assert abs(drift) <= 4 * se + 1e-3 * max(1.0, abs(v_now.mean()))
+
+    @pytest.mark.parametrize("basis", [
+        bsde.BsdeConfig().basis, ("1", "D", "Y", "DY", "payoff"), ("1", "D", "Y2", "knots"),
+    ])
+    def test_factor_shift_matches_refitted_value(self, bns_setup, basis):
+        # the column roles give the fitted value's exact change under y -> y + z
+        _, bundle, surface = bns_setup
+        sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0), bsde.BsdeConfig(basis=basis))
+        roles = [role for _, role in sol.table.columns]
+        for k in (1, 30, 70, 99):
+            fit = sol.table.steps[k]
+            d_k, y_k = bundle.discounted[:, k], bundle.y[:, k]
+            slope, quad = bsde._factor_shift(roles, fit.keep, fit.coef_value, fit.scale, d_k, y_k)
+            v, _ = sol.table.value_and_loadings(k, d_k, y_k)
+            for z in (0.05, 0.5, 2.0):
+                v_z, _ = sol.table.value_and_loadings(k, d_k, y_k + z)
+                assert np.max(np.abs(slope * z + quad * z**2 - (v_z - v))) <= 1e-12 * np.max(np.abs(v))
 
     def test_r2_and_cond_recorded(self, bns_setup):
         _, bundle, surface = bns_setup

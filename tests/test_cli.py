@@ -222,6 +222,13 @@ class TestOtherCommands:
         assert isinstance(surface, opportunity.IpdeSurface) and surface.y_nodes.size == 64
         assert (tmp_path / "bsde_solution.csv").exists()
 
+    def test_solve_bsde_unknown_basis_entry_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"bsde": {"basis": ["1", "Q"]}}))
+        assert run(["solve-bsde", "--config", str(cfg), "--outdir", str(tmp_path), "--n-paths", "200",
+                    "--n-fit-paths", "200", "--horizon", "0.1"]) == 2
+        assert "unknown basis entry 'Q'" in capsys.readouterr().err
+
     def test_hedge_fitted_solution_and_endowment_flag(self, tmp_path):
         cfg = tmp_path / "h.json"
         cfg.write_text(json.dumps({"payoff": {"kind": "constant", "level": 30000.0}}))

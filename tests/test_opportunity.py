@@ -238,9 +238,17 @@ class TestIpdeSurface:
         with pytest.raises(ValueError, match="jump range"):
             opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(y_top=10.5))
 
-    def test_explicit_reaction_step_error(self, bns, ou, cpe):
+    def test_explicit_terms_step_error(self, bns, ou, cpe):
+        # two steps over T = 40 break the transport and jump bounds first
         mesh = opp.MeshConfig(reaction_theta=0.0, n_time_slices=3, n_time_steps=2)
-        with pytest.raises(ValueError, match="stability"):
+        with pytest.raises(ValueError, match="explicit terms"):
+            opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
+
+    def test_explicit_reaction_step_error(self, bns, ou, cpe):
+        # a low floor puts nodes where the reaction rate (alpha + beta y)^2 / y
+        # is large, beyond what the step allows the fully explicit reaction
+        mesh = opp.MeshConfig(reaction_theta=0.0, y_floor=1e-3)
+        with pytest.raises(ValueError, match="explicit reaction"):
             opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
 
     def test_export_csv(self, tmp_path, bns_surface):
