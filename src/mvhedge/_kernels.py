@@ -1,8 +1,9 @@
 """Hot numeric loops, vectorized across paths with numpy.
 
 Four loops carry the pipeline's work: the path simulation for every
-model (``simulate_d1h1``), the hedge gains sweep (``hedge_sweep``, one
-``gains_step`` per time step), the pathwise exponent of the surface's
+model (``simulate_d1h1``), the hedge sweep (``hedge_sweep``: per time
+step it asks the caller for the strategy's pieces, then records and
+applies one ``gains_step``), the pathwise exponent of the surface's
 inner Monte Carlo (``opportunity_mc_exponent``) and bilinear table
 lookups along paths (``bilinear_steps``).  Each runs a Python loop over
 time steps or jump ordinals and numpy over paths.  All random numbers
@@ -142,17 +143,38 @@ def gains_step(gains_left, xi, adj, v, value_left, d_increment):
     return gains_left + base - feedback
 
 
-def hedge_sweep(d_path, value, xi, adj, v):
-    """Terminal cumulative gains of the feedback strategy.
+def strategy_position(xi, adj, v, gains_left, value_left):
+    """Position: pure hedge minus the tracking gap times the adjustment."""
+    gap = v + np.atleast_1d(gains_left) - np.atleast_1d(value_left)
+    return np.atleast_2d(xi) - gap[:, None] * np.atleast_2d(adj)
 
-    ``d_path`` holds discounted prices (n, K+1, d); ``value`` (n, K) and
-    the pure hedge ``xi`` and adjustment ``adj`` (n, K, d) are taken at
-    the left end of each step.
+
+def hedge_sweep(d_path, strategy, v, n_record=0):
+    """Cumulative gains of the feedback strategy, in one pass over the steps.
+
+    ``d_path`` holds discounted prices (n, K+1, d).  ``strategy(k)``
+    returns the claim's value (n,), the pure hedge and the adjustment
+    (n, d) at the left end of step k; only the running gains (n,) are
+    kept between steps.  Returns (terminal gains, recorded): recorded
+    holds the gains, positions, wealth and discounted prices of the
+    leading ``n_record`` paths, or is empty when ``n_record`` is 0.
     """
-    gains = np.zeros(d_path.shape[0])
-    for k in range(d_path.shape[1] - 1):
-        gains = gains_step(gains, xi[:, k], adj[:, k], v, value[:, k], d_path[:, k + 1] - d_path[:, k])
-    return gains
+    n, nk, d = d_path.shape[0], d_path.shape[1] - 1, d_path.shape[2]
+    m = min(n_record, n)
+    gains = np.zeros(n)
+    rec_gains = np.zeros((m, nk + 1))
+    position = np.zeros((m, nk, d))
+    for k in range(nk):
+        value, xi, adj = strategy(k)
+        if m:
+            position[:, k] = strategy_position(xi[:m], adj[:m], v, gains[:m], value[:m])
+        gains = gains_step(gains, xi, adj, v, value, d_path[:, k + 1] - d_path[:, k])
+        rec_gains[:, k + 1] = gains[:m]
+    if not m:
+        return gains, {}
+    # a copy: a view would keep the whole chunk alive
+    return gains, {"gains": rec_gains, "position": position, "wealth": v + rec_gains,
+                   "discounted": d_path[:m].copy()}
 
 
 def opportunity_mc_exponent(sharpe2, lam, y_start, horizon, offsets, times, components, sizes):

@@ -30,6 +30,10 @@ class ConstantPayoff:
     def __call__(self, bundle: PathBundle) -> np.ndarray:
         return np.full(bundle.n_paths, self.p)
 
+    def value_and_loadings(self, k, d_prices, y):
+        """The claim is its own value at every step, with zero loadings."""
+        return np.full(d_prices.shape[0], self.p), np.zeros(d_prices.shape)
+
     def __repr__(self):
         return f"ConstantPayoff({self.p})"
 
@@ -135,11 +139,18 @@ def _basis_columns(basis, payoff, d, n_knots, horizon, rate):
 
 
 class RegressionTable:
-    """Fitted per-step value and loading functions of the state."""
+    """Fitted per-step value and loading functions of the state.
+
+    Step 0 has no fit (``steps[0]`` is None): every path shares the
+    time-zero state, whose value and loadings are the constants
+    ``value_at_zero`` and ``loadings_at_zero`` (d,).
+    """
 
     def __init__(self, columns):
         self.columns = columns
         self.steps: list[StepFit | None] = []
+        self.value_at_zero = math.nan
+        self.loadings_at_zero = None
 
     def features(self, d_prices, y, knots=None):
         if not self.columns:
@@ -149,8 +160,9 @@ class RegressionTable:
 
     def value_and_loadings(self, k, d_prices, y):
         fit = self.steps[k]
-        if fit is None:  # degenerate time-zero state
-            raise ValueError("step has no regression fit")
+        if fit is None:
+            n = d_prices.shape[0]
+            return np.full(n, self.value_at_zero), np.tile(self.loadings_at_zero, (n, 1))
         xs = self.features(d_prices, y, knots=fit.knots).T
         x = (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]
         v = fit.coef_value[0] + fit.coef_value[1:] @ x
@@ -495,6 +507,8 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     # the regression controls correlate in-sample residuals, so the raw
     # payoff dispersion is the trustworthy error scale for the estimate
     se0 = float(h_term.std(ddof=1) / math.sqrt(n))
+    table.value_at_zero = float(value[:, 0].mean())
+    table.loadings_at_zero = dw_loadings[0, 0].copy()
     return BSDESolution(
         times=bundle.times,
         value=value,
@@ -504,7 +518,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         table=table,
         r2=r2,
         cond=cond,
-        value_at_zero=float(value[:, 0].mean()),
+        value_at_zero=table.value_at_zero,
         se_at_zero=se0,
         diagnostics=diagnostics,
     )

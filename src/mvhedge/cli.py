@@ -232,27 +232,34 @@ def cmd_solve_bsde(cfg, args):
     return 0
 
 
+def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True, config=None):
+    """Hedge the ``n_paths`` paths after the fit paths ``[0, n_fit_paths)``.
+
+    The backward solution is fitted on the fit paths, so the reported
+    MSE is out of sample.  Without a fit the payoff is its own value
+    source and the hedge starts at path 0.
+    """
+    solution, offset = None, 0
+    if fit:
+        bundle, solution = _fit_solution(cfg, model, ou, specs, grid, surface, payoff)
+        offset = bundle.n_paths
+        del bundle  # the fit paths are not needed past the fit
+    chunks = market.iter_path_chunks(
+        model, ou, specs, cfg["initial_prices"], grid, cfg["paths"]["n_paths"],
+        cfg["paths"]["master_seed"], cfg["paths"]["chunk_size"], path_offset=offset,
+    )
+    return hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"], config)
+
+
 def cmd_hedge(cfg, args):
     model, ou, specs = build_components(cfg)
     grid = _grid(cfg)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
     payoff = build_payoff(cfg)
     hc = cfg.get("hedge", {})
-    hcfg = hedge.HedgeConfig(
-        use_closed_form_value=hc.get("use_closed_form_value", False),
-        record_paths=hc.get("record_paths", 0),
-    )
-    solution = None
-    # a fitted solution is scored on the paths after its fit paths
-    offset = 0
-    if not hcfg.use_closed_form_value:
-        fit, solution = _fit_solution(cfg, model, ou, specs, grid, surface, payoff)
-        offset = fit.n_paths
-    chunks = market.iter_path_chunks(
-        model, ou, specs, cfg["initial_prices"], grid, cfg["paths"]["n_paths"],
-        cfg["paths"]["master_seed"], cfg["paths"]["chunk_size"], path_offset=offset,
-    )
-    report = hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"], hcfg)
+    report = _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff,
+                                  fit=not hc.get("use_closed_form_value", False),
+                                  config=hedge.HedgeConfig(record_paths=hc.get("record_paths", 0)))
     outdir = output_dir(cfg, args)
     report.export_csv(outdir / "hedge_report.csv")
     (outdir / "hedge_report.txt").write_text(report.summary() + "\n")
@@ -284,14 +291,8 @@ def cmd_figure(cfg, args):
         sim_se = float("nan")
         if sim_max and t_end <= sim_max:
             sub = _merge(cfg, {"grid": {"horizon": float(t_end)}})
-            grid = _grid(sub)
-            payoff = bsde.ConstantPayoff(p_level)
-            fit, solution = _fit_solution(sub, model, ou, specs, grid, surface, payoff)
-            chunks = market.iter_path_chunks(
-                model, ou, specs, sub["initial_prices"], grid, sub["paths"]["n_paths"],
-                sub["paths"]["master_seed"], sub["paths"]["chunk_size"], path_offset=fit.n_paths,
-            )
-            rep = hedge.run_hedge(chunks, surface, solution, payoff, v)
+            rep = _hedge_out_of_sample(sub, model, ou, specs, _grid(sub), surface,
+                                       bsde.ConstantPayoff(p_level))
             sim_err, sim_se = rep.mse, rep.se_mse
         rows.append((t_end, var, herr, gap, sim_err, sim_se))
     outdir = output_dir(cfg, args)

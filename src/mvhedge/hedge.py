@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
-from ._kernels import gains_step, step_major
+from ._kernels import gains_step, strategy_position  # noqa: F401  (the strategy's pieces, re-exported)
 from .bsde import BSDESolution, ConstantPayoff
 from .levy import ConfigurationError
 from .market import PathBundle, adjustment
@@ -40,12 +40,6 @@ def pure_hedge(model, d_prices, y_left, dw_loadings):
     return x / d_prices
 
 
-def strategy_position(xi, adj, v, gains_left, value_left):
-    """Position: pure hedge minus the tracking gap times the adjustment."""
-    gap = v + np.atleast_1d(gains_left) - np.atleast_1d(value_left)
-    return np.atleast_2d(xi) - gap[:, None] * np.atleast_2d(adj)
-
-
 def closed_forms(p: float, v: float, p0: float):
     """Terminal variance, optimal hedging error and their gap for a
     constant claim, from the time-zero opportunity value.
@@ -65,7 +59,6 @@ def closed_forms(p: float, v: float, p0: float):
 
 @dataclass
 class HedgeConfig:
-    use_closed_form_value: bool = False
     record_paths: int = 0  # number of leading paths to keep for export
 
 
@@ -114,44 +107,24 @@ class HedgeReport:
                 f.write(f"{key},{val}\n")
 
 
-def _value_arrays(bundle: PathBundle, disc: np.ndarray, solution: BSDESolution | None, payoff,
-                  cfg: HedgeConfig):
-    """Per-step value and loadings along a bundle (out-of-sample safe).
-
-    ``disc`` is the bundle's discounted prices, computed once by the caller.
-    """
-    n, nk = bundle.n_paths, bundle.n_steps
-    value = step_major(nk, n)
-    vbar = step_major(nk, n, bundle.model.d)
-    if cfg.use_closed_form_value:
-        if not isinstance(payoff, ConstantPayoff):
-            raise ConfigurationError("closed-form value path applies to constant payoffs only")
-        value[...] = payoff.p
-        vbar[...] = 0.0
-        return value, vbar
-    if solution is None:
-        raise ConfigurationError("a backward solution is required unless the closed form is enabled")
-    for k in range(nk):
-        if solution.table.steps[k] is None:
-            # shared time-zero state: constant fit across paths
-            value[:, k] = solution.value_at_zero
-            vbar[:, k] = solution.dw_loadings[0, k][None, :]
-        else:
-            v, vb = solution.table.value_and_loadings(k, disc[:, k], bundle.y[:, k])
-            value[:, k] = v
-            vbar[:, k] = vb
-    return value, vbar
-
-
 def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | None,
               payoff, endowment: float, config: HedgeConfig | None = None) -> HedgeReport:
     """Forward hedge sweep over one bundle or an iterable of chunks.
 
-    Reports the mean squared terminal shortfall with its standard error
-    and, for constant payoffs, the closed-form comparators evaluated at
-    the surface's time-zero value.
+    The claim's value and Brownian loadings at each step come from one
+    value source, read through ``value_and_loadings(k, d_prices, y)``:
+    the backward solution's regression table, or, when ``solution`` is
+    None, the payoff itself (a constant claim is its own value).  Each
+    chunk is swept once, step by step, keeping only per-path running
+    gains.  Reports the mean squared terminal shortfall with its
+    standard error and, for constant payoffs, the closed-form
+    comparators evaluated at the surface's time-zero value.
     """
     cfg = config or HedgeConfig()
+    source = solution.table if solution is not None else payoff
+    if not hasattr(source, "value_and_loadings"):
+        raise ConfigurationError("without a backward solution the payoff must give its own value "
+                                 "(a constant claim)")
     if isinstance(bundles, PathBundle):
         bundles = [bundles]
     total = 0.0
@@ -162,30 +135,29 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     recorded = {}
     p0 = None
     for bundle in bundles:
-        n, nk = bundle.n_paths, bundle.n_steps
+        model, y, y_left = bundle.model, bundle.y, bundle.y_left
         disc = bundle.discounted
-        value, vbar = _value_arrays(bundle, disc, solution, payoff, cfg)
         if p0 is None:
-            p0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
-        adj = step_major(nk, n, bundle.model.d)
-        xi = step_major(nk, n, bundle.model.d)
-        for k in range(nk):
-            adj[:, k] = adjustment(bundle.model, disc[:, k], bundle.y_left[:, k])
-            xi[:, k] = pure_hedge(bundle.model, disc[:, k], bundle.y_left[:, k], vbar[:, k])
-        gains = kernels.hedge_sweep(disc, value, xi, adj, endowment)
+            p0 = float(surface.value_at_states(0.0, y[:, 0])[0])
+
+        def strategy(k):
+            value, vbar = source.value_and_loadings(k, disc[:, k], y[:, k])
+            adj = adjustment(model, disc[:, k], y_left[:, k])
+            return value, pure_hedge(model, disc[:, k], y_left[:, k], vbar), adj
+
+        gains, rec = kernels.hedge_sweep(disc, strategy, endowment, 0 if recorded else cfg.record_paths)
+        recorded = recorded or rec
         h_term = payoff(bundle)
         shortfall = endowment + gains - h_term
-        if cfg.record_paths and not recorded:
-            recorded = _record_paths(bundle, disc, value, xi, adj, endowment, cfg.record_paths)
         total += float(shortfall.sum())
         sq = shortfall**2
         sq_sum += float(sq.sum())
         sq_sq += float((sq**2).sum())
         payoff_sum += float(h_term.sum())
-        count += n
-        # release the chunk and its per-step arrays before a generator
-        # simulates the next one
-        del bundle, disc, value, vbar, adj, xi, gains
+        count += bundle.n_paths
+        # release the chunk before a generator simulates the next one;
+        # ``strategy`` holds its arrays too
+        del bundle, y, y_left, disc, strategy, gains
     mse = sq_sum / count
     var_sq = max(sq_sq / count - mse**2, 0.0) * count / max(count - 1, 1)
     report = HedgeReport(
@@ -207,18 +179,3 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
             "gap": gap,
         }
     return report
-
-
-def _record_paths(bundle, disc, value, xi, adj, endowment, n_record):
-    """Keep full strategy paths for a few leading paths (exports/tests)."""
-    n = min(n_record, bundle.n_paths)
-    nk = bundle.n_steps
-    disc = disc[:n].copy()  # a view would keep the whole chunk alive
-    gains = np.zeros((n, nk + 1))
-    position = np.zeros((n, nk, bundle.model.d))
-    for k in range(nk):
-        dd = disc[:, k + 1] - disc[:, k]
-        position[:, k] = strategy_position(xi[:n, k], adj[:n, k], endowment, gains[:, k], value[:n, k])
-        gains[:, k + 1] = gains_step(gains[:, k], xi[:n, k], adj[:n, k], endowment, value[:n, k], dd)
-    wealth = endowment + gains
-    return {"gains": gains, "position": position, "wealth": wealth, "discounted": disc}

@@ -228,7 +228,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.add("closed-form identities", ok, f"worst rel resid {worst:.2e}")
 
     rep_h = hedge.run_hedge(bb, surf_b, None, pay, 10000.0,
-                            hedge.HedgeConfig(use_closed_form_value=True, record_paths=16))
+                            hedge.HedgeConfig(record_paths=16))
     rec = rep_h.recorded
     gains_recon = np.sum(rec["position"][:, :, 0] * np.diff(rec["discounted"][:, :, 0], axis=1), axis=1)
     sf_err = np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains_recon))
@@ -236,7 +236,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
 
     pay_eq = bsde.ConstantPayoff(10000.0)
     rep_eq = hedge.run_hedge(bb, surf_b, None, pay_eq, 10000.0,
-                             hedge.HedgeConfig(use_closed_form_value=True, record_paths=8))
+                             hedge.HedgeConfig(record_paths=8))
     rep.add("zero tracking gap keeps a flat position",
             rep_eq.mse == 0.0 and np.max(np.abs(rep_eq.recorded["position"])) == 0.0,
             f"mse {rep_eq.mse:.3g}")

@@ -238,11 +238,9 @@ class TestSolveBackward:
         _, bundle, surface = bns_setup
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(bundle, surface, pay)
-        dt = bundle.grid.step
         for k in (5, 40, 80):
             v_next = sol.value[:, k + 1]
             v_now = sol.value[:, k]
-            g_step = (np.full_like(v_now, v_next.mean()) - v_now) / dt if k == 0 else None
             incr = v_next - v_now
             drift = incr.mean()
             se = incr.std(ddof=1) / math.sqrt(incr.size)

@@ -229,6 +229,15 @@ class TestOtherCommands:
                     "--n-fit-paths", "200", "--horizon", "0.1"]) == 2
         assert "unknown basis entry 'Q'" in capsys.readouterr().err
 
+    def test_hedge_without_fit_needs_a_constant_claim(self, tmp_path, capsys):
+        # the default payoff is a call, which gives no value of its own
+        cfg = tmp_path / "h.json"
+        cfg.write_text(json.dumps({"hedge": {"use_closed_form_value": True}}))
+        assert run(["hedge", "--config", str(cfg), "--outdir", str(tmp_path), "--n-paths", "200",
+                    "--horizon", "0.1"]) == 2
+        assert "own value" in capsys.readouterr().err
+        assert not (tmp_path / "hedge_report.csv").exists()
+
     def test_hedge_fitted_solution_and_endowment_flag(self, tmp_path):
         cfg = tmp_path / "h.json"
         cfg.write_text(json.dumps({"payoff": {"kind": "constant", "level": 30000.0}}))

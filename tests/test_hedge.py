@@ -169,8 +169,7 @@ class TestRunHedge:
     def test_closed_form_value_route_matches(self, bns_world):
         _, _, _, bundle, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
-        rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                              hedge.HedgeConfig(use_closed_form_value=True))
+        rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0)
         herr = rep.comparators["hedging_error"]
         assert abs(rep.mse - herr) <= max(4 * rep.se_mse, 0.02 * herr)
 
@@ -178,7 +177,7 @@ class TestRunHedge:
         _, _, _, bundle, surface = bns_world
         pay = bsde.ConstantPayoff(10000.0)
         rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                              hedge.HedgeConfig(use_closed_form_value=True, record_paths=4))
+                              hedge.HedgeConfig(record_paths=4))
         assert rep.mse == 0.0
         assert np.max(np.abs(rep.recorded["position"])) == 0.0
 
@@ -186,7 +185,7 @@ class TestRunHedge:
         _, _, _, bundle, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
         rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                              hedge.HedgeConfig(use_closed_form_value=True, record_paths=8))
+                              hedge.HedgeConfig(record_paths=8))
         rec = rep.recorded
         gains = np.sum(rec["position"][:, :, 0] * np.diff(rec["discounted"][:, :, 0], axis=1), axis=1)
         assert np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains)) < 1e-6 * 1e4
@@ -200,7 +199,8 @@ class TestRunHedge:
         sweep = kernels.hedge_sweep
         monkeypatch.setattr(kernels, "hedge_sweep", lambda *args: swept.append(sweep(*args)) or swept[-1])
         rep = hedge.run_hedge(bundle, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=8))
-        assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + swept[0][:8])
+        gains, _ = swept[0]
+        assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + gains[:8])
 
     def test_step_slices_contiguous(self, bns_world, ou, monkeypatch):
         model, cpe, grid, _, surface = bns_world
@@ -211,23 +211,48 @@ class TestRunHedge:
         sweep = kernels.hedge_sweep
         monkeypatch.setattr(kernels, "hedge_sweep", lambda *args: swept.append(args) or sweep(*args))
         hedge.run_hedge(bundle, surface, sol, pay, 8.0)
-        d_path, value, xi, adj, _ = swept[0]
+        d_path = swept[0][0]
         for k in (0, 1, bundle.n_steps - 1):
-            for arr in (d_path, value, xi, adj):
-                assert arr[:, k].flags.c_contiguous
-        for cfg in (hedge.HedgeConfig(), hedge.HedgeConfig(use_closed_form_value=True)):
-            value, vbar = hedge._value_arrays(bundle, bundle.discounted, sol, bsde.ConstantPayoff(1.0), cfg)
-            assert value[:, 1].flags.c_contiguous and vbar[:, 1].flags.c_contiguous
+            assert d_path[:, k].flags.c_contiguous
+
+    @pytest.mark.parametrize("case", ["fitted_call", "constant_no_solution", "two_chunks"])
+    def test_one_pass_matches_separate_passes(self, case, bns_world, ou):
+        # the one-pass sweep against the hedge built as separate per-step
+        # arrays, a gains loop and a recording loop: bit for bit
+        model, cpe, grid, _, surface = bns_world
+        if case == "constant_no_solution":
+            pay, sol, endowment = bsde.ConstantPayoff(30000.0), None, 10000.0
+        else:
+            pay, endowment = bsde.DiscountedCall(100.0), 8.0
+            sol = bsde.solve_backward(market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31),
+                                      surface, pay)
+        chunk = 100 if case == "two_chunks" else 200
+
+        def chunks():
+            return market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 200, 32, chunk)
+
+        rep = hedge.run_hedge(chunks(), surface, sol, pay, endowment, hedge.HedgeConfig(record_paths=5))
+        shortfalls, recorded = separate_pass_hedge(chunks(), sol, pay, endowment, 5)
+        total = sum(float(sf.sum()) for sf in shortfalls)
+        sq_sum = sum(float((sf**2).sum()) for sf in shortfalls)
+        assert rep.mean_shortfall == total / 200 and rep.mse == sq_sum / 200
+        assert rep.recorded.keys() == recorded.keys()
+        for name, arr in recorded.items():
+            assert np.array_equal(rep.recorded[name], arr), name
+
+    def test_payoff_without_value_needs_a_solution(self, bns_world):
+        _, _, _, _, surface = bns_world
+        untouched = (pytest.fail("simulated a chunk") for _ in range(1))
+        with pytest.raises(levy.ConfigurationError, match="own value"):
+            hedge.run_hedge(untouched, surface, None, bsde.DiscountedCall(100.0), 10000.0)
 
     def test_chunked_stream(self, bns_world, ou):
         model, cpe, grid, _, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
         whole = market.simulate_paths(model, ou, [cpe], [100.0], grid, 400, 77)
-        rep1 = hedge.run_hedge(whole, surface, None, pay, 10000.0,
-                               hedge.HedgeConfig(use_closed_form_value=True))
+        rep1 = hedge.run_hedge(whole, surface, None, pay, 10000.0)
         chunks = market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 400, 77, 100)
-        rep2 = hedge.run_hedge(chunks, surface, None, pay, 10000.0,
-                               hedge.HedgeConfig(use_closed_form_value=True))
+        rep2 = hedge.run_hedge(chunks, surface, None, pay, 10000.0)
         assert rep1.mse == pytest.approx(rep2.mse, rel=1e-12)
         assert rep2.n_paths == 400
 
@@ -248,24 +273,60 @@ class TestRunHedge:
     def test_report_exports(self, tmp_path, bns_world):
         _, _, _, bundle, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
-        rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                              hedge.HedgeConfig(use_closed_form_value=True))
+        rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0)
         rep.export_csv(tmp_path / "rep.csv")
         text = rep.summary()
         assert "mean squared error" in text
         assert (tmp_path / "rep.csv").read_text().startswith("quantity,value")
 
 
-@pytest.mark.parametrize("stage, bound", [("oracle", 1.8), ("hedge", 2.6)])
+def separate_pass_hedge(chunks, solution, payoff, v, n_record):
+    """Per-chunk shortfalls and the leading chunk's recorded paths, built
+    as separate passes: per-step value, loading, adjustment and pure-hedge
+    arrays, a gains loop over them, then a recording loop."""
+    shortfalls, recorded = [], {}
+    for bundle in chunks:
+        n, nk, d = bundle.n_paths, bundle.n_steps, bundle.model.d
+        disc, y_left = bundle.discounted, bundle.y_left
+        value, vbar = np.empty((n, nk)), np.empty((n, nk, d))
+        for k in range(nk):
+            if solution is None:
+                value[:, k], vbar[:, k] = payoff.p, 0.0
+            elif k == 0:
+                value[:, k], vbar[:, k] = solution.value_at_zero, solution.dw_loadings[0, 0]
+            else:
+                value[:, k], vbar[:, k] = solution.table.value_and_loadings(k, disc[:, k], bundle.y[:, k])
+        adj = np.stack([market.adjustment(bundle.model, disc[:, k], y_left[:, k]) for k in range(nk)], 1)
+        xi = np.stack([hedge.pure_hedge(bundle.model, disc[:, k], y_left[:, k], vbar[:, k])
+                       for k in range(nk)], 1)
+        gains = np.zeros(n)
+        for k in range(nk):
+            gains = hedge.gains_step(gains, xi[:, k], adj[:, k], v, value[:, k], disc[:, k + 1] - disc[:, k])
+        shortfalls.append(v + gains - payoff(bundle))
+        if not recorded:
+            m = min(n_record, n)
+            rec_gains = np.zeros((m, nk + 1))
+            position = np.zeros((m, nk, d))
+            for k in range(nk):
+                position[:, k] = hedge.strategy_position(xi[:m, k], adj[:m, k], v, rec_gains[:, k],
+                                                         value[:m, k])
+                rec_gains[:, k + 1] = hedge.gains_step(rec_gains[:, k], xi[:m, k], adj[:m, k], v,
+                                                       value[:m, k], disc[:m, k + 1] - disc[:m, k])
+            recorded = {"gains": rec_gains, "position": position, "wealth": v + rec_gains,
+                        "discounted": disc[:m]}
+    return shortfalls, recorded
+
+
+@pytest.mark.parametrize("stage, bound", [("oracle", 1.8), ("hedge", 1.6)])
 def test_stream_releases_each_chunk(stage, bound, bns_world, ou):
-    # the previous chunk and its per-step arrays are released before the
-    # generator simulates the next one; holding them adds about one chunk
+    # the previous chunk is released before the generator simulates the
+    # next one, and the hedge keeps no per-step arrays; holding either
+    # adds about one chunk
     model, cpe, grid, _, surface = bns_world
     pay = bsde.ConstantPayoff(30000.0)
     run = {
         "oracle": lambda chunks: bsde.mc_value_at_zero(surface, chunks, pay),
-        "hedge": lambda chunks: hedge.run_hedge(chunks, surface, None, pay, 10000.0,
-                                                hedge.HedgeConfig(use_closed_form_value=True)),
+        "hedge": lambda chunks: hedge.run_hedge(chunks, surface, None, pay, 10000.0),
     }[stage]
     tracemalloc.start()
     try:
@@ -328,7 +389,7 @@ def test_two_asset_constant_claim_matches_herr(ou):
     surface = opp.make_surface(model, ou, [spec], 1.0)
     pay = bsde.ConstantPayoff(30000.0)
     rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                          hedge.HedgeConfig(use_closed_form_value=True, record_paths=8))
+                          hedge.HedgeConfig(record_paths=8))
     herr = math.exp(-model.constant_sharpe) * 2e4**2
     assert rep.comparators["hedging_error"] == pytest.approx(herr, rel=1e-12)
     assert abs(rep.mse - herr) <= max(4 * rep.se_mse, 0.02 * herr)
