@@ -57,14 +57,14 @@ def simulate_d1h1(model, y0, lam, delta, s0, dw, events, components, sizes):
 
     The one simulation engine; the name is kept because benchmark
     records report it.  ``dw`` (n, K, d) holds the Brownian increments,
-    ``events`` groups the jump events by grid step (``rows(k)``, owning
-    ``path`` and within-step ``offset``), and ``components``/``sizes``
-    are the events' factor and size in storage order.  The model is
-    read only through ``drift``, ``vol``, ``sharpe_squared`` and
-    ``market_price_of_risk`` at states (..., h).  Returns (y, s,
-    sharpe_int, mpr_dw, factor_int): per-step integrals of the squared
-    market price of risk (jump-inclusive quadrature), the
-    variance-matched loading against the Brownian increments, and
+    ``events`` groups the jump events by grid step (``rows(k)``, and
+    per step their owning ``path`` and within-step ``offset``), and
+    ``components``/``sizes`` are the events' factor and size in storage
+    order.  The model is read only through ``drift``, ``vol``,
+    ``sharpe_squared`` and ``market_price_of_risk`` at states (..., h).
+    Returns (y, s, sharpe_int, mpr_dw, factor_int): per-step integrals
+    of the squared market price of risk (jump-inclusive quadrature),
+    the variance-matched loading against the Brownian increments, and
     lambda * Y (exact).
     """
     n, nk, d = dw.shape
@@ -93,9 +93,9 @@ def simulate_d1h1(model, y0, lam, delta, s0, dw, events, components, sizes):
         ev = events.rows(k)
         comps = components[ev]
         # flat index of each event's (path, factor) entry in an (n, h) array
-        at = events.path[ev] * h + comps
+        at = events.path(ev) * h + comps
         lam_ev = lam[comps]
-        u = events.offset[ev]
+        u = events.offset(ev, k)
         sz = sizes[ev]
         np.multiply(y, node_decay[:, None, :], out=states[1:])
         if ev.size:

@@ -360,7 +360,9 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         raise ConfigurationError("backward solve is implemented for one factor")
     spec = bundle.specs[0]
     dt = bundle.grid.step
-    disc = bundle.discounted
+    # discounted prices one step at a time: the same multiply as
+    # ``bundle.discounted`` without its (n, K+1, d) copy
+    discount = np.exp(-bundle.rate * bundle.times)
     y = bundle.y
     yl = bundle.y_left
     h_term = np.asarray(payoff(bundle), dtype=float)
@@ -377,7 +379,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         edges[0], edges[-1] = 0.0, max(z_nodes.max(), rj.sizes.max()) + 1e-12
         bucket_of_node = np.clip(np.searchsorted(edges, z_nodes, side="right") - 1, 0, config.n_jump_buckets - 1)
         jump_bucket = np.clip(np.searchsorted(edges, rj.sizes, side="right") - 1, 0, config.n_jump_buckets - 1)
-        events = rj.by_step(bundle.times)
+        events = bundle.step_events
     else:
         bucket_of_node = None
 
@@ -401,6 +403,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
 
     for k in range(nk - 1, -1, -1):
         t_k = bundle.times[k]
+        disc_k = bundle.s[:, k] * discount[k]
         v_next = value[:, k + 1]
         mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl[:, k]))
         if nq:
@@ -421,8 +424,8 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             knots = None
             if "knots" in config.basis and config.n_knots > 0:
                 qs = np.linspace(0.0, 1.0, config.n_knots + 2)[1:-1]
-                knots = np.quantile(disc[:, k], qs, axis=0)
-            xs = table.features(disc[:, k], y[:, k], knots=knots).T
+                knots = np.quantile(disc_k, qs, axis=0)
+            xs = table.features(disc_k, y[:, k], knots=knots).T
             mean = xs.mean(axis=1)
             scale = xs.std(axis=1)
             keep = scale > 1e-10 * (1.0 + np.abs(mean))
@@ -457,7 +460,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         fit = table.steps[max(k, 1)] if nk > 1 else None
         shift = None
         if nq and fit is not None:
-            shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc[:, k], yl[:, k])
+            shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc_k, yl[:, k])
         if shift is not None:
             slope, quad = shift
             base_nodes = slope[:, None] * z_nodes + quad * z_nodes**2
@@ -466,7 +469,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         if bucket_of_node is not None:
             rows = events.rows(k)
             if rows.size:
-                jp_paths = events.path[rows]
+                jp_paths = events.path(rows)
                 jb = jump_bucket[rows]
                 sizes = rj.sizes[rows]
                 if shift is not None:

@@ -278,17 +278,105 @@ class JumpPath:
         return self
 
 
+# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's
+# seeding (O'Neill 2014, HMC-CS-2014-0905), both fixed by numpy's
+# stream-compatibility policy (NEP 19).
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(init, mult, n):
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# the hash constants do not depend on the data: 16 hashmix calls fill
+# and mix the pool, 8 draw the four uint64 state words
+_CONST_A = _hash_consts(INIT_A, MULT_A, 16)
+_CONST_B = _hash_consts(INIT_B, MULT_B, 8)
+
+
+def _hash(value, consts, call):
+    value = (value ^ consts[call]) * consts[call + 1] & _MASK32
+    return value ^ value >> XSHIFT
+
+
+def _mix(x, y):
+    value = (MIX_MULT_L * x - MIX_MULT_R * y) & _MASK32
+    return value ^ value >> XSHIFT
+
+
+def _seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
+    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
+    the ``count`` path indices from ``first``, as a (count, 4) array.
+
+    Below 2**64 both values are at most two 32-bit words, so the entropy
+    is the master's words, then the index's low and high word, padded
+    with zeros to the pool size: numpy's own coercion of the tuple.  The
+    hash runs once on uint64 columns masked to 32 bits (on Python ints
+    for a single path, where array calls would cost more than the hash).
+    Other seeds take numpy's SeedSequence path by path.
+    """
+    master_seed, first = int(master_seed), int(first)
+    if not (0 <= master_seed < 2**64 and 0 <= first and first + count <= 2**64):
+        return np.array([np.random.SeedSequence((master_seed, i)).generate_state(4, np.uint64)
+                         for i in range(first, first + count)])
+    idx = first if count == 1 else np.arange(count, dtype=np.uint64) + np.uint64(first)
+    entropy = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
+    entropy += [idx & _MASK32, idx >> 32, 0][:4 - len(entropy)]
+    pool = [_hash(word, _CONST_A, call) for call, word in enumerate(entropy)]
+    call = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], _CONST_A, call))
+                call += 1
+    half = [_hash(pool[w % 4], _CONST_B, w) for w in range(8)]
+    words = np.empty((count, 4), dtype=np.uint64)
+    for j in range(4):
+        words[:, j] = half[2 * j] | half[2 * j + 1] << 32
+    return words
+
+
+def path_states(master_seed: int, first: int, count: int) -> list[dict]:
+    """PCG64 states of the streams ``default_rng(SeedSequence((master_seed, i)))``
+    for the ``count`` path indices from ``first``.
+
+    Seed s = w0·2**64 + w1 and increment i = w2·2**64 + w3 from the seed
+    words give inc = 2i + 1 and state = (inc + s)·M + inc mod 2**128,
+    M being PCG's default multiplier.  Assigning a state to a PCG64
+    gives the stream a fresh generator of that seed would draw.
+    """
+    out = []
+    for w0, w1, w2, w3 in _seed_words(master_seed, first, count).tolist():
+        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
+        state = ((inc + (w0 << 64 | w1)) * PCG64_MULT + inc) & _MASK128
+        out.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
+    return out
+
+
 def rng_for_path(master_seed: int, path_index: int) -> np.random.Generator:
     """Independent per-path stream: master seed hashed with the path index.
 
-    SeedSequence splits Python ints into 32-bit words, so a uint32 pair
-    gives the same pool as the tuple (master_seed, path_index) and is
-    cheaper to hash; larger values keep the tuple.
+    A fresh Generator drawing what ``default_rng(SeedSequence((master_seed,
+    path_index)))`` draws, seeded through ``path_states``, the derivation
+    a simulated block of paths uses for all its streams at once; the
+    tests pin both to numpy's own ``SeedSequence``.
     """
-    entropy = (int(master_seed), int(path_index))
-    if 0 <= min(entropy) and max(entropy) <= 0xFFFFFFFF:
-        entropy = np.array(entropy, dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    bitgen = np.random.PCG64()
+    bitgen.state = path_states(master_seed, path_index, 1)[0]
+    return np.random.Generator(bitgen)
 
 
 def sample_jump_path(specs, horizon: float, seed) -> JumpPath:

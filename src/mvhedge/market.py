@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .levy import ConfigurationError, JumpPath, pack_events, rng_for_path, sample_jump_path
+from .levy import ConfigurationError, JumpPath, pack_events, path_states, sample_jump_path
 from .ngou import FactorPath, OUParams, evolve, merge_grid
 
 
@@ -388,33 +388,43 @@ class RaggedJumps:
         return JumpPath(self.times[sl], self.components[sl], self.sizes[sl], self.horizon, self.n_components)
 
     def by_step(self, grid_times: np.ndarray) -> StepEvents:
-        """Group the events by the step of ``grid_times`` they fall in."""
-        order = np.argsort(self.step_index, kind="stable")
-        bounds = np.searchsorted(self.step_index[order], np.arange(grid_times.size))
-        return StepEvents(
-            path=np.repeat(np.arange(self.n_paths), np.diff(self.offsets)),
-            offset=self.times - grid_times[self.step_index],
-            order=order,
-            bounds=bounds,
-        )
+        """Group the events by the step of ``grid_times`` they fall in.
+
+        The step index is sorted in the smallest unsigned dtype that holds
+        the step count (a radix sort up to 16 bits); a stable sort has one
+        result, so the order is that of the int64 index.
+        """
+        step = self.step_index.astype(np.min_scalar_type(grid_times.size - 1))
+        order = np.argsort(step, kind="stable")
+        bounds = np.searchsorted(step[order], np.arange(grid_times.size, dtype=step.dtype))
+        return StepEvents(self, grid_times, order, bounds)
 
 
 @dataclass(frozen=True)
 class StepEvents:
-    """Jump events grouped by grid step; arrays indexed in storage order.
+    """Jump events grouped by grid step; rows index the flat event arrays.
 
-    path   : owning path of each event
-    offset : time of each event after the left node of its step
+    Only the grouping is stored, since a bundle keeps it for its life:
+    the owning path of a step's events and their times after the step's
+    left node are found per step from the rows.
     """
 
-    path: np.ndarray
-    offset: np.ndarray
+    jumps: RaggedJumps
+    grid_times: np.ndarray
     order: np.ndarray
     bounds: np.ndarray  # events of step k are order[bounds[k]:bounds[k + 1]]
 
     def rows(self, k: int) -> np.ndarray:
         """Storage indices of the events in step k, in storage order."""
         return self.order[self.bounds[k]:self.bounds[k + 1]]
+
+    def path(self, rows: np.ndarray) -> np.ndarray:
+        """Owning path of the events at ``rows``."""
+        return np.searchsorted(self.jumps.offsets, rows, side="right") - 1
+
+    def offset(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """Time after the left node of step k of the events at ``rows`` of that step."""
+        return self.jumps.times[rows] - self.grid_times[k]
 
 
 def _pack_jumps(paths: list[JumpPath], grid: GridConfig, n_paths: int, n_components: int) -> RaggedJumps:
@@ -439,7 +449,7 @@ class PathBundle:
     """
 
     def __init__(self, model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
-                 factor_int, jumps, master_seed, path_offset):
+                 factor_int, jumps, master_seed, path_offset, step_events=None):
         self.model = model
         self.ou = ou
         self.specs = tuple(specs)
@@ -456,6 +466,7 @@ class PathBundle:
         self.master_seed = master_seed
         self.path_offset = path_offset
         self._y_left = None
+        self._step_events = step_events
 
     @property
     def n_paths(self) -> int:
@@ -473,6 +484,13 @@ class PathBundle:
     def discounted(self) -> np.ndarray:
         disc = np.exp(-self.model.rate * self.times)
         return self.s * disc[None, :, None]
+
+    @property
+    def step_events(self) -> StepEvents:
+        """The jump events grouped by grid step, built once per bundle."""
+        if self._step_events is None:
+            self._step_events = self.jumps.by_step(self.times)
+        return self._step_events
 
     @property
     def y_left(self) -> np.ndarray:
@@ -503,12 +521,19 @@ class PathBundle:
         return evolve(self.ou, jp, merge_grid(self.times, jp.times))
 
 
-# Paths whose normals are drawn into one path-major block before the
-# block is scaled into the step-major increments (1 MB at 500 steps).
+# Paths whose streams are derived at once and whose normals are drawn
+# into one path-major block before the block is scaled into the
+# step-major increments (1 MB at 500 steps).
 DRAW_BLOCK = 256
 
 
 def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, jump_paths):
+    """Each path's jumps, then its normals, from its own stream.
+
+    A block of paths derives all its streams at once (``levy.path_states``)
+    and draws them one after the other from one reused generator; the
+    tests pin every stream to numpy's ``SeedSequence((master_seed, index))``.
+    """
     # Without intensity the sampler would draw n = 0 events from every
     # stream, which consumes no state: skipping it leaves the normals as they were.
     can_jump = any(spec.total_intensity > 0 for spec in specs)
@@ -516,10 +541,12 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
     dw = kernels.step_major(grid.n_steps, n_paths, d)
     block = np.empty((min(DRAW_BLOCK, n_paths), grid.n_steps, d))
     sqdt = math.sqrt(grid.step)
+    # every path assigns its own state before it draws
+    rng = np.random.Generator(np.random.PCG64())
     for i0 in range(0, n_paths, DRAW_BLOCK):
         m = min(DRAW_BLOCK, n_paths - i0)
-        for j in range(m):
-            rng = rng_for_path(master_seed, path_offset + i0 + j)
+        for j, state in enumerate(path_states(master_seed, path_offset + i0, m)):
+            rng.bit_generator.state = state
             if jump_paths is not None:
                 paths.append(jump_paths[i0 + j])
             elif can_jump:
@@ -546,12 +573,12 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
         raise ConfigurationError("initial prices must be positive, one per asset")
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid, n_paths, len(specs))
+    events = rj.by_step(grid.times)
     y, s, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
-        model, ou.y0, ou.mean_reversion, grid.step, s0, dw,
-        rj.by_step(grid.times), rj.components, rj.sizes,
+        model, ou.y0, ou.mean_reversion, grid.step, s0, dw, events, rj.components, rj.sizes,
     )
     return PathBundle(model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
-                      factor_int, rj, master_seed, path_offset)
+                      factor_int, rj, master_seed, path_offset, events)
 
 
 def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_size=10_000,

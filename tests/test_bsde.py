@@ -123,6 +123,20 @@ class TestSolveBackward:
         assert "rank_deficient_steps" not in sol.diagnostics
         assert sol.diagnostics["factorization"] == {"cholesky_qr2": bundle.n_steps - 1, "svd": 0}
 
+    def test_discounted_never_built(self, bns_setup, ou, cpe, monkeypatch):
+        # the solve discounts one step at a time and reads the step events
+        # the simulation grouped
+        model, _, surface = bns_setup
+        built, grouped = [], []
+        prop = market.PathBundle.discounted
+        monkeypatch.setattr(market.PathBundle, "discounted",
+                            property(lambda b: built.append(b) or prop.fget(b)))
+        by_step = market.RaggedJumps.by_step
+        monkeypatch.setattr(market.RaggedJumps, "by_step", lambda rj, t: grouped.append(rj) or by_step(rj, t))
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], market.GridConfig(1.0, 0.02), 300, 5)
+        bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
+        assert built == [] and grouped == [bundle.jumps]
+
     def test_ill_conditioned_steps_take_svd(self, ou, cpe):
         # at T = 5 the BNS designs reach cond 1e7 at some steps
         model = market.BNS(0.5, 0.02, rate=0.0)

@@ -172,3 +172,36 @@ def test_sampler_postconditions(specs):
     rj = market._pack_jumps(paths, market.GridConfig(2.0, 0.1), len(paths), h)
     assert np.bincount(rj.components, minlength=h).min() > 1000
 
+
+# path indices on both sides of 2**32 and up to 2**64
+SEED_INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                      st.integers(2**32 - 4, 2**32 + 4), st.sampled_from([0, 2**64 - 1]))
+
+
+def seed_sequence_rng(master, index):
+    return np.random.default_rng(np.random.SeedSequence((master, index)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(master=SEED_INTS, first=SEED_INTS, count=st.integers(1, 6))
+def test_path_streams_match_seed_sequence(master, first, count):
+    # a block's derived PCG64 states are numpy's own SeedSequence streams
+    first = min(first, 2**64 - count)
+    rng = np.random.Generator(np.random.PCG64())
+    for i, state in enumerate(levy.path_states(master, first, count)):
+        ref = seed_sequence_rng(master, first + i)
+        assert state == ref.bit_generator.state
+        rng.bit_generator.state = state
+        assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+    fresh = levy.rng_for_path(master, first)
+    assert np.array_equal(fresh.standard_normal(64), seed_sequence_rng(master, first).standard_normal(64))
+
+
+def test_streams_beyond_64_bits_take_seed_sequence():
+    # seeds past two 32-bit words change numpy's entropy layout: no fast hash
+    master, first = 2**64 + 5, 2**32 - 2
+    states = levy.path_states(master, first, 4)
+    assert states == [seed_sequence_rng(master, first + i).bit_generator.state for i in range(4)]
+    assert levy.path_states(7, 2**64 - 1, 2)[0] == seed_sequence_rng(7, 2**64 - 1).bit_generator.state
+    with pytest.raises(ValueError):
+        levy.path_states(-1, 0, 2)

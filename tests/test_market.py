@@ -324,6 +324,27 @@ class TestEventChecks:
         assert rj.n_components == 2 and rj.times.size == 0
 
 
+@pytest.mark.parametrize("n_steps, n_events", [(40, 5000), (1000, 50_000), (70_000, 3000)])
+def test_step_order_matches_int64_stable_sort(n_steps, n_events):
+    # the step index is sorted in the narrowest unsigned dtype; order and
+    # bounds must be those of the int64 stable argsort
+    rng = np.random.default_rng(4)
+    step = rng.integers(0, n_steps, n_events)
+    step[:3] = n_steps - 1
+    grid_times = np.linspace(0.0, 1.0, n_steps + 1)
+    offsets = np.array([0, n_events // 3, n_events])
+    rj = market.RaggedJumps(offsets, grid_times[step] + 0.5 / n_steps, np.zeros(n_events, dtype=np.int64),
+                            np.ones(n_events), step, 1.0, 1)
+    events = rj.by_step(grid_times)
+    order = np.argsort(step, kind="stable")
+    assert np.array_equal(events.order, order)
+    assert np.array_equal(events.bounds, np.searchsorted(step[order], np.arange(n_steps + 1)))
+    last = events.rows(n_steps - 1)
+    assert np.array_equal(last[:3], [0, 1, 2])
+    assert np.array_equal(events.path(last), (last >= n_events // 3).astype(int))
+    assert np.allclose(events.offset(last, n_steps - 1), 0.5 / n_steps)
+
+
 def reference_draw(spec, grid, master, index):
     """One path's jumps and normals, drawn from its stream the way the sampler does."""
     rng = np.random.default_rng(np.random.SeedSequence((master, index)))
