@@ -76,15 +76,12 @@ def check_square_integrability(h_values: np.ndarray) -> dict:
 
 @dataclass
 class BsdeConfig:
-    """Regression and driver settings for the backward sweep."""
+    """Regression settings for the backward sweep: the state columns of
+    the design (``basis``), the number of per-step quantile hinge knots
+    and the relative singular-value cutoff of a rank-deficient fit."""
 
     basis: tuple = ("1", "D", "Y", "DY", "D2", "Y2", "logD", "payoff", "knots")
     n_knots: int = 6
-    inner_sweeps: int = 2
-    n_quad: int = 24
-    tail_eps: float = 1e-8
-    n_jump_buckets: int = 6
-    min_bucket_count: int = 25
     rcond: float = 1e-10
 
 
@@ -260,7 +257,6 @@ class BSDESolution:
     times: np.ndarray
     value: np.ndarray            # (n, K+1)
     dw_loadings: np.ndarray      # (n, K, d)
-    jump_nodes: np.ndarray       # (nq,) per-component quadrature sizes
     jump_loading_mean: np.ndarray  # (K, nq) cross-path mean of Vtilde at nodes
     table: RegressionTable
     r2: np.ndarray
@@ -347,9 +343,10 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
 
     Terminal data is the payoff path by path.  Each step regresses the
     next value (and its product with the Brownian increments) on state
-    functions, estimates jump loadings from the structural surface term
-    plus bucketed corrections from realized jumps, and applies the
-    driver with a short inner fixed-point sweep.
+    functions and applies the driver.  The jump loading is the fitted
+    value function's factor shift where the fit has a factor column, and
+    otherwise the surface term -V F/(1+F); that term is linear in V, so
+    the step is solved for V in closed form.
     """
     config = config or BsdeConfig()
     if bundle.n_paths < 100:
@@ -368,20 +365,9 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     h_term = np.asarray(payoff(bundle), dtype=float)
     diagnostics = {"payoff": check_square_integrability(h_term)}
 
-    z_nodes, z_weights = jump_quadrature(spec, config.tail_eps, config.n_quad)
+    z_nodes, z_weights = jump_quadrature(spec)
     nq = z_nodes.size
     lam_cal = spec.time_scale
-
-    # realized jump records grouped by step for the bucket corrections
-    rj = bundle.jumps
-    if nq and rj.times.size:
-        edges = np.quantile(z_nodes, np.linspace(0, 1, config.n_jump_buckets + 1))
-        edges[0], edges[-1] = 0.0, max(z_nodes.max(), rj.sizes.max()) + 1e-12
-        bucket_of_node = np.clip(np.searchsorted(edges, z_nodes, side="right") - 1, 0, config.n_jump_buckets - 1)
-        jump_bucket = np.clip(np.searchsorted(edges, rj.sizes, side="right") - 1, 0, config.n_jump_buckets - 1)
-        events = bundle.step_events
-    else:
-        bucket_of_node = None
 
     columns = _basis_columns(config.basis, payoff, d, config.n_knots, bundle.times[-1], bundle.rate)
     table = RegressionTable(columns)
@@ -417,7 +403,6 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             v_hat = np.full(n, v_next.mean())
             centered = v_next - v_hat
             vbar = np.tile(centered @ bundle.dw[:, 0] / (n * dt), (n, 1))
-            resid = centered - np.sum(vbar * bundle.dw[:, 0], axis=-1)
             r2[0] = 0.0
             cond[0] = 1.0
         else:
@@ -452,7 +437,6 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             r2[k] = _r2(v_next, v_hat)
             cond[k] = ls.cond
             table.steps[k] = StepFit(keep, mean, scale, coef_v, coef_w.T / dt, r2[k], cond[k], knots)
-            resid = centered - np.sum(vbar * bundle.dw[:, k], axis=-1)
 
         # regression-implied loading from the factor sensitivity of the
         # fitted value function (at k = 0, where all paths share one state,
@@ -461,47 +445,18 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         shift = None
         if nq and fit is not None:
             shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc_k, yl[:, k])
+        jl = np.zeros((n, 0))
         if shift is not None:
             slope, quad = shift
-            base_nodes = slope[:, None] * z_nodes + quad * z_nodes**2
-
-        corrections = np.zeros(nq)
-        if bucket_of_node is not None:
-            rows = events.rows(k)
-            if rows.size:
-                jp_paths = events.path(rows)
-                jb = jump_bucket[rows]
-                sizes = rj.sizes[rows]
-                if shift is not None:
-                    base_at_realized = slope[jp_paths] * sizes + quad * sizes**2
-                else:
-                    y_at = yl[jp_paths, k, 0]
-                    p_at = surface.value_along(np.full(2, t_k), np.column_stack([y_at, y_at + sizes]))
-                    f_at = p_at[:, 1] / p_at[:, 0] - 1.0
-                    base_at_realized = -v_hat[jp_paths] * f_at / (1.0 + f_at)
-                obs = resid[jp_paths] - base_at_realized
-                csum = np.zeros(config.n_jump_buckets)
-                ccount = np.zeros(config.n_jump_buckets)
-                np.add.at(csum, jb, obs)
-                np.add.at(ccount, jb, 1.0)
-                per_bucket = np.where(ccount >= config.min_bucket_count, csum / np.maximum(ccount, 1), 0.0)
-                corrections = per_bucket[bucket_of_node]
-
-        # only the structural loading depends on the value, so only the
-        # fallback needs the inner fixed-point sweep
-        v_cur = v_hat
-        for _ in range(max(1, config.inner_sweeps) if nq and shift is None else 1):
-            if nq:
-                base = base_nodes if shift is not None else structural_jump_loading(v_cur, jump_rel)
-                jl = base + corrections[None, :]
-            else:
-                jl = np.zeros((n, 0))
-            g = driver(vbar, jl, jump_rel, mpr, z_weights, lam_cal)
-            v_cur = v_hat - g * dt
-        value[:, k] = v_cur
+            jl = slope[:, None] * z_nodes + quad * z_nodes**2
+        value[:, k] = v_hat - driver(vbar, jl, jump_rel, mpr, z_weights, lam_cal) * dt
+        if nq and shift is None:
+            # the surface term is linear in V, so the step solves exactly:
+            # V = v_hat - dt (Vbar theta + lam V sum_q w_q F_q^2 / (1 + F_q))
+            value[:, k] /= 1.0 + dt * lam_cal * (jump_rel**2 / (1.0 + jump_rel)) @ z_weights
+            jl = structural_jump_loading(value[:, k], jump_rel)
         dw_loadings[:, k] = vbar
-        if nq:
-            jump_loading_mean[k] = jl.mean(axis=0)
+        jump_loading_mean[k] = jl.mean(axis=0)
 
     if n_deficient:
         warnings.warn(f"collinear basis columns truncated at {n_deficient} steps")
@@ -516,7 +471,6 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         times=bundle.times,
         value=value,
         dw_loadings=dw_loadings,
-        jump_nodes=z_nodes,
         jump_loading_mean=jump_loading_mean,
         table=table,
         r2=r2,

@@ -199,7 +199,7 @@ def _fit_solution(cfg, model, ou, specs, grid, surface, payoff):
     )
     bc = cfg.get("bsde", {})
     config = bsde.BsdeConfig()
-    for key in ("basis", "n_knots", "inner_sweeps", "n_jump_buckets", "min_bucket_count"):
+    for key in ("basis", "n_knots"):
         if key in bc:
             setattr(config, key, tuple(bc[key]) if key == "basis" else bc[key])
     return bundle, bsde.solve_backward(bundle, surface, payoff, config)

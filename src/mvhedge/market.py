@@ -404,9 +404,9 @@ class RaggedJumps:
 class StepEvents:
     """Jump events grouped by grid step; rows index the flat event arrays.
 
-    Only the grouping is stored, since a bundle keeps it for its life:
-    the owning path of a step's events and their times after the step's
-    left node are found per step from the rows.
+    Only the grouping is stored: the owning path of a step's events and
+    their times after the step's left node are found per step from the
+    rows.
     """
 
     jumps: RaggedJumps
@@ -449,7 +449,7 @@ class PathBundle:
     """
 
     def __init__(self, model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
-                 factor_int, jumps, master_seed, path_offset, step_events=None):
+                 factor_int, jumps, master_seed, path_offset):
         self.model = model
         self.ou = ou
         self.specs = tuple(specs)
@@ -466,7 +466,6 @@ class PathBundle:
         self.master_seed = master_seed
         self.path_offset = path_offset
         self._y_left = None
-        self._step_events = step_events
 
     @property
     def n_paths(self) -> int:
@@ -484,13 +483,6 @@ class PathBundle:
     def discounted(self) -> np.ndarray:
         disc = np.exp(-self.model.rate * self.times)
         return self.s * disc[None, :, None]
-
-    @property
-    def step_events(self) -> StepEvents:
-        """The jump events grouped by grid step, built once per bundle."""
-        if self._step_events is None:
-            self._step_events = self.jumps.by_step(self.times)
-        return self._step_events
 
     @property
     def y_left(self) -> np.ndarray:
@@ -578,7 +570,7 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
         model, ou.y0, ou.mean_reversion, grid.step, s0, dw, events, rj.components, rj.sizes,
     )
     return PathBundle(model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
-                      factor_int, rj, master_seed, path_offset, events)
+                      factor_int, rj, master_seed, path_offset)
 
 
 def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_size=10_000,

@@ -66,21 +66,26 @@ class ConstantSharpeSurface(OpportunitySurface):
         return np.tile(col, (y.shape[0], 1))
 
 
+# share of the explicit transport and jump stability limits a time step takes
+_CFL = 0.8
+
+
 @dataclass
 class MeshConfig:
-    """Discretization of the one-factor integro-PDE solve."""
+    """Discretization of the one-factor integro-PDE solve.
+
+    The jump quadrature's tail cut, the default floor's odds and the
+    default top's quantile are the defaults of ``jump_quadrature``,
+    ``practical_floor`` and ``chernoff_quantile_bound``.
+    """
 
     n_y: int = 400
     n_time_slices: int = 513
-    cfl: float = 0.8
     reaction_theta: float = 0.5
-    quantile_eps: float = 1e-4
-    tail_eps: float = 1e-8
     n_quad: int = 24
     y_floor: float | None = None
     y_top: float | None = None
     n_time_steps: int | None = None
-    floor_odds: float = 1e16
 
 
 class IpdeSurface(OpportunitySurface):
@@ -188,11 +193,11 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     if ou.dim != 1 or model.h != 1:
         raise ConfigurationError("grid solve supports one factor only")
     lam = ou.mean_reversion[0]
-    z_nodes, z_weights = jump_quadrature(spec, mesh.tail_eps, mesh.n_quad)
+    z_nodes, z_weights = jump_quadrature(spec, n_nodes=mesh.n_quad)
     z_weights = z_weights * spec.time_scale  # calendar-time intensity lambda*nu
     z_max = float(z_nodes.max()) if z_nodes.size else 0.0
 
-    floor = mesh.y_floor if mesh.y_floor is not None else practical_floor(ou, [spec], horizon, mesh.floor_odds)
+    floor = mesh.y_floor if mesh.y_floor is not None else practical_floor(ou, [spec], horizon)
     if mesh.y_top is not None:
         top = mesh.y_top
         if top < ou.y0[0] + z_max:
@@ -200,7 +205,7 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
                 f"mesh top {top} cannot cover the jump range: need at least {ou.y0[0] + z_max}"
             )
     else:
-        top = (ou.y0[0] + chernoff_quantile_bound(spec, horizon, mesh.quantile_eps) + z_max) * 1.05
+        top = (ou.y0[0] + chernoff_quantile_bound(spec, horizon) + z_max) * 1.05
     if floor >= top:
         raise ConfigurationError("mesh floor must lie below the mesh top")
 
@@ -211,9 +216,9 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     nu_mass = float(z_weights.sum())
 
     # stability limits for the explicit transport and jump pieces
-    dt_max = mesh.cfl * deta / lam
+    dt_max = _CFL * deta / lam
     if nu_mass > 0:
-        dt_max = min(dt_max, mesh.cfl / nu_mass)
+        dt_max = min(dt_max, _CFL / nu_mass)
     m_slices = mesh.n_time_slices
     per = max(1, math.ceil(horizon / dt_max / (m_slices - 1)))
     n_steps = per * (m_slices - 1)

@@ -124,8 +124,8 @@ class TestSolveBackward:
         assert sol.diagnostics["factorization"] == {"cholesky_qr2": bundle.n_steps - 1, "svd": 0}
 
     def test_discounted_never_built(self, bns_setup, ou, cpe, monkeypatch):
-        # the solve discounts one step at a time and reads the step events
-        # the simulation grouped
+        # the solve discounts one step at a time and never regroups the
+        # jump events by step
         model, _, surface = bns_setup
         built, grouped = [], []
         prop = market.PathBundle.discounted
@@ -211,15 +211,34 @@ class TestSolveBackward:
 
     def test_structural_fallback_matches_oracle(self, bns_setup):
         # no Y columns: no factor shift, so the jump loadings come from the
-        # surface term and the inner sweep runs at every step
+        # surface term at every step
         _, bundle, surface = bns_setup
         pay = bsde.DiscountedCall(100.0)
         basis = ("1", "D", "D2", "logD", "payoff", "knots")
-        sols = [bsde.solve_backward(bundle, surface, pay, bsde.BsdeConfig(basis=basis, inner_sweeps=m))
-                for m in (1, 2)]
+        sol = bsde.solve_backward(bundle, surface, pay, bsde.BsdeConfig(basis=basis))
         est, se = bsde.mc_value_at_zero(surface, bundle, pay)
-        assert abs(sols[1].value_at_zero - est) <= 4 * (sols[1].se_at_zero + se)
-        assert sols[0].value_at_zero != sols[1].value_at_zero
+        assert abs(sol.value_at_zero - est) <= 4 * (sol.se_at_zero + se)
+
+    def test_one_step_fallback_closed_form(self, ou, cpe):
+        # one step fits no regression, so the surface term -V F/(1+F) is the
+        # jump loading and V0 solves
+        # V = mean H - dt (Vbar0 theta + lam V sum_q w_q F_q^2 / (1 + F_q))
+        model = market.BNS(0.5, 0.02, rate=0.0)
+        grid = market.GridConfig(0.05, 0.05)
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 2000, 3)
+        surface = opp.solve_opportunity_ipde(model, ou, cpe, 0.05)
+        pay = bsde.DiscountedCall(100.0)
+        sol = bsde.solve_backward(bundle, surface, pay)
+        assert bundle.n_steps == 1
+        h, dt, n = pay(bundle), grid.step, bundle.n_paths
+        vbar = (h - h.mean()) @ bundle.dw[:, 0] / (n * dt)
+        theta = market.market_price_of_risk(model, ou.y0[None, :])[0]
+        z, w = levy.jump_quadrature(cpe)
+        y0 = ou.y0[0]
+        f = np.array([surface.value(0.0, y0 + zq) for zq in z]) / surface.value(0.0, y0) - 1.0
+        v0 = (h.mean() - dt * vbar @ theta) / (1.0 + dt * cpe.time_scale * (f**2 / (1.0 + f)) @ w)
+        assert (f**2 / (1.0 + f)) @ w > 0.0
+        assert sol.value_at_zero == pytest.approx(v0, rel=1e-12)
 
     def test_oracle_agreement(self, bns_setup):
         _, bundle, surface = bns_setup

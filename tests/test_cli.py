@@ -222,6 +222,15 @@ class TestOtherCommands:
         assert isinstance(surface, opportunity.IpdeSurface) and surface.y_nodes.size == 64
         assert (tmp_path / "bsde_solution.csv").exists()
 
+    @pytest.mark.parametrize("knob", [{"inner_sweeps": 2}, {"n_jump_buckets": 6}, {"min_bucket_count": 25}])
+    def test_removed_bsde_knobs_exit_2(self, tmp_path, capsys, knob):
+        cfg = tmp_path / "s.json"
+        cfg.write_text(json.dumps({"bsde": knob}))
+        assert run(["solve-bsde", "--config", str(cfg), "--outdir", str(tmp_path), "--n-paths", "200",
+                    "--n-fit-paths", "200", "--horizon", "0.1"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "bsde_solution.csv").exists()
+
     def test_solve_bsde_unknown_basis_entry_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "s.json"
         cfg.write_text(json.dumps({"bsde": {"basis": ["1", "Q"]}}))
