@@ -278,11 +278,13 @@ def cmd_figure(cfg, args):
     v = cfg["endowment"]
     rows = []
     sim_max = fig_cfg.get("simulate_t_max", 0.0) if fig_cfg.get("simulate_errors", False) else 0.0
+    # The surface equation is autonomous, so P_T(0, y) = P_{t_max}(t_max - T, y):
+    # one solve over the longest horizon, with a stored slice at every sweep
+    # point, gives the whole closed-form curve without reading between slices.
+    curve = build_surface(_merge(cfg, {"surface": {"n_time_slices": n_pts + 1}}),
+                          model, ou, specs, t_max)
     for t_end in horizons:
-        # one surface per horizon: its time-zero value gives the closed
-        # forms, and the simulated row's density and solve use it too
-        surface = build_surface(cfg, model, ou, specs, float(t_end))
-        p0_t = surface.value(0.0, ou.y0)
+        p0_t = curve.value(t_max - t_end, ou.y0)
         if p_level == v:
             var = herr = gap = 0.0
         else:
@@ -290,7 +292,9 @@ def cmd_figure(cfg, args):
         sim_err = float("nan")
         sim_se = float("nan")
         if sim_max and t_end <= sim_max:
+            # a simulated row's density and backward solve use its own horizon's surface
             sub = _merge(cfg, {"grid": {"horizon": float(t_end)}})
+            surface = build_surface(sub, model, ou, specs, float(t_end))
             rep = _hedge_out_of_sample(sub, model, ou, specs, _grid(sub), surface,
                                        bsde.ConstantPayoff(p_level))
             sim_err, sim_se = rep.mse, rep.se_mse

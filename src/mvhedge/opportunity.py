@@ -240,6 +240,8 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
         x = np.clip(x, 0.0, mesh.n_y - 1 - 1e-12)
         jidx = x.astype(np.int64)
         jw = x - jidx
+        jidx_up = np.minimum(jidx + 1, mesh.n_y - 1)
+        jw_down = 1 - jw
 
     theta = mesh.reaction_theta
     u = np.ones(mesh.n_y)
@@ -248,12 +250,12 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     store_row = m_slices - 1
     denom = 1.0 + theta * dt * rho
     shrink = 1.0 - (1 - theta) * dt * rho
+    conv = np.zeros(mesh.n_y)  # floor entry stays 0: transport dropped, state never reaches it
     for step in range(1, n_steps + 1):
-        conv = np.empty_like(u)
-        conv[1:] = (u[1:] - u[:-1]) / deta
-        conv[0] = 0.0  # floor node: transport dropped, state never reaches it
+        np.subtract(u[1:], u[:-1], out=conv[1:])
+        conv[1:] /= deta
         if z_nodes.size:
-            u_shift = u[jidx] * (1 - jw) + u[np.minimum(jidx + 1, mesh.n_y - 1)] * jw
+            u_shift = u.take(jidx) * jw_down + u.take(jidx_up) * jw
             jump = u_shift @ z_weights - nu_mass * u
         else:
             jump = 0.0

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mvhedge import bsde, cli, market, opportunity
+from mvhedge import bsde, cli, hedge, market, opportunity
 
 
 def run(args):
@@ -125,14 +125,36 @@ class TestFigureExperiments:
         monkeypatch.setattr(opportunity, "solve_opportunity_ipde",
                             lambda *args: solves.append(args[3]) or solve(*args))
         assert run(["figure", "3", "--outdir", str(tmp_path), "--config", str(cfg)]) == 0
-        # the closed-form curve and the simulated row share one surface per horizon
-        assert solves == [0.25, 0.5]
+        # one solve over the longest horizon for the closed-form curve, then
+        # one per simulated row at that row's horizon
+        assert solves == [0.5, 0.25, 0.5]
         rows = (tmp_path / "figure3.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 2
         for row in rows:
             _, _, herr, _, sim, sim_se = (float(x) for x in row.split(","))
             assert abs(sim - herr) <= max(4 * sim_se, 0.02 * herr)
         assert '"figure3.csv" using 1:2' in (tmp_path / "figure3.gp").read_text()
+
+    def test_figure3_curve_from_one_solve(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "f3.json"
+        cfg.write_text(json.dumps({
+            "grid": {"horizon": 4.0},
+            "figure": {"sweep_points": 4, "simulate_errors": False},
+        }))
+        solves = []
+        solve = opportunity.solve_opportunity_ipde
+        monkeypatch.setattr(opportunity, "solve_opportunity_ipde",
+                            lambda *args: solves.append(args[3]) or solve(*args))
+        assert run(["figure", "3", "--outdir", str(tmp_path), "--config", str(cfg)]) == 0
+        assert solves == [4.0]
+        model, ou, specs = cli.build_components(cli.FIGURE_PRESETS["figure3"])
+        rows = (tmp_path / "figure3.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 4
+        for row in rows:
+            t_end, _, herr = (float(x) for x in row.split(",")[:3])
+            p0 = solve(model, ou, specs[0], t_end).value(0.0, ou.y0)
+            _, expected, _ = hedge.closed_forms(3e4, 1e4, p0)
+            assert herr == pytest.approx(expected, rel=2e-4)
 
     def test_figure3_closed_forms_small(self, tmp_path):
         # reduced sweep: closed-form columns only, small path budget

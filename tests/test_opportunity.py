@@ -173,6 +173,21 @@ class TestIpdeSurface:
             exact = math.exp(-bns_segment_integral(0.5, 0.02, 1.0, y, 1.0 - t))
             assert surf.value(t, y) == pytest.approx(exact, abs=1e-4)
 
+    def test_autonomous_in_time(self, bns, ou, cpe):
+        # The coefficients do not depend on t, so on one mesh the solve over
+        # 2T passes, after its first N steps, exactly the state a solve over T
+        # ends in: P_2T(T, y) = P_T(0, y) bitwise.  `figure 3` reads its whole
+        # curve off one solve through this.  A reaction that depends on the
+        # calendar time t = horizon - step * dt breaks it; one that depends
+        # only on the steps taken from the horizon does not.
+        n = 128
+        fixed = dict(y_floor=0.5, y_top=40.0)
+        long = opp.solve_opportunity_ipde(
+            bns, ou, cpe, 2.0, opp.MeshConfig(n_time_slices=3, n_time_steps=2 * n, **fixed))
+        short = opp.solve_opportunity_ipde(
+            bns, ou, cpe, 1.0, opp.MeshConfig(n_time_slices=2, n_time_steps=n, **fixed))
+        assert np.array_equal(long.table[1], short.table[0])
+
     def test_bounds_and_terminal(self, bns_surface):
         assert bns_surface.table.min() > 0.0
         assert bns_surface.table.max() <= 1.0 + 1e-12
