@@ -149,32 +149,32 @@ def strategy_position(xi, adj, v, gains_left, value_left):
     return np.atleast_2d(xi) - gap[:, None] * np.atleast_2d(adj)
 
 
-def hedge_sweep(d_path, strategy, v, n_record=0):
+def hedge_sweep(prices, discount, strategy, v, n_record=0):
     """Cumulative gains of the feedback strategy, in one pass over the steps.
 
-    ``d_path`` holds discounted prices (n, K+1, d).  ``strategy(k)``
-    returns the claim's value (n,), the pure hedge and the adjustment
-    (n, d) at the left end of step k; only the running gains (n,) are
-    kept between steps.  Returns (terminal gains, recorded): recorded
-    holds the gains, positions, wealth and discounted prices of the
-    leading ``n_record`` paths, or is empty when ``n_record`` is 0.
+    ``prices`` (n, K+1, d) are discounted step by step by ``discount``
+    (K+1,).  ``strategy(k, d_k)`` returns the claim's value (n,), the pure
+    hedge and the adjustment (n, d) at the discounted prices ``d_k`` of step
+    k; only the running gains (n,) are kept between steps.  Returns
+    (terminal gains, recorded): recorded holds the gains, positions, wealth
+    and discounted prices of the leading ``n_record`` paths, or is empty.
     """
-    n, nk, d = d_path.shape[0], d_path.shape[1] - 1, d_path.shape[2]
+    n, nk, d = prices.shape[0], prices.shape[1] - 1, prices.shape[2]
     m = min(n_record, n)
     gains = np.zeros(n)
     rec_gains = np.zeros((m, nk + 1))
     position = np.zeros((m, nk, d))
     for k in range(nk):
-        value, xi, adj = strategy(k)
+        d_k = prices[:, k] * discount[k]
+        value, xi, adj = strategy(k, d_k)
         if m:
             position[:, k] = strategy_position(xi[:m], adj[:m], v, gains[:m], value[:m])
-        gains = gains_step(gains, xi, adj, v, value, d_path[:, k + 1] - d_path[:, k])
+        gains = gains_step(gains, xi, adj, v, value, prices[:, k + 1] * discount[k + 1] - d_k)
         rec_gains[:, k + 1] = gains[:m]
     if not m:
         return gains, {}
-    # a copy: a view would keep the whole chunk alive
     return gains, {"gains": rec_gains, "position": position, "wealth": v + rec_gains,
-                   "discounted": d_path[:m].copy()}
+                   "discounted": prices[:m] * discount[None, :, None]}
 
 
 def opportunity_mc_exponent(sharpe2, lam, y_start, horizon, offsets, times, components, sizes):

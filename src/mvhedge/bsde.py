@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import step_major
 from .levy import ConfigurationError, jump_quadrature
 from .market import PathBundle, market_price_of_risk
 from .opportunity import OpportunitySurface, density_terminal
@@ -33,9 +32,6 @@ class ConstantPayoff:
     def value_and_loadings(self, k, d_prices, y):
         """The claim is its own value at every step, with zero loadings."""
         return np.full(d_prices.shape[0], self.p), np.zeros(d_prices.shape)
-
-    def __repr__(self):
-        return f"ConstantPayoff({self.p})"
 
 
 class DiscountedCall:
@@ -56,9 +52,6 @@ class DiscountedCall:
         # intrinsic value in discounted units
         strike = self.strike * math.exp(-rate * horizon)
         return np.maximum(self.sign * (d_prices[:, self.asset] - strike), 0.0)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(strike={self.strike})"
 
 
 class DiscountedPut(DiscountedCall):
@@ -92,11 +85,10 @@ class StepFit:
     keep: np.ndarray
     mean: np.ndarray
     scale: np.ndarray
-    coef_value: np.ndarray
+    coef_value: np.ndarray  # v_hat = E[V_{k+1} | X_k], whose factor shift is the jump loading
     coef_dw: np.ndarray  # (d, n_feat + 1) with intercept first
-    r2: float
-    cond: float
     knots: np.ndarray | None = None  # per-asset hinge positions
+    coef_process: np.ndarray | None = None  # the solver's V_k = v_hat - g dt, which the table returns
 
 
 def _basis_columns(basis, payoff, d, n_knots, horizon, rate):
@@ -136,33 +128,33 @@ def _basis_columns(basis, payoff, d, n_knots, horizon, rate):
 
 
 class RegressionTable:
-    """Fitted per-step value and loading functions of the state.
+    """Fitted per-step functions of the state: the solver's value and loadings.
 
     Step 0 has no fit (``steps[0]`` is None): every path shares the
     time-zero state, whose value and loadings are the constants
     ``value_at_zero`` and ``loadings_at_zero`` (d,).
     """
 
-    def __init__(self, columns):
+    def __init__(self, columns, n_steps):
         self.columns = columns
-        self.steps: list[StepFit | None] = []
+        self.steps: list[StepFit | None] = [None] * n_steps
         self.value_at_zero = math.nan
         self.loadings_at_zero = None
 
     def features(self, d_prices, y, knots=None):
+        """The state columns as contiguous feature rows (q, n)."""
         if not self.columns:
-            return np.empty((d_prices.shape[0], 0))
-        # (n, q) view of feature-major rows: each column is contiguous
-        return np.stack([col(d_prices, y, knots) for col, _ in self.columns]).T
+            return np.empty((0, d_prices.shape[0]))
+        return np.stack([col(d_prices, y, knots) for col, _ in self.columns])
 
     def value_and_loadings(self, k, d_prices, y):
         fit = self.steps[k]
         if fit is None:
             n = d_prices.shape[0]
             return np.full(n, self.value_at_zero), np.tile(self.loadings_at_zero, (n, 1))
-        xs = self.features(d_prices, y, knots=fit.knots).T
+        xs = self.features(d_prices, y, knots=fit.knots)
         x = (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]
-        v = fit.coef_value[0] + fit.coef_value[1:] @ x
+        v = fit.coef_process[0] + fit.coef_process[1:] @ x
         vbar = fit.coef_dw[:, 0][None, :] + x.T @ fit.coef_dw[:, 1:].T
         return v, vbar
 
@@ -252,11 +244,11 @@ def _r2(target, pred):
 
 @dataclass
 class BSDESolution:
-    """Backward value process on the fit bundle plus reusable fits."""
+    """Backward solve on the fit bundle: per-step means plus reusable fits."""
 
     times: np.ndarray
-    value: np.ndarray            # (n, K+1)
-    dw_loadings: np.ndarray      # (n, K, d)
+    mean_value: np.ndarray       # (K+1,) cross-path mean of V
+    mean_loading: np.ndarray     # (K,) cross-path mean of Vbar over paths and assets
     jump_loading_mean: np.ndarray  # (K, nq) cross-path mean of Vtilde at nodes
     table: RegressionTable
     r2: np.ndarray
@@ -270,10 +262,10 @@ class BSDESolution:
             f.write("t,mean_value,mean_loading,r2\n")
             for k in range(self.times.size - 1):
                 f.write(
-                    f"{self.times[k]:.12g},{self.value[:, k].mean():.12g},"
-                    f"{self.dw_loadings[:, k].mean():.12g},{self.r2[k]:.6g}\n"
+                    f"{self.times[k]:.12g},{self.mean_value[k]:.12g},"
+                    f"{self.mean_loading[k]:.12g},{self.r2[k]:.6g}\n"
                 )
-            f.write(f"{self.times[-1]:.12g},{self.value[:, -1].mean():.12g},0,1\n")
+            f.write(f"{self.times[-1]:.12g},{self.mean_value[-1]:.12g},0,1\n")
 
 
 def driver(dw_loadings, jump_loadings, jump_rel, mpr, z_weights, time_scales):
@@ -343,10 +335,11 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
 
     Terminal data is the payoff path by path.  Each step regresses the
     next value (and its product with the Brownian increments) on state
-    functions and applies the driver.  The jump loading is the fitted
-    value function's factor shift where the fit has a factor column, and
-    otherwise the surface term -V F/(1+F); that term is linear in V, so
-    the step is solved for V in closed form.
+    functions, applies the driver and projects the resulting V_k on the
+    same design for the table.  The jump loading is the fitted value
+    function's factor shift where the fit has a factor column, and
+    otherwise the surface term -V F/(1+F), linear in V: that step solves
+    for V in closed form.  The value rolls from step to step.
     """
     config = config or BsdeConfig()
     if bundle.n_paths < 100:
@@ -357,8 +350,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         raise ConfigurationError("backward solve is implemented for one factor")
     spec = bundle.specs[0]
     dt = bundle.grid.step
-    # discounted prices one step at a time: the same multiply as
-    # ``bundle.discounted`` without its (n, K+1, d) copy
+    # prices are discounted one step at a time, without ``bundle.discounted``'s copy
     discount = np.exp(-bundle.rate * bundle.times)
     y = bundle.y
     yl = bundle.y_left
@@ -370,30 +362,29 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     lam_cal = spec.time_scale
 
     columns = _basis_columns(config.basis, payoff, d, config.n_knots, bundle.times[-1], bundle.rate)
-    table = RegressionTable(columns)
-    table.steps = [None] * nk
+    table = RegressionTable(columns, nk)
     roles = [role for _, role in columns]
     # a D·Y column without the Y column's spread is a multiple of D
     dy_cols = [j for j, role in enumerate(roles) if type(role) is int] if "Y" in roles else []
     # per-step lookup states are [y, y + z_1, ..., y + z_nq]
     state_shifts = np.concatenate([[0.0], z_nodes])
 
-    value = step_major(nk + 1, n)
-    value[:, nk] = h_term
-    dw_loadings = step_major(nk, n, d)
+    v_next = h_term
+    mean_value = np.empty(nk + 1)
+    mean_value[nk] = h_term.mean()
+    mean_loading = np.empty(nk)
     jump_loading_mean = np.zeros((nk, nq))
-    r2 = np.ones(nk)
-    cond = np.zeros(nk)
+    # step 0 fits nothing: it keeps r2 = 0 and cond = 1
+    r2 = np.zeros(nk)
+    cond = np.ones(nk)
     n_deficient = 0
     routes = {"cholesky_qr2": 0, "svd": 0}
 
     for k in range(nk - 1, -1, -1):
-        t_k = bundle.times[k]
         disc_k = bundle.s[:, k] * discount[k]
-        v_next = value[:, k + 1]
         mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl[:, k]))
         if nq:
-            p_states = surface.value_along(np.full(nq + 1, t_k), yl[:, k, :1] + state_shifts)
+            p_states = surface.value_along(np.full(nq + 1, bundle.times[k]), yl[:, k, :1] + state_shifts)
             jump_rel = p_states[:, 1:] / p_states[:, :1] - 1.0
         else:
             jump_rel = np.zeros((n, 0))
@@ -402,15 +393,14 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             # all paths share the time-zero state: plain means
             v_hat = np.full(n, v_next.mean())
             centered = v_next - v_hat
-            vbar = np.tile(centered @ bundle.dw[:, 0] / (n * dt), (n, 1))
-            r2[0] = 0.0
-            cond[0] = 1.0
+            table.loadings_at_zero = centered @ bundle.dw[:, 0] / (n * dt)
+            vbar = np.tile(table.loadings_at_zero, (n, 1))
         else:
             knots = None
             if "knots" in config.basis and config.n_knots > 0:
                 qs = np.linspace(0.0, 1.0, config.n_knots + 2)[1:-1]
                 knots = np.quantile(disc_k, qs, axis=0)
-            xs = table.features(disc_k, y[:, k], knots=knots).T
+            xs = table.features(disc_k, y[:, k], knots=knots)
             mean = xs.mean(axis=1)
             scale = xs.std(axis=1)
             keep = scale > 1e-10 * (1.0 + np.abs(mean))
@@ -420,7 +410,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             # standardized design with the intercept first, built as
             # contiguous feature rows (the transpose is the column-major
             # matrix LAPACK factors) and factored once for the value
-            # target and the Brownian-loading targets
+            # target, the Brownian-loading targets and the step's V_k
             a = np.empty((mean.size + 1, n))
             a[0] = 1.0
             np.subtract(xs[keep], mean[:, None], out=a[1:])
@@ -436,7 +426,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             routes[ls.route] += 1
             r2[k] = _r2(v_next, v_hat)
             cond[k] = ls.cond
-            table.steps[k] = StepFit(keep, mean, scale, coef_v, coef_w.T / dt, r2[k], cond[k], knots)
+            table.steps[k] = StepFit(keep, mean, scale, coef_v, coef_w.T / dt, knots)
 
         # regression-implied loading from the factor sensitivity of the
         # fitted value function (at k = 0, where all paths share one state,
@@ -449,14 +439,19 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         if shift is not None:
             slope, quad = shift
             jl = slope[:, None] * z_nodes + quad * z_nodes**2
-        value[:, k] = v_hat - driver(vbar, jl, jump_rel, mpr, z_weights, lam_cal) * dt
+        v_now = v_hat - driver(vbar, jl, jump_rel, mpr, z_weights, lam_cal) * dt
         if nq and shift is None:
             # the surface term is linear in V, so the step solves exactly:
             # V = v_hat - dt (Vbar theta + lam V sum_q w_q F_q^2 / (1 + F_q))
-            value[:, k] /= 1.0 + dt * lam_cal * (jump_rel**2 / (1.0 + jump_rel)) @ z_weights
-            jl = structural_jump_loading(value[:, k], jump_rel)
-        dw_loadings[:, k] = vbar
+            v_now /= 1.0 + dt * lam_cal * (jump_rel**2 / (1.0 + jump_rel)) @ z_weights
+            jl = structural_jump_loading(v_now, jump_rel)
+        if k:
+            # the table carries V_k, not v_hat (Gobet, Lemor & Warin 2005)
+            table.steps[k].coef_process = ls.fit(v_now)[1]
+        mean_value[k] = v_now.mean()
+        mean_loading[k] = vbar.mean()
         jump_loading_mean[k] = jl.mean(axis=0)
+        v_next = v_now
 
     if n_deficient:
         warnings.warn(f"collinear basis columns truncated at {n_deficient} steps")
@@ -465,12 +460,11 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     # the regression controls correlate in-sample residuals, so the raw
     # payoff dispersion is the trustworthy error scale for the estimate
     se0 = float(h_term.std(ddof=1) / math.sqrt(n))
-    table.value_at_zero = float(value[:, 0].mean())
-    table.loadings_at_zero = dw_loadings[0, 0].copy()
+    table.value_at_zero = float(mean_value[0])
     return BSDESolution(
         times=bundle.times,
-        value=value,
-        dw_loadings=dw_loadings,
+        mean_value=mean_value,
+        mean_loading=mean_loading,
         jump_loading_mean=jump_loading_mean,
         table=table,
         r2=r2,

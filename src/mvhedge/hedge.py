@@ -136,16 +136,16 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     p0 = None
     for bundle in bundles:
         model, y, y_left = bundle.model, bundle.y, bundle.y_left
-        disc = bundle.discounted
         if p0 is None:
             p0 = float(surface.value_at_states(0.0, y[:, 0])[0])
 
-        def strategy(k):
-            value, vbar = source.value_and_loadings(k, disc[:, k], y[:, k])
-            adj = adjustment(model, disc[:, k], y_left[:, k])
-            return value, pure_hedge(model, disc[:, k], y_left[:, k], vbar), adj
+        def strategy(k, d_k):
+            value, vbar = source.value_and_loadings(k, d_k, y[:, k])
+            adj = adjustment(model, d_k, y_left[:, k])
+            return value, pure_hedge(model, d_k, y_left[:, k], vbar), adj
 
-        gains, rec = kernels.hedge_sweep(disc, strategy, endowment, 0 if recorded else cfg.record_paths)
+        gains, rec = kernels.hedge_sweep(bundle.s, np.exp(-bundle.rate * bundle.times), strategy, endowment,
+                                         0 if recorded else cfg.record_paths)
         recorded = recorded or rec
         h_term = payoff(bundle)
         shortfall = endowment + gains - h_term
@@ -157,7 +157,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         count += bundle.n_paths
         # release the chunk before a generator simulates the next one;
         # ``strategy`` holds its arrays too
-        del bundle, y, y_left, disc, strategy, gains
+        del bundle, y, y_left, strategy, gains
     mse = sq_sum / count
     var_sq = max(sq_sq / count - mse**2, 0.0) * count / max(count - 1, 1)
     report = HedgeReport(

@@ -215,23 +215,26 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     rho = model.sharpe_squared(y_nodes[:, None])
     nu_mass = float(z_weights.sum())
 
-    # stability limits for the explicit transport and jump pieces
+    # stability limits for the explicit transport and jump pieces and the
+    # positivity limit of the explicit reaction
     dt_max = _CFL * deta / lam
     if nu_mass > 0:
         dt_max = min(dt_max, _CFL / nu_mass)
+    react = (1 - mesh.reaction_theta) * float(rho.max())
+    if react > 0:
+        dt_max = min(dt_max, 1.0 / react)
     m_slices = mesh.n_time_slices
     per = max(1, math.ceil(horizon / dt_max / (m_slices - 1)))
-    n_steps = per * (m_slices - 1)
     if mesh.n_time_steps is not None:
-        n_steps = mesh.n_time_steps
-        if n_steps % (m_slices - 1):
+        if mesh.n_time_steps % (m_slices - 1):
             raise ConfigurationError("n_time_steps must be a multiple of n_time_slices - 1")
-        per = n_steps // (m_slices - 1)
+        per = mesh.n_time_steps // (m_slices - 1)
+    n_steps = per * (m_slices - 1)
     dt = horizon / n_steps
     if lam * dt / deta > 1.0 + 1e-9 or (nu_mass > 0 and dt * nu_mass > 1.0 + 1e-9):
         raise ValueError("time step violates the stability bound for the explicit terms")
-    if mesh.reaction_theta < 1.0 and dt * (1 - mesh.reaction_theta) * float(rho.max()) > 1.0:
-        raise ValueError("time step violates the stability bound for the explicit reaction")
+    if dt * react > 1.0 + 1e-9:
+        raise ValueError("time step breaks the positivity bound of the explicit reaction")
 
     # gather indices for u(y + z) with clamping at the top of the mesh
     if z_nodes.size:

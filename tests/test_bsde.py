@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,20 @@ def bs_call_price(s, k, r, sig, t_end):
     d2 = d1 - sig * math.sqrt(t_end)
     cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
     return s * cdf(d1) - k * math.exp(-r * t_end) * cdf(d2)
+
+
+def step_design(sol, bundle, k):
+    """Standardized design (p, n) of fitted step k at the fit states, intercept first."""
+    fit = sol.table.steps[k]
+    xs = sol.table.features(bundle.discounted[:, k], bundle.y[:, k], knots=fit.knots)
+    return np.vstack([np.ones(bundle.n_paths), (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]])
+
+
+def table_at_fit_states(sol, bundle):
+    """The table's value (n, K) and Brownian loadings (n, K, d) at the fit paths' states."""
+    disc = bundle.discounted
+    pairs = [sol.table.value_and_loadings(k, disc[:, k], bundle.y[:, k]) for k in range(bundle.n_steps)]
+    return np.stack([v for v, _ in pairs], 1), np.stack([vbar for _, vbar in pairs], 1)
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +115,22 @@ class TestSolveBackward:
         _, bundle, surface = bns_setup
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(bundle, surface, pay)
-        assert np.array_equal(sol.value[:, -1], pay(bundle))
+        h = pay(bundle)
+        assert sol.mean_value[-1] == h.mean()
+        # the last fitted step regresses exactly the payoff path by path
+        k = bundle.n_steps - 1
+        a = step_design(sol, bundle, k)
+        coef, *_ = np.linalg.lstsq(a.T, h, rcond=bsde.BsdeConfig().rcond)
+        fitted = sol.table.steps[k].coef_value @ a
+        assert np.max(np.abs(fitted - a.T @ coef)) <= 1e-10 * np.max(np.abs(h))
 
     def test_constant_payoff_degenerate(self, flat_setup):
         _, bundle, surface = flat_setup
         sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(30000.0))
         # flat surface and constant terminal data: loadings and driver vanish
         assert sol.value_at_zero == pytest.approx(30000.0, abs=1e-6)
-        assert np.max(np.abs(sol.dw_loadings)) < 1e-6
+        _, vbar = table_at_fit_states(sol, bundle)
+        assert np.max(np.abs(vbar)) < 1e-6 and np.max(np.abs(sol.table.loadings_at_zero)) < 1e-6
 
     def test_constant_payoff_with_jumps(self, bns_setup):
         _, bundle, surface = bns_setup
@@ -174,8 +197,10 @@ class TestSolveBackward:
         def close(x, ref, rel):
             return np.max(np.abs(x - ref)) <= rel * np.max(np.abs(ref))
 
-        assert close(sol.value, forced.value, 1e-10)
-        assert close(sol.dw_loadings, forced.dw_loadings, 1e-10)
+        for x, ref in zip(table_at_fit_states(sol, bundle), table_at_fit_states(forced, bundle)):
+            assert close(x, ref, 1e-10)
+        assert close(sol.mean_value, forced.mean_value, 1e-10)
+        assert close(sol.table.loadings_at_zero, forced.table.loadings_at_zero, 1e-10)
         assert sol.value_at_zero == pytest.approx(forced.value_at_zero, rel=1e-10)
         assert np.max(np.abs(sol.r2 - forced.r2)) <= 1e-8
         assert sol.cond == pytest.approx(forced.cond, rel=1e-8)
@@ -193,15 +218,27 @@ class TestSolveBackward:
         # a constant claim needs no state feature: the intercept carries it exactly
         _, bundle, surface = flat_setup
         sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(10.0), bsde.BsdeConfig(basis=("1",)))
-        assert np.all(sol.value == 10.0) and np.all(sol.dw_loadings == 0.0)
+        value, vbar = table_at_fit_states(sol, bundle)
+        assert np.all(value == 10.0) and np.all(sol.mean_value == 10.0)
+        assert np.all(vbar == 0.0) and np.all(sol.table.loadings_at_zero == 0.0)
 
-    def test_step_slices_contiguous(self, flat_setup):
-        # step-major storage behind the (n, K + 1) and (n, K, d) shapes
-        _, bundle, surface = flat_setup
-        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(10.0))
-        assert sol.value.shape == (bundle.n_paths, bundle.n_steps + 1)
-        assert all(sol.value[:, k].flags.c_contiguous for k in range(bundle.n_steps + 1))
-        assert all(sol.dw_loadings[:, k].flags.c_contiguous for k in range(bundle.n_steps))
+    @pytest.mark.parametrize("case, bound", [("flat", 0.3), ("bns", 0.85)])
+    def test_solve_keeps_value_state_per_step(self, case, bound, flat_setup, bns_setup):
+        # the value rolls from step to step: the solve allocates only
+        # per-step temporaries above the bundle, which at 100 steps are a
+        # fraction of it (the surface lookups take most on the jump model);
+        # (n, K + 1) values and (n, K, d) loadings would add a third
+        _, bundle, surface = flat_setup if case == "flat" else bns_setup
+        size = sum(a.nbytes for a in (bundle.y, bundle.s, bundle.dw, bundle.sharpe_int,
+                                      bundle.mpr_dw, bundle.factor_int))
+        assert bundle.y_left is not None  # cached before tracing
+        tracemalloc.start()
+        try:
+            bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * size
 
     def test_constant_claim_r2_in_unit_interval(self, bns_setup):
         # the value target's spread is rounding noise: no spread, r2 = 1
@@ -271,9 +308,10 @@ class TestSolveBackward:
         _, bundle, surface = bns_setup
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(bundle, surface, pay)
+        value, _ = table_at_fit_states(sol, bundle)
         for k in (5, 40, 80):
-            v_next = sol.value[:, k + 1]
-            v_now = sol.value[:, k]
+            v_next = value[:, k + 1]
+            v_now = value[:, k]
             incr = v_next - v_now
             drift = incr.mean()
             se = incr.std(ddof=1) / math.sqrt(incr.size)
@@ -290,11 +328,44 @@ class TestSolveBackward:
         for k in (1, 30, 70, 99):
             fit = sol.table.steps[k]
             d_k, y_k = bundle.discounted[:, k], bundle.y[:, k]
-            slope, quad = bsde._factor_shift(roles, fit.keep, fit.coef_value, fit.scale, d_k, y_k)
+            slope, quad = bsde._factor_shift(roles, fit.keep, fit.coef_process, fit.scale, d_k, y_k)
             v, _ = sol.table.value_and_loadings(k, d_k, y_k)
             for z in (0.05, 0.5, 2.0):
                 v_z, _ = sol.table.value_and_loadings(k, d_k, y_k + z)
                 assert np.max(np.abs(slope * z + quad * z**2 - (v_z - v))) <= 1e-12 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("basis", [bsde.BsdeConfig().basis, ("1", "D", "D2", "logD", "payoff", "knots")])
+    def test_table_value_is_the_solved_process(self, bns_setup, cpe, basis):
+        # the table returns the projection of the solver's V_k = v_hat - g dt
+        # on the step's design, not v_hat = E[V_{k+1} | X_k]; V_k is rebuilt
+        # here from the fitted v_hat and loadings, the factor shift, the
+        # surface and the driver, with the structural fallback's division
+        # where the basis has no factor column
+        model, bundle, surface = bns_setup
+        sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0), bsde.BsdeConfig(basis=basis))
+        roles = [role for _, role in sol.table.columns]
+        z, w = levy.jump_quadrature(cpe)
+        lam, dt, nk = cpe.time_scale, bundle.grid.step, bundle.n_steps
+        for k in (1, nk // 2, nk - 1):
+            fit = sol.table.steps[k]
+            d_k, y_k, yl_k = bundle.discounted[:, k], bundle.y[:, k], bundle.y_left[:, k]
+            a = step_design(sol, bundle, k)
+            value, vbar = sol.table.value_and_loadings(k, d_k, y_k)
+            p = surface.value_along(np.full(z.size + 1, bundle.times[k]), yl_k + np.concatenate([[0.0], z]))
+            f = p[:, 1:] / p[:, :1] - 1.0
+            mpr = market.market_price_of_risk(model, yl_k)
+            shift = bsde._factor_shift(roles, fit.keep, fit.coef_value, fit.scale, d_k, yl_k)
+            v_hat = fit.coef_value @ a
+            if shift is None:
+                g = bsde.driver(vbar, np.zeros((bundle.n_paths, 0)), f, mpr, w, lam)
+                v_k = (v_hat - g * dt) / (1.0 + dt * lam * (f**2 / (1.0 + f)) @ w)
+            else:
+                slope, quad = shift
+                v_k = v_hat - bsde.driver(vbar, slope[:, None] * z + quad * z**2, f, mpr, w, lam) * dt
+            assert (shift is None) == ("Y" not in basis)
+            coef, *_ = np.linalg.lstsq(a.T, v_k, rcond=bsde.BsdeConfig().rcond)
+            projected = a.T @ coef
+            assert np.max(np.abs(value - projected)) <= 1e-10 * np.max(np.abs(projected))
 
     def test_r2_and_cond_recorded(self, bns_setup):
         _, bundle, surface = bns_setup

@@ -203,6 +203,8 @@ class TestRunHedge:
         assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + gains[:8])
 
     def test_step_slices_contiguous(self, bns_world, ou, monkeypatch):
+        # the sweep reads the bundle's step-major prices one contiguous
+        # step slice at a time
         model, cpe, grid, _, surface = bns_world
         bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
         pay = bsde.DiscountedCall(100.0)
@@ -211,9 +213,10 @@ class TestRunHedge:
         sweep = kernels.hedge_sweep
         monkeypatch.setattr(kernels, "hedge_sweep", lambda *args: swept.append(args) or sweep(*args))
         hedge.run_hedge(bundle, surface, sol, pay, 8.0)
-        d_path = swept[0][0]
-        for k in (0, 1, bundle.n_steps - 1):
-            assert d_path[:, k].flags.c_contiguous
+        prices = swept[0][0]
+        assert prices is bundle.s
+        for k in (0, 1, bundle.n_steps):
+            assert prices[:, k].flags.c_contiguous
 
     @pytest.mark.parametrize("case", ["fitted_call", "constant_no_solution", "two_chunks"])
     def test_one_pass_matches_separate_passes(self, case, bns_world, ou):
@@ -256,8 +259,9 @@ class TestRunHedge:
         assert rep1.mse == pytest.approx(rep2.mse, rel=1e-12)
         assert rep2.n_paths == 400
 
-    def test_discounted_once_per_chunk(self, bns_world, ou, monkeypatch):
-        # the sweep, the value lookups and the recorded paths share one copy
+    def test_discounted_never_built(self, bns_world, ou, monkeypatch):
+        # the sweep discounts one step at a time, and only the recorded
+        # paths get a discounted copy
         model, cpe, grid, _, surface = bns_world
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31),
@@ -267,8 +271,8 @@ class TestRunHedge:
         monkeypatch.setattr(market.PathBundle, "discounted",
                             property(lambda b: built.append(b) or prop.fget(b)))
         chunks = market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 300, 77, 100)
-        hedge.run_hedge(chunks, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=4))
-        assert len(built) == 3
+        rep = hedge.run_hedge(chunks, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=4))
+        assert built == [] and rep.recorded["discounted"].shape == (4, grid.n_steps + 1, 1)
 
     def test_report_exports(self, tmp_path, bns_world):
         _, _, _, bundle, surface = bns_world
@@ -293,7 +297,7 @@ def separate_pass_hedge(chunks, solution, payoff, v, n_record):
             if solution is None:
                 value[:, k], vbar[:, k] = payoff.p, 0.0
             elif k == 0:
-                value[:, k], vbar[:, k] = solution.value_at_zero, solution.dw_loadings[0, 0]
+                value[:, k], vbar[:, k] = solution.value_at_zero, solution.table.loadings_at_zero
             else:
                 value[:, k], vbar[:, k] = solution.table.value_and_loadings(k, disc[:, k], bundle.y[:, k])
         adj = np.stack([market.adjustment(bundle.model, disc[:, k], y_left[:, k]) for k in range(nk)], 1)
@@ -369,7 +373,14 @@ def test_results_do_not_depend_on_layout(case, bns_world, ou):
         assert np.array_equal(getattr(bundle, name), getattr(other, name)), name
     assert np.array_equal(opp.density_terminal(surface, bundle), opp.density_terminal(surface, other))
     sols = [bsde.solve_backward(b, surface, pay) for b in (bundle, other)]
-    for name in ("value", "dw_loadings"):
+    # the tables at the fit states, with the time-zero constants at k = 0
+    disc = bundle.discounted
+    tables = [[sol.table.value_and_loadings(k, disc[:, k], bundle.y[:, k]) for k in range(bundle.n_steps)]
+              for sol in sols]
+    for i, name in enumerate(("value", "loadings")):
+        a, b = (np.stack([pair[i] for pair in table]) for table in tables)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
+    for name in ("mean_value", "mean_loading"):
         a, b = (getattr(sol, name) for sol in sols)
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), name
     reps = [hedge.run_hedge(b, surface, sol, pay, endowment) for b, sol in zip((bundle, other), sols)]
@@ -408,7 +419,7 @@ class TestCompleteMarket:
         surface = opp.make_surface(model, ou, [spec], 1.0)
         sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
         xi0 = hedge.pure_hedge(model, np.array([[100.0]]), np.array([[10.0]]),
-                               sol.dw_loadings[:1, 0])[0, 0]
+                               sol.table.loadings_at_zero[None, :])[0, 0]
         target = bs_delta(100.0, 100.0, 0.2, 1.0)
         se = sol.se_at_zero / (100.0 * 0.2)  # loading noise mapped to the position
         assert abs(xi0 - target) <= max(3 * se, 0.05)

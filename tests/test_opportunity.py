@@ -261,10 +261,17 @@ class TestIpdeSurface:
 
     def test_explicit_reaction_step_error(self, bns, ou, cpe):
         # a low floor puts nodes where the reaction rate (alpha + beta y)^2 / y
-        # is large, beyond what the step allows the fully explicit reaction
-        mesh = opp.MeshConfig(reaction_theta=0.0, y_floor=1e-3)
-        with pytest.raises(ValueError, match="explicit reaction"):
+        # is large; a user-set step count (the transport and jump limits'
+        # pick) is beyond what keeps the fully explicit reaction positive
+        mesh = opp.MeshConfig(reaction_theta=0.0, y_floor=1e-3, n_time_steps=3584)
+        with pytest.raises(ValueError, match="positivity bound of the explicit reaction"):
             opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
+
+    def test_reaction_bound_sets_step_count(self, bns, ou, cpe):
+        # left unset, the step count takes the reaction's positivity bound
+        # next to the transport and jump limits
+        surf = opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, opp.MeshConfig(y_floor=1e-3))
+        assert np.all(surf.table > 0.0) and np.all(surf.table <= 1.0)
 
     def test_export_csv(self, tmp_path, bns_surface):
         out = tmp_path / "surf.csv"
