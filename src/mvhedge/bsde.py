@@ -215,6 +215,13 @@ class _LeastSquares:
         self._q = u[:, :r].T
         self._coef = vt[:r].T / sv[:r]
 
+    def _project(self, targets):
+        level = targets.mean(axis=0)
+        proj = self._q @ (targets - level)
+        coef = self._coef @ proj
+        coef[0] += level
+        return level, proj, coef
+
     def fit(self, targets):
         """(predictions, coefficients) for targets (n,) or (n, m).
 
@@ -222,11 +229,12 @@ class _LeastSquares:
         deviation goes through the factorization: rounding scales with
         the spread, not with the level.
         """
-        level = targets.mean(axis=0)
-        proj = self._q @ (targets - level)
-        coef = self._coef @ proj
-        coef[0] += level
+        level, proj, coef = self._project(targets)
         return self._q.T @ proj + level, coef
+
+    def coefficients(self, targets):
+        """The coefficients of ``fit`` alone, without forming the predictions."""
+        return self._project(targets)[2]
 
 
 def _r2(target, pred):
@@ -249,7 +257,7 @@ class BSDESolution:
     times: np.ndarray
     mean_value: np.ndarray       # (K+1,) cross-path mean of V
     mean_loading: np.ndarray     # (K,) cross-path mean of Vbar over paths and assets
-    jump_loading_mean: np.ndarray  # (K, nq) cross-path mean of Vtilde at nodes
+    mean_jump_term: np.ndarray   # (K,) cross-path mean of the driver's jump part
     table: RegressionTable
     r2: np.ndarray
     cond: np.ndarray
@@ -268,38 +276,31 @@ class BSDESolution:
             f.write(f"{self.times[-1]:.12g},{self.mean_value[-1]:.12g},0,1\n")
 
 
-def driver(dw_loadings, jump_loadings, jump_rel, mpr, z_weights, time_scales):
+def driver(dw_loadings, mpr, slope, quad, channels, time_scale):
     """Driver of the backward equation at one time, vectorized over paths.
 
-    g = sum_i Vbar_i * mpr_i - sum_components lambda * integral of
-    Vtilde(z) * F(z) against the jump measure, with F the relative
-    surface jump.
+    g = sum_i Vbar_i * mpr_i - lambda * integral of Vtilde(z) F(z) against
+    the jump measure, with F the relative surface jump.  The jump loading
+    is a factor shift Vtilde(z) = slope * z + quad * z**2, so the integral
+    contracts to slope * C1 + quad * C2 with the surface's channels
+    C1 = sum_q w_q z_q F_q and C2 = sum_q w_q z_q^2 F_q.
 
     Parameters
     ----------
     dw_loadings : (n, d)
-    jump_loadings : (n, nq)
-    jump_rel : (n, nq) relative surface jumps F at the quadrature sizes
     mpr : (n, d) market price of risk
-    z_weights : (nq,) quadrature weights against the jump measure
-    time_scales : per-component calendar intensity multipliers
+    slope : (n,) or scalar; quad : scalar
+    channels : (n, 3) the surface's jump channels (see ``jump_channels``),
+        or None for a model without jumps, whose jump part is 0
+    time_scale : the calendar intensity multiplier lambda
+
+    Returns (g, jump part of g).
     """
     g = np.sum(np.atleast_2d(dw_loadings) * np.atleast_2d(mpr), axis=-1)
-    if np.ndim(jump_loadings) and np.size(jump_loadings):
-        lam = np.atleast_1d(time_scales)[0]
-        g = g - lam * (jump_loadings * jump_rel) @ z_weights
-    return g
-
-
-def structural_jump_loading(value_left, jump_rel):
-    """Surface-implied jump loading -V * F / (1 + F).
-
-    This is the loading of the value process induced purely by the
-    density's own jump; it is the fallback when the regression carries
-    no factor signal.
-    """
-    f = jump_rel
-    return -np.atleast_1d(value_left)[:, None] * f / (1.0 + f)
+    if channels is None:
+        return g, 0.0
+    jump = -time_scale * (slope * channels[:, 0] + quad * channels[:, 1])
+    return g + jump, jump
 
 
 def _factor_shift(roles, keep, coef, scale, d_prices, y):
@@ -339,7 +340,9 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     same design for the table.  The jump loading is the fitted value
     function's factor shift where the fit has a factor column, and
     otherwise the surface term -V F/(1+F), linear in V: that step solves
-    for V in closed form.  The value rolls from step to step.
+    for V in closed form.  Both read the surface only through its jump
+    channels (``OpportunitySurface.jump_channels``), tabulated once per
+    solve.  The value rolls from step to step.
     """
     config = config or BsdeConfig()
     if bundle.n_paths < 100:
@@ -366,14 +369,14 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     roles = [role for _, role in columns]
     # a D·Y column without the Y column's spread is a multiple of D
     dy_cols = [j for j, role in enumerate(roles) if type(role) is int] if "Y" in roles else []
-    # per-step lookup states are [y, y + z_1, ..., y + z_nq]
-    state_shifts = np.concatenate([[0.0], z_nodes])
+    # the surface enters the driver only through its jump channels
+    channels = surface.jump_channels(bundle.times, z_nodes, z_weights) if nq else None
 
     v_next = h_term
     mean_value = np.empty(nk + 1)
     mean_value[nk] = h_term.mean()
     mean_loading = np.empty(nk)
-    jump_loading_mean = np.zeros((nk, nq))
+    mean_jump_term = np.empty(nk)
     # step 0 fits nothing: it keeps r2 = 0 and cond = 1
     r2 = np.zeros(nk)
     cond = np.ones(nk)
@@ -383,11 +386,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     for k in range(nk - 1, -1, -1):
         disc_k = bundle.s[:, k] * discount[k]
         mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl[:, k]))
-        if nq:
-            p_states = surface.value_along(np.full(nq + 1, bundle.times[k]), yl[:, k, :1] + state_shifts)
-            jump_rel = p_states[:, 1:] / p_states[:, :1] - 1.0
-        else:
-            jump_rel = np.zeros((n, 0))
+        chan = channels(k, yl[:, k, 0]) if nq else None
 
         if k == 0:
             # all paths share the time-zero state: plain means
@@ -435,22 +434,21 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         shift = None
         if nq and fit is not None:
             shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc_k, yl[:, k])
-        jl = np.zeros((n, 0))
-        if shift is not None:
-            slope, quad = shift
-            jl = slope[:, None] * z_nodes + quad * z_nodes**2
-        v_now = v_hat - driver(vbar, jl, jump_rel, mpr, z_weights, lam_cal) * dt
+        slope, quad = shift if shift is not None else (0.0, 0.0)
+        g, jump = driver(vbar, mpr, slope, quad, chan, lam_cal)
+        v_now = v_hat - g * dt
+        del g  # not held through the next step's regression
         if nq and shift is None:
-            # the surface term is linear in V, so the step solves exactly:
-            # V = v_hat - dt (Vbar theta + lam V sum_q w_q F_q^2 / (1 + F_q))
-            v_now /= 1.0 + dt * lam_cal * (jump_rel**2 / (1.0 + jump_rel)) @ z_weights
-            jl = structural_jump_loading(v_now, jump_rel)
+            # the surface term -V F/(1+F) is linear in V, so the step solves
+            # exactly: V = v_hat - dt (Vbar theta + lam V C3)
+            v_now /= 1.0 + dt * lam_cal * chan[:, 2]
+            jump = lam_cal * v_now * chan[:, 2]
         if k:
             # the table carries V_k, not v_hat (Gobet, Lemor & Warin 2005)
-            table.steps[k].coef_process = ls.fit(v_now)[1]
+            table.steps[k].coef_process = ls.coefficients(v_now)
         mean_value[k] = v_now.mean()
         mean_loading[k] = vbar.mean()
-        jump_loading_mean[k] = jl.mean(axis=0)
+        mean_jump_term[k] = np.mean(jump)
         v_next = v_now
 
     if n_deficient:
@@ -465,7 +463,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         times=bundle.times,
         mean_value=mean_value,
         mean_loading=mean_loading,
-        jump_loading_mean=jump_loading_mean,
+        mean_jump_term=mean_jump_term,
         table=table,
         r2=r2,
         cond=cond,

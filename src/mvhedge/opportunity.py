@@ -15,6 +15,7 @@ measure used to price and to validate the backward solver.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,20 +31,33 @@ from .levy import (
 from .ngou import OUParams
 
 
-class OpportunitySurface:
+class OpportunitySurface(ABC):
     """Callable surface with clamped evaluation outside its state box."""
 
     horizon: float
 
+    @abstractmethod
     def value(self, t: float, y) -> float:
-        raise NotImplementedError
+        """P at one state (t, y)."""
 
+    @abstractmethod
     def value_at_states(self, t: float, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        """P at time t and states y (n,)."""
 
+    @abstractmethod
     def value_along(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Evaluate at (times[k], y[:, k]) for every step column."""
-        raise NotImplementedError
+
+    @abstractmethod
+    def jump_channels(self, times, z_nodes, z_weights):
+        """The surface's three jump integrals, tabulated once for a backward solve.
+
+        With F_q = P(t, y + z_q)/P(t, y) - 1 at the jump quadrature
+        (``z_nodes``, ``z_weights``), the channels are C1 = sum_q w_q z_q F_q,
+        C2 = sum_q w_q z_q^2 F_q and C3 = sum_q w_q F_q^2/(1 + F_q), each a
+        function of (t, y) alone.  Returns ``channels(k, y)``: the three
+        at time ``times[k]`` and states ``y`` (n,), as an (n, 3) array.
+        """
 
 
 class ConstantSharpeSurface(OpportunitySurface):
@@ -64,6 +78,10 @@ class ConstantSharpeSurface(OpportunitySurface):
     def value_along(self, times, y):
         col = np.exp(-self.sharpe2 * (self.horizon - np.asarray(times)))
         return np.tile(col, (y.shape[0], 1))
+
+    def jump_channels(self, times, z_nodes, z_weights):
+        # P does not depend on y, so F is zero
+        return lambda k, y: np.zeros((y.shape[0], 3))
 
 
 # share of the explicit transport and jump stability limits a time step takes
@@ -114,18 +132,27 @@ class IpdeSurface(OpportunitySurface):
         i = int(x)
         return i, x - i
 
-    def _lookup(self, t_idx, wts, y):
-        """Values at states y (n, m), column k at time bracket (t_idx[k], wts[k]).
+    def _t_brackets(self, times):
+        t_idx = np.empty(len(times), dtype=np.int64)
+        wts = np.empty(len(times))
+        for k, t in enumerate(times):
+            t_idx[k], wts[k] = self._t_bracket(t)
+        return t_idx, wts
 
-        Counts the states clamped at the floor and continues the surface
-        log-linearly above the mesh top.
-        """
-        eta = np.log(np.maximum(y, 1e-300))
+    def _count_clamped(self, eta):
         self.n_below_floor += int(np.count_nonzero(eta < self.eta[0]))
+        self.n_above_top += int(np.count_nonzero(eta > self.eta[-1]))
+
+    def _interp(self, t_idx, wts, eta):
+        """Values at log-states eta (n, m), column k at time bracket (t_idx[k], wts[k]).
+
+        Clamps at the floor and continues the surface log-linearly above
+        the mesh top.  An eta of shape (n, 1) is shared by every column.
+        """
         out = kernels.bilinear_steps(self.table, t_idx, wts, eta, self.eta[0], 1.0 / self._deta)
+        eta = np.broadcast_to(eta, out.shape)
         above = eta > self.eta[-1]
         if np.any(above):
-            self.n_above_top += int(np.count_nonzero(above))
             rows, cols = np.nonzero(above)
             i, w = t_idx[cols], wts[cols]
             top = (1 - w)[:, None] * self.table[i, -2:] + w[:, None] * self.table[i + 1, -2:]
@@ -133,6 +160,12 @@ class IpdeSurface(OpportunitySurface):
                      - np.log(np.maximum(top[:, 0], 1e-300))) / self._deta
             out[rows, cols] = top[:, 1] * np.exp(slope * (eta[rows, cols] - self.eta[-1]))
         return out
+
+    def _lookup(self, t_idx, wts, y):
+        """``_interp`` at states y (n, m), counting the states off the mesh."""
+        eta = np.log(np.maximum(y, 1e-300))
+        self._count_clamped(eta)
+        return self._interp(t_idx, wts, eta)
 
     def value_at_states(self, t, y):
         y = np.asarray(y, dtype=float)
@@ -148,12 +181,39 @@ class IpdeSurface(OpportunitySurface):
     def value_along(self, times, y):
         if y.ndim == 3:
             y = y[:, :, 0]
-        times = np.asarray(times)
-        t_idx = np.empty(times.size, dtype=np.int64)
-        wts = np.empty(times.size)
-        for k, t in enumerate(times):
-            t_idx[k], wts[k] = self._t_bracket(t)
-        return self._lookup(t_idx, wts, y)
+        return self._lookup(*self._t_brackets(np.asarray(times)), y)
+
+    def jump_channels(self, times, z_nodes, z_weights):
+        """Channel tables at ``times`` on the mesh nodes, read bilinearly in log y.
+
+        At a node (times[k], y_j) each channel is the contraction of the
+        values ``value_along`` gives at [y_j, y_j + z_q]; building the
+        tables counts no clamped state.  Reading them counts the states
+        below the floor and above the top; a channel holds its floor and
+        top-node values outside the mesh.
+        """
+        t_idx, wts = self._t_brackets(times)
+        shape = (self.y_nodes.size, t_idx.size)
+        base = self._interp(t_idx, wts, np.log(self.y_nodes)[:, None])
+        acc = np.zeros((3,) + shape)
+        for zq, wq in zip(z_nodes, z_weights):
+            f = self._interp(t_idx, wts, np.log(self.y_nodes + zq)[:, None]) / base - 1.0
+            acc[0] += (wq * zq) * f
+            acc[1] += (wq * zq * zq) * f
+            acc[2] += wq * (f * f / (1.0 + f))
+        # time rows of the three channels stacked, and one spare row: the
+        # kernel reads row k + 1 with weight 0 at every channel's row k
+        table = np.zeros((3 * shape[1] + 1, shape[0]))
+        table[:-1] = acc.transpose(0, 2, 1).reshape(-1, shape[0])
+        rows = np.arange(3) * shape[1]
+        zero = np.zeros(3)
+
+        def channels(k, y):
+            eta = np.log(np.maximum(y, 1e-300))[:, None]
+            self._count_clamped(eta)
+            return kernels.bilinear_steps(table, rows + k, zero, eta, self.eta[0], 1.0 / self._deta)
+
+        return channels
 
     def export_csv(self, fname):
         with open(fname, "w") as f:

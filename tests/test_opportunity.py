@@ -280,6 +280,59 @@ class TestIpdeSurface:
         assert header == "t,y,P"
 
 
+class TestJumpChannels:
+    """C1 = sum w z F, C2 = sum w z^2 F and C3 = sum w F^2/(1 + F), tabulated per solve."""
+
+    @staticmethod
+    def contraction(surface, t, y, z, w):
+        # the per-state reference: F_q from value_along at [y, y + z_q]
+        p = surface.value_along(np.full(z.size + 1, t), y[:, None] + np.concatenate([[0.0], z]))
+        f = p[:, 1:] / p[:, :1] - 1.0
+        return np.column_stack([f @ (w * z), f @ (w * z**2), (f**2 / (1.0 + f)) @ w])
+
+    def test_nodes_equal_contraction(self, bns_surface, cpe):
+        z, w = levy.jump_quadrature(cpe)
+        times = np.linspace(0.0, 1.0, 101)
+        before = (bns_surface.n_below_floor, bns_surface.n_above_top)
+        channels = bns_surface.jump_channels(times, z, w)
+        # shifted nodes reach above the top, yet the tables count nothing
+        assert (bns_surface.n_below_floor, bns_surface.n_above_top) == before
+        for k in (0, 37, 99):
+            ref = self.contraction(bns_surface, times[k], bns_surface.y_nodes, z, w)
+            got = channels(k, bns_surface.y_nodes)
+            assert np.all(np.max(np.abs(got - ref), axis=0) <= 1e-12 * np.max(np.abs(ref), axis=0))
+            assert np.all(ref[:, 2] > 0.0)
+
+    def test_between_nodes_within_interpolation_bound(self, bns_surface, cpe):
+        # at the log-midpoints of the mesh cells the bilinear channels are
+        # at most 6.3e-4 of each channel's largest magnitude from the
+        # per-state contraction (measured at every tenth step of this grid)
+        z, w = levy.jump_quadrature(cpe)
+        times = np.linspace(0.0, 1.0, 101)
+        channels = bns_surface.jump_channels(times, z, w)
+        mid = np.exp(0.5 * (bns_surface.eta[1:] + bns_surface.eta[:-1]))
+        for k in range(0, 100, 10):
+            ref = self.contraction(bns_surface, times[k], mid, z, w)
+            err = np.max(np.abs(channels(k, mid) - ref), axis=0)
+            assert np.all(err <= 1e-3 * np.max(np.abs(ref), axis=0))
+
+    def test_off_the_mesh_holds_edge_values_and_counts(self, bns_surface, cpe):
+        lo, hi = bns_surface.y_nodes[0], bns_surface.y_nodes[-1]
+        channels = bns_surface.jump_channels(np.linspace(0.0, 1.0, 11), *levy.jump_quadrature(cpe))
+        edges = channels(4, np.array([lo, hi]))
+        before = (bns_surface.n_below_floor, bns_surface.n_above_top)
+        out = channels(4, np.array([1e-3, 0.5 * lo, 1.5 * hi, 4.0 * hi, 0.5 * (lo + hi)]))
+        assert np.subtract((bns_surface.n_below_floor, bns_surface.n_above_top), before).tolist() == [2, 2]
+        assert np.max(np.abs(out[:4] - edges[[0, 0, 1, 1]])) <= 1e-12 * np.max(np.abs(edges))
+
+    def test_flat_surface_has_zero_channels(self, cpe):
+        z, w = levy.jump_quadrature(cpe)
+        surface = opp.ConstantSharpeSurface(0.25, 1.0)
+        y = np.array([0.5, 10.0, 40.0])
+        assert np.array_equal(surface.jump_channels(np.linspace(0.0, 1.0, 11), z, w)(3, y), np.zeros((3, 3)))
+        assert np.array_equal(self.contraction(surface, 0.3, y, z, w), np.zeros((3, 3)))
+
+
 class TestStochasticExponential:
     def test_zero_path(self):
         assert np.array_equal(opp.stochastic_exponential(np.zeros(5), np.zeros(5)), np.ones(5))
