@@ -1,13 +1,15 @@
 """Hot numeric loops, vectorized across paths with numpy.
 
-Four loops carry the pipeline's work: the path simulation for every
-model (``simulate_d1h1``), the hedge sweep (``hedge_sweep``: per time
-step it asks the caller for the strategy's pieces, then records and
-applies one ``gains_step``), the pathwise exponent of the surface's
-inner Monte Carlo (``opportunity_mc_exponent``) and bilinear table
-lookups along paths (``bilinear_steps``).  Each runs a Python loop over
-time steps or jump ordinals and numpy over paths.  All random numbers
-are drawn by the callers.
+Five loops carry the pipeline's work: the path simulation for every
+model (``simulate_d1h1``: the factor and the density's quadratures),
+the log-price recursion along a simulated factor (``price_path``, run
+only when a reader asks for prices), the hedge sweep (``hedge_sweep``:
+per time step it asks the caller for the strategy's pieces, then
+records and applies one ``gains_step``), the pathwise exponent of the
+surface's inner Monte Carlo (``opportunity_mc_exponent``) and bilinear
+table lookups along paths (``bilinear_steps``).  Each runs a Python
+loop over time steps or jump ordinals and numpy over paths.  All random
+numbers are drawn by the callers.
 
 Per-step arrays are stored step-major (``step_major``): the public
 shape is (n_paths, n_steps, ...), but the memory runs step by step, so
@@ -52,22 +54,24 @@ def step_major(n_steps, n_paths, *tail):
     return np.empty((n_steps, n_paths, *tail)).swapaxes(0, 1)
 
 
-def simulate_d1h1(model, y0, lam, delta, s0, dw, events, components, sizes):
-    """Forward sweep of factor, price and quadrature accumulators, any model.
+def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes):
+    """Forward sweep of the factor and the density's quadratures, any model.
 
     The one simulation engine; the name is kept because benchmark
-    records report it.  ``dw`` (n, K, d) holds the Brownian increments,
-    ``events`` groups the jump events by grid step (``rows(k)``, and
-    per step their owning ``path`` and within-step ``offset``), and
-    ``components``/``sizes`` are the events' factor and size in storage
-    order.  The model is read only through ``drift``, ``vol``,
+    records report it.  Prices are left to ``price_path``, which reads
+    the factor this returns.  ``dw`` (n, K, d) holds the Brownian
+    increments, ``events`` groups the jump events by grid step
+    (``rows(k)``, and per step their owning ``path`` and within-step
+    ``offset``), and ``components``/``sizes`` are the events' factor and
+    size in storage order.  The model is read only through
     ``sharpe_squared`` and ``market_price_of_risk`` at states (..., h).
-    Returns (y, s, sharpe_int, mpr_dw, factor_int): per-step integrals
-    of the squared market price of risk (jump-inclusive quadrature),
-    the variance-matched loading against the Brownian increments, and
-    lambda * Y (exact).
+    Returns (y, sharpe_int, mpr_dw, factor_int): per-step integrals of
+    the squared market price of risk (jump-inclusive quadrature) and the
+    variance-matched loading against the Brownian increments, and the
+    whole path's lambda * integral of Y (n, h), exact, with its per-step
+    terms added in step order.
     """
-    n, nk, d = dw.shape
+    n, nk = dw.shape[:2]
     h = lam.size
     nq = SEG_NODES.size
     # decay factors per component, as scalars: a step's factor decays by
@@ -77,18 +81,15 @@ def simulate_d1h1(model, y0, lam, delta, s0, dw, events, components, sizes):
     node_decay = np.array([[math.exp(-lam_i * xi) for lam_i in lam] for xi in node_times])
 
     y_out = step_major(nk + 1, n, h)
-    logs = step_major(nk + 1, n, d)
     sharpe_int = step_major(nk, n)
     mpr_dw = step_major(nk, n)
-    factor_int = step_major(nk, n, h)
+    factor_int = np.zeros((n, h))
     # row 0: the step-left state y, updated in place at the end of each
     # step; row 1 + q: the state at quadrature node q
     states = np.empty((1 + nq, n, h))
     y = states[0]
     y[:] = y0
-    ls = np.tile([math.log(s0_m) for s0_m in s0], (n, 1))
     y_out[:, 0] = y
-    logs[:, 0] = ls
     for k in range(nk):
         ev = events.rows(k)
         comps = components[ev]
@@ -114,19 +115,39 @@ def simulate_d1h1(model, y0, lam, delta, s0, dw, events, components, sizes):
         r_left = rho[0] * delta
         scale = np.where(r_left > 1e-300, np.sqrt(r_step / np.maximum(r_left, 1e-300)), 1.0)
         mpr_dw[:, k] = np.einsum("ni,ni->n", model.market_price_of_risk(y), dw[:, k]) * scale
-        vol = model.vol(y)
-        diag_cov = np.einsum("nij,nij->ni", vol, vol)
-        ls = ls + (model.drift(y) - 0.5 * diag_cov) * delta + np.einsum("nij,nj->ni", vol, dw[:, k])
-        factor_int[:, k] = y * (1.0 - edel)
+        # the step's whole term first, then the total, so the total is
+        # the in-order sum of the per-step terms
+        term = y * (1.0 - edel)
         y *= edel
         if ev.size:
             e = np.exp(-lam_ev * (delta - u))
-            factor_int[:, k] += np.bincount(at, sz * (1.0 - e), minlength=n * h).reshape(n, h)
+            term += np.bincount(at, sz * (1.0 - e), minlength=n * h).reshape(n, h)
             y += np.bincount(at, sz * e, minlength=n * h).reshape(n, h)
+        factor_int += term
         y_out[:, k + 1] = y
+    return y_out, sharpe_int, mpr_dw, factor_int
+
+
+def price_path(model, y, dw, s0, delta):
+    """Prices (n, K+1, d) along a simulated factor, stored step-major.
+
+    The explicit log-solution with coefficients frozen at the step-left
+    factor ``y[:, k]`` (n, h): log S gains (b(y) - diag(sigma sigma')/2)
+    delta + sigma dW over each step, from log ``s0`` (d,).  The model is
+    read only through ``drift`` and ``vol``.
+    """
+    n, nk, d = dw.shape
+    logs = step_major(nk + 1, n, d)
+    ls = np.tile([math.log(s0_m) for s0_m in s0], (n, 1))
+    logs[:, 0] = ls
+    for k in range(nk):
+        y_k = y[:, k]
+        vol = model.vol(y_k)
+        diag_cov = np.einsum("nij,nij->ni", vol, vol)
+        ls = ls + (model.drift(y_k) - 0.5 * diag_cov) * delta + np.einsum("nij,nj->ni", vol, dw[:, k])
         logs[:, k + 1] = ls
     # in place, so log prices and prices never take memory at once
-    return y_out, np.exp(logs, out=logs), sharpe_int, mpr_dw, factor_int
+    return np.exp(logs, out=logs)
 
 
 def gains_step(gains_left, xi, adj, v, value_left, d_increment):

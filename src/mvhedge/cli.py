@@ -9,6 +9,7 @@ directory may also come from the MVHEDGE_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import json
 import os
@@ -80,10 +81,26 @@ def load_schema():
         return json.load(f)
 
 
-def validate_config(cfg: dict):
-    import jsonschema
+@functools.cache
+def _config_validator():
+    """The shipped schema's validator, built once.
 
-    jsonschema.validate(cfg, load_schema())
+    ``jsonschema.validate`` would check the schema itself on every call,
+    nearly all of a validation's time; the tests check it once instead.
+    """
+    from jsonschema.validators import validator_for
+
+    schema = load_schema()
+    return validator_for(schema)(schema)
+
+
+def validate_config(cfg: dict):
+    """Raise the best-matching ``jsonschema.ValidationError``, as ``jsonschema.validate`` does."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise error
 
 
 def _merge(base: dict, override: dict) -> dict:

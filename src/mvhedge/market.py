@@ -435,20 +435,25 @@ def _pack_jumps(paths: list[JumpPath], grid: GridConfig, n_paths: int, n_compone
 
 
 class PathBundle:
-    """One simulated chunk: factor, prices, increments and jump records.
+    """One simulated chunk: factor, increments, quadratures and jump records.
 
     Per-step arrays have shape (n_paths, n_steps[+1], ...) and are stored
     step-major (``_kernels.step_major``), so one step's slice ``[:, k]``
-    is contiguous.
+    is contiguous.  The prices ``s`` are derived from the factor and the
+    increments on first read and kept; the density never reads them.
 
     Per-step integral accumulators:
 
     sharpe_int : integral of the squared market price of risk
     mpr_dw     : market price of risk (at step left) dotted with dW
-    factor_int : lambda_i * integral of Y_i, exact including jumps
+
+    and one per-path total, shape (n_paths, h):
+
+    factor_int : lambda_i * integral of Y_i over the whole path, exact
+                 including jumps
     """
 
-    def __init__(self, model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
+    def __init__(self, model, ou, specs, s0, grid, y, dw, sharpe_int, mpr_dw,
                  factor_int, jumps, master_seed, path_offset):
         self.model = model
         self.ou = ou
@@ -457,7 +462,6 @@ class PathBundle:
         self.grid = grid
         self.times = grid.times
         self.y = y
-        self.s = s
         self.dw = dw
         self.sharpe_int = sharpe_int
         self.mpr_dw = mpr_dw
@@ -465,6 +469,7 @@ class PathBundle:
         self.jumps = jumps
         self.master_seed = master_seed
         self.path_offset = path_offset
+        self._s = None
         self._y_left = None
 
     @property
@@ -478,6 +483,13 @@ class PathBundle:
     @property
     def rate(self) -> float:
         return self.model.rate
+
+    @property
+    def s(self) -> np.ndarray:
+        """Prices (n, K+1, d), computed on first read."""
+        if self._s is None:
+            self._s = kernels.price_path(self.model, self.y, self.dw, self.s0, self.grid.step)
+        return self._s
 
     @property
     def discounted(self) -> np.ndarray:
@@ -566,10 +578,10 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid, n_paths, len(specs))
     events = rj.by_step(grid.times)
-    y, s, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
-        model, ou.y0, ou.mean_reversion, grid.step, s0, dw, events, rj.components, rj.sizes,
+    y, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
+        model, ou.y0, ou.mean_reversion, grid.step, dw, events, rj.components, rj.sizes,
     )
-    return PathBundle(model, ou, specs, s0, grid, y, s, dw, sharpe_int, mpr_dw,
+    return PathBundle(model, ou, specs, s0, grid, y, dw, sharpe_int, mpr_dw,
                       factor_int, rj, master_seed, path_offset)
 
 

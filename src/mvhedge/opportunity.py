@@ -156,10 +156,14 @@ class IpdeSurface(OpportunitySurface):
             rows, cols = np.nonzero(above)
             i, w = t_idx[cols], wts[cols]
             top = (1 - w)[:, None] * self.table[i, -2:] + w[:, None] * self.table[i + 1, -2:]
-            slope = (np.log(np.maximum(top[:, 1], 1e-300))
-                     - np.log(np.maximum(top[:, 0], 1e-300))) / self._deta
-            out[rows, cols] = top[:, 1] * np.exp(slope * (eta[rows, cols] - self.eta[-1]))
+            out[rows, cols] = self._above_top(top, eta[rows, cols])
         return out
+
+    def _above_top(self, top, eta):
+        """Log-linear continuation above the mesh top from its two top values (..., 2)."""
+        slope = (np.log(np.maximum(top[..., 1], 1e-300))
+                 - np.log(np.maximum(top[..., 0], 1e-300))) / self._deta
+        return top[..., 1] * np.exp(slope * (eta - self.eta[-1]))
 
     def _lookup(self, t_idx, wts, y):
         """``_interp`` at states y (n, m), counting the states off the mesh."""
@@ -187,25 +191,47 @@ class IpdeSurface(OpportunitySurface):
         """Channel tables at ``times`` on the mesh nodes, read bilinearly in log y.
 
         At a node (times[k], y_j) each channel is the contraction of the
-        values ``value_along`` gives at [y_j, y_j + z_q]; building the
-        tables counts no clamped state.  Reading them counts the states
-        below the floor and above the top; a channel holds its floor and
-        top-node values outside the mesh.
+        values ``value_along`` gives at [y_j, y_j + z_q], bit for bit:
+        each shifted node column is interpolated in log y once on the
+        time slices the steps read, then in time at every step, and
+        continued log-linearly above the top.  Building the tables counts
+        no clamped state.  Reading them counts the states below the floor
+        and above the top; a channel holds its floor and top-node values
+        outside the mesh.
         """
         t_idx, wts = self._t_brackets(times)
-        shape = (self.y_nodes.size, t_idx.size)
-        base = self._interp(t_idx, wts, np.log(self.y_nodes)[:, None])
-        acc = np.zeros((3,) + shape)
+        w = wts[:, None]
+        # the two top columns at the step times, for the continuation
+        top = (1 - w) * self.table[t_idx, -2:] + w * self.table[t_idx + 1, -2:]
+        ny = self.y_nodes.size
+        # the slices the steps read, and each step's two rows among them
+        slices, at = np.unique(np.concatenate([t_idx, t_idx + 1]), return_inverse=True)
+        slices = slices[:, None]
+        lo, hi = at[:t_idx.size], at[t_idx.size:]
+
+        def at_states(eta):
+            # the arithmetic of ``kernels.bilinear_steps``, rows (K+1, n_y)
+            x = np.clip((eta - self.eta[0]) * (1.0 / self._deta), 0.0, ny - 1 - 1e-12)
+            j = x.astype(np.int64)
+            wy = x - j
+            on_slices = self.table[slices, j] * (1.0 - wy) + self.table[slices, j + 1] * wy
+            out = on_slices[lo] * (1.0 - w) + on_slices[hi] * w
+            above = eta > self.eta[-1]
+            if np.any(above):
+                out[:, above] = self._above_top(top[:, None, :], eta[above])
+            return out
+
+        # time rows of the three channels stacked, and one spare row: the
+        # kernel reads row k + 1 with weight 0 at every channel's row k
+        table = np.zeros((3 * t_idx.size + 1, ny))
+        acc = table[:-1].reshape(3, t_idx.size, ny)
+        base = at_states(self.eta)
         for zq, wq in zip(z_nodes, z_weights):
-            f = self._interp(t_idx, wts, np.log(self.y_nodes + zq)[:, None]) / base - 1.0
+            f = at_states(np.log(self.y_nodes + zq)) / base - 1.0
             acc[0] += (wq * zq) * f
             acc[1] += (wq * zq * zq) * f
             acc[2] += wq * (f * f / (1.0 + f))
-        # time rows of the three channels stacked, and one spare row: the
-        # kernel reads row k + 1 with weight 0 at every channel's row k
-        table = np.zeros((3 * shape[1] + 1, shape[0]))
-        table[:-1] = acc.transpose(0, 2, 1).reshape(-1, shape[0])
-        rows = np.arange(3) * shape[1]
+        rows = np.arange(3) * t_idx.size
         zero = np.zeros(3)
 
         def channels(k, y):

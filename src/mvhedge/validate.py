@@ -94,7 +94,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     # factor identities on simulated bundles
     grid = market.GridConfig(5.0, step)
     b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 1000, master_seed + 1)
-    lhs = b.factor_int.sum(axis=1)[:, 0]
+    lhs = b.factor_int[:, 0]
     l_tot = np.array([b.jumps.path(i).totals()[0] for i in range(b.n_paths)])
     resid = np.abs(lhs - (10.0 + l_tot - b.y[:, -1, 0])) / np.maximum(np.abs(lhs), 1.0)
     rep.add("factor balance identity", resid.max() < 1e-12, f"max rel resid {resid.max():.2e}")

@@ -16,6 +16,13 @@ class TestConfig:
         with pytest.raises(Exception):
             cli.validate_config({"nonsense": 1})
 
+    def test_shipped_schema_is_valid(self):
+        # validation builds its validator without checking the schema
+        from jsonschema.validators import validator_for
+
+        schema = cli.load_schema()
+        validator_for(schema).check_schema(schema)
+
     def test_schema_accepts_defaults(self):
         cli.validate_config({k: v for k, v in cli.DEFAULTS.items()})
 

@@ -321,6 +321,27 @@ def separate_pass_hedge(chunks, solution, payoff, v, n_record):
     return shortfalls, recorded
 
 
+def test_price_loop_runs_only_for_price_readers(bns_world, ou, monkeypatch):
+    # the density and a constant claim's oracle never read a price; the
+    # solver and the hedge derive each bundle's prices once between them
+    model, cpe, grid, _, surface = bns_world
+    calls = []
+    price_path = kernels.price_path
+    monkeypatch.setattr(kernels, "price_path", lambda *args: calls.append(1) or price_path(*args))
+    pay = bsde.ConstantPayoff(30000.0)
+    bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
+    opp.density_terminal(surface, bundle)
+    bsde.mc_value_at_zero(surface, market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 600, 5, 300),
+                          pay)
+    assert not calls
+    sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
+    hedge.run_hedge(bundle, surface, sol, bsde.DiscountedCall(100.0), 8.0)
+    assert len(calls) == 1
+    hedge.run_hedge(market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 600, 5, 300),
+                    surface, None, pay, 10000.0)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("stage, bound", [("oracle", 1.8), ("hedge", 1.6)])
 def test_stream_releases_each_chunk(stage, bound, bns_world, ou):
     # the previous chunk is released before the generator simulates the
@@ -347,8 +368,11 @@ def test_stream_releases_each_chunk(stage, bound, bns_world, ou):
 
 
 def path_major(bundle):
-    """The same bundle with every per-step array copied path by path."""
-    arrays = [np.ascontiguousarray(a) for a in (bundle.y, bundle.s, bundle.dw, bundle.sharpe_int,
+    """The same bundle with every stored per-step array copied path by path.
+
+    Its prices are derived from the path-major factor and increments.
+    """
+    arrays = [np.ascontiguousarray(a) for a in (bundle.y, bundle.dw, bundle.sharpe_int,
                                                  bundle.mpr_dw, bundle.factor_int)]
     return market.PathBundle(bundle.model, bundle.ou, bundle.specs, bundle.s0, bundle.grid, *arrays,
                              bundle.jumps, bundle.master_seed, bundle.path_offset)

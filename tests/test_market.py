@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from conftest import empty_jump_path
 
 
 def assert_step_slices_contiguous(bundle):
-    # per-step arrays are stored step-major behind their (n, K, ...) shapes
-    for name in ("y", "s", "dw", "sharpe_int", "mpr_dw", "factor_int", "discounted"):
+    # per-step arrays are stored step-major behind their (n, K, ...) shapes;
+    # the factor integral is one total per path and factor
+    for name in ("y", "s", "dw", "sharpe_int", "mpr_dw", "discounted"):
         arr = getattr(bundle, name)
         assert all(arr[:, k].flags.c_contiguous for k in range(arr.shape[1])), name
+    assert bundle.factor_int.shape == (bundle.n_paths, bundle.ou.dim)
 
 
 class TestCoefficientAlgebra:
@@ -133,7 +136,7 @@ class TestSimulation:
     def test_bundle_balance_identity(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(2.0, 0.01)
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 300, 4)
-        lam_int = b.factor_int.sum(axis=1)[:, 0]
+        lam_int = b.factor_int[:, 0]
         l_tot = np.array([b.jumps.path(i).totals()[0] for i in range(b.n_paths)])
         resid = lam_int - (10.0 + l_tot - b.y[:, -1, 0])
         assert np.max(np.abs(resid)) <= 1e-12 * 20.0
@@ -156,6 +159,31 @@ class TestSimulation:
             levy.sample_jump_path([cpe_spec], grid.horizon, rng)
             ref = rng.standard_normal((grid.n_steps, 1)) * math.sqrt(grid.step)
             assert np.array_equal(b.dw[i], ref)
+
+    @pytest.mark.parametrize("case", ["flat", "bns"])
+    def test_bundle_holds_no_prices_until_read(self, case, ou_unit, no_jumps, cpe_spec):
+        # a bundle keeps the factor, the increments and the two density
+        # quadratures step by step (about 4 per-step arrays) and the factor
+        # integral as one total per path; prices and the per-step factor
+        # integral would add one array each
+        model, spec = {"flat": (market.ConstantBS(0.1, 0.2), no_jumps),
+                       "bns": (market.BNS(0.5, 0.02), cpe_spec)}[case]
+        grid = market.GridConfig(1.0, 0.01)
+        market.simulate_paths(model, ou_unit, [spec], [100.0], grid, 10, 3)  # one-time caches
+        tracemalloc.start()
+        try:
+            b = market.simulate_paths(model, ou_unit, [spec], [100.0], grid, 2000, 3)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        j = b.jumps
+        events = sum(a.nbytes for a in (j.offsets, j.times, j.components, j.sizes, j.step_index))
+        assert (held - events) / (b.n_paths * b.n_steps * 8) <= 4.1
+
+    def test_prices_are_derived_once(self, bns_model, ou_unit, cpe_spec):
+        b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], market.GridConfig(0.5, 0.01),
+                                  20, 3)
+        assert b.s is b.s
 
     def test_factor_path_roundtrip(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(1.0, 0.05)
@@ -239,7 +267,7 @@ class TestSimulation:
         assert b.y.shape == (40, 51, 2)
         assert (b.s > 0).all()
         assert_step_slices_contiguous(b)
-        lam_int = b.factor_int.sum(axis=1)
+        lam_int = b.factor_int
         l_tot = np.array([b.jumps.path(i).totals() for i in range(b.n_paths)])
         resid = lam_int - (np.array([10.0, 6.0]) + l_tot - b.y[:, -1])
         assert np.max(np.abs(resid)) < 1e-11
