@@ -1,7 +1,8 @@
 """Hot numeric loops, vectorized across paths with numpy.
 
 Five loops carry the pipeline's work: the path simulation for every
-model (``simulate_d1h1``: the factor and the density's quadratures),
+model (``simulate_d1h1``: the factor, and the density's quadratures as
+path totals or, on request, step by step),
 the log-price recursion along a simulated factor (``price_path``, run
 only when a reader asks for prices), the hedge sweep (``hedge_sweep``:
 per time step it asks the caller for the strategy's pieces, then
@@ -54,22 +55,24 @@ def step_major(n_steps, n_paths, *tail):
     return np.empty((n_steps, n_paths, *tail)).swapaxes(0, 1)
 
 
-def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes):
+def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes, record=False):
     """Forward sweep of the factor and the density's quadratures, any model.
 
     The one simulation engine; the name is kept because benchmark
     records report it.  Prices are left to ``price_path``, which reads
     the factor this returns.  ``dw`` (n, K, d) holds the Brownian
     increments, ``events`` groups the jump events by grid step
-    (``rows(k)``, and per step their owning ``path`` and within-step
+    (``rows(k)``, and per step their owning ``paths`` and within-step
     ``offset``), and ``components``/``sizes`` are the events' factor and
     size in storage order.  The model is read only through
     ``sharpe_squared`` and ``market_price_of_risk`` at states (..., h).
-    Returns (y, sharpe_int, mpr_dw, factor_int): per-step integrals of
-    the squared market price of risk (jump-inclusive quadrature) and the
-    variance-matched loading against the Brownian increments, and the
-    whole path's lambda * integral of Y (n, h), exact, with its per-step
-    terms added in step order.
+    Returns (y, sharpe_int, mpr_dw, factor_int): the factor (n, K+1, h)
+    and three whole-path totals, each the in-order sum of its per-step
+    terms from zero: the integral of the squared market price of risk
+    (jump-inclusive quadrature) and the variance-matched loading
+    against the Brownian increments (n,), and lambda * integral of Y
+    (n, h), exact.  With ``record`` the per-step terms of the first two
+    follow as step-major (n, K) arrays.
     """
     n, nk = dw.shape[:2]
     h = lam.size
@@ -81,8 +84,11 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes):
     node_decay = np.array([[math.exp(-lam_i * xi) for lam_i in lam] for xi in node_times])
 
     y_out = step_major(nk + 1, n, h)
-    sharpe_int = step_major(nk, n)
-    mpr_dw = step_major(nk, n)
+    sharpe_int = np.zeros(n)
+    mpr_dw = np.zeros(n)
+    if record:
+        sharpe_steps = step_major(nk, n)
+        mpr_steps = step_major(nk, n)
     factor_int = np.zeros((n, h))
     # row 0: the step-left state y, updated in place at the end of each
     # step; row 1 + q: the state at quadrature node q
@@ -94,7 +100,7 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes):
         ev = events.rows(k)
         comps = components[ev]
         # flat index of each event's (path, factor) entry in an (n, h) array
-        at = events.path(ev) * h + comps
+        at = events.paths(k) * h + comps
         lam_ev = lam[comps]
         u = events.offset(ev, k)
         sz = sizes[ev]
@@ -109,12 +115,16 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes):
         for q in range(nq):
             acc += SEG_WEIGHTS[q] * rho[1 + q]
         r_step = acc * delta
-        sharpe_int[:, k] = r_step
         # scale the frozen loading so its conditional variance matches
         # the same integral; keeps the density mean exact given jumps
         r_left = rho[0] * delta
         scale = np.where(r_left > 1e-300, np.sqrt(r_step / np.maximum(r_left, 1e-300)), 1.0)
-        mpr_dw[:, k] = np.einsum("ni,ni->n", model.market_price_of_risk(y), dw[:, k]) * scale
+        m_step = np.einsum("ni,ni->n", model.market_price_of_risk(y), dw[:, k]) * scale
+        sharpe_int += r_step
+        mpr_dw += m_step
+        if record:
+            sharpe_steps[:, k] = r_step
+            mpr_steps[:, k] = m_step
         # the step's whole term first, then the total, so the total is
         # the in-order sum of the per-step terms
         term = y * (1.0 - edel)
@@ -125,6 +135,8 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes):
             y += np.bincount(at, sz * e, minlength=n * h).reshape(n, h)
         factor_int += term
         y_out[:, k + 1] = y
+    if record:
+        return y_out, sharpe_int, mpr_dw, factor_int, sharpe_steps, mpr_steps
     return y_out, sharpe_int, mpr_dw, factor_int
 
 

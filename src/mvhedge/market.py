@@ -397,30 +397,32 @@ class RaggedJumps:
         step = self.step_index.astype(np.min_scalar_type(grid_times.size - 1))
         order = np.argsort(step, kind="stable")
         bounds = np.searchsorted(step[order], np.arange(grid_times.size, dtype=step.dtype))
-        return StepEvents(self, grid_times, order, bounds)
+        owner = np.repeat(np.arange(self.n_paths), np.diff(self.offsets))[order]
+        return StepEvents(self, grid_times, order, bounds, owner)
 
 
 @dataclass(frozen=True)
 class StepEvents:
     """Jump events grouped by grid step; rows index the flat event arrays.
 
-    Only the grouping is stored: the owning path of a step's events and
-    their times after the step's left node are found per step from the
-    rows.
+    The grouping and each event's owning path are stored in step order;
+    the events' times after the step's left node are found per step
+    from the rows.
     """
 
     jumps: RaggedJumps
     grid_times: np.ndarray
     order: np.ndarray
     bounds: np.ndarray  # events of step k are order[bounds[k]:bounds[k + 1]]
+    owner: np.ndarray   # owning path of the event at order[i]
 
     def rows(self, k: int) -> np.ndarray:
         """Storage indices of the events in step k, in storage order."""
         return self.order[self.bounds[k]:self.bounds[k + 1]]
 
-    def path(self, rows: np.ndarray) -> np.ndarray:
-        """Owning path of the events at ``rows``."""
-        return np.searchsorted(self.jumps.offsets, rows, side="right") - 1
+    def paths(self, k: int) -> np.ndarray:
+        """Owning path of the events in step k, in the order of ``rows(k)``."""
+        return self.owner[self.bounds[k]:self.bounds[k + 1]]
 
     def offset(self, rows: np.ndarray, k: int) -> np.ndarray:
         """Time after the left node of step k of the events at ``rows`` of that step."""
@@ -442,15 +444,17 @@ class PathBundle:
     is contiguous.  The prices ``s`` are derived from the factor and the
     increments on first read and kept; the density never reads them.
 
-    Per-step integral accumulators:
+    Per-path totals over the whole path, each the in-order sum of its
+    per-step terms:
 
-    sharpe_int : integral of the squared market price of risk
-    mpr_dw     : market price of risk (at step left) dotted with dW
+    sharpe_int : integral of the squared market price of risk (n_paths,)
+    mpr_dw     : market price of risk (at step left) dotted with dW,
+                 variance-matched to sharpe_int step by step (n_paths,)
+    factor_int : lambda_i * integral of Y_i, exact including jumps
+                 (n_paths, h)
 
-    and one per-path total, shape (n_paths, h):
-
-    factor_int : lambda_i * integral of Y_i over the whole path, exact
-                 including jumps
+    ``step_quadratures`` re-runs the engine for the per-step terms of the
+    first two.
     """
 
     def __init__(self, model, ou, specs, s0, grid, y, dw, sharpe_int, mpr_dw,
@@ -520,6 +524,17 @@ class PathBundle:
                 self._y_left = self.y
         return self._y_left
 
+    def step_quadratures(self):
+        """Per-step terms (n, K) of ``sharpe_int`` and ``mpr_dw``, step-major.
+
+        The engine is run again on the bundle's own increments and jump
+        events, so the terms are those the totals were summed from.
+        Nothing is kept on the bundle.
+        """
+        *_, sharpe_steps, mpr_steps = _run_engine(self.model, self.ou, self.grid, self.dw, self.jumps,
+                                                  record=True)
+        return sharpe_steps, mpr_steps
+
     def factor_path(self, i: int) -> FactorPath:
         jp = self.jumps.path(i)
         return evolve(self.ou, jp, merge_grid(self.times, jp.times))
@@ -560,6 +575,12 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
     return paths, dw
 
 
+def _run_engine(model, ou, grid, dw, jumps, record=False):
+    """``_kernels.simulate_d1h1`` on a chunk's increments and jump events."""
+    return kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step, dw, jumps.by_step(grid.times),
+                                 jumps.components, jumps.sizes, record=record)
+
+
 def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: int,
                    master_seed: int, jump_paths=None, path_offset: int = 0) -> PathBundle:
     """Simulate a bundle of paths, reproducible per (master_seed, path index).
@@ -577,10 +598,7 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
         raise ConfigurationError("initial prices must be positive, one per asset")
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid, n_paths, len(specs))
-    events = rj.by_step(grid.times)
-    y, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(
-        model, ou.y0, ou.mean_reversion, grid.step, dw, events, rj.components, rj.sizes,
-    )
+    y, sharpe_int, mpr_dw, factor_int = _run_engine(model, ou, grid, dw, rj)
     return PathBundle(model, ou, specs, s0, grid, y, dw, sharpe_int, mpr_dw,
                       factor_int, rj, master_seed, path_offset)
 

@@ -416,19 +416,21 @@ def _adjusted_gain_parts(bundle):
     """Running integral of a against D and its quadratic variation.
 
     Both reduce to integrals of the (squared) market price of risk, so
-    they are accumulated from the bundle's per-step quadratures rather
+    they are accumulated from the per-step quadratures the bundle's
+    totals were summed from (``PathBundle.step_quadratures``) rather
     than from realized price differences; this keeps the density exact
     for flat-coefficient models.
     """
-    n, nk = bundle.sharpe_int.shape
+    sharpe_steps, mpr_steps = bundle.step_quadratures()
+    n, nk = sharpe_steps.shape
     # step-major running sums, one contiguous add per step (a cumsum
     # along the step axis would walk each path with a stride)
     r_cum = kernels.step_major(nk + 1, n)
     m_cum = kernels.step_major(nk + 1, n)
     r_cum[:, 0] = m_cum[:, 0] = 0.0
     for k in range(nk):
-        np.add(r_cum[:, k], bundle.sharpe_int[:, k], out=r_cum[:, k + 1])
-        np.add(m_cum[:, k], bundle.mpr_dw[:, k], out=m_cum[:, k + 1])
+        np.add(r_cum[:, k], sharpe_steps[:, k], out=r_cum[:, k + 1])
+        np.add(m_cum[:, k], mpr_steps[:, k], out=m_cum[:, k + 1])
     return r_cum + m_cum, r_cum
 
 
@@ -451,17 +453,13 @@ def density_path(surface: OpportunitySurface, bundle) -> DensityPath:
 
 
 def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
-    """Terminal density values only; avoids storing whole density paths.
+    """Terminal density values only, from the bundle's two path totals.
 
-    The two running sums of ``_adjusted_gain_parts`` are kept for the
-    last step alone, added step by step in the same order, so the
-    values equal ``density_path(...).terminal`` bitwise.
+    The engine sums the per-step quadratures from zero in step order,
+    as the running sums of ``_adjusted_gain_parts`` do, so the values
+    equal ``density_path(...).terminal`` bitwise.
     """
-    qv = np.zeros(bundle.n_paths)
-    m = np.zeros(bundle.n_paths)
-    for k in range(bundle.n_steps):
-        qv += bundle.sharpe_int[:, k]
-        m += bundle.mpr_dw[:, k]
+    qv, m = bundle.sharpe_int, bundle.mpr_dw
     o0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
     o_t = surface.value_at_states(bundle.times[-1], bundle.y[:, -1])
     return o_t * np.exp(-(qv + m) - 0.5 * qv) / o0

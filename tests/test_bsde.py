@@ -225,15 +225,16 @@ class TestSolveBackward:
     def test_solve_keeps_value_state_per_step(self, case, bound, flat_setup, bns_setup):
         # the value rolls from step to step: the solve allocates only
         # per-step temporaries above the bundle, which at 100 steps are a
-        # fraction of it (0.18 of it here without jumps and 0.20 with them,
-        # where the jump channels are read once per path and step);
-        # (n, K + 1) values and (n, K, d) loadings would add a third.
+        # fraction of five (n, K) float arrays, the factor, prices,
+        # increments and two per-step quadratures the bundle held when the
+        # bounds were set (0.21 of them here without jumps and 0.24 with
+        # them, where the jump channels are read once per path and step);
+        # (n, K + 1) values and (n, K, d) loadings would add 0.4.
         # bns-0.85 held while the solve looked P up at 25 shifted states
-        # per path and step (0.675); bns-0.3 holds with the channels
+        # per path and step (0.68); bns-0.3 holds with the channels
         _, bundle, surface = flat_setup if case == "flat" else bns_setup
-        size = sum(a.nbytes for a in (bundle.y, bundle.s, bundle.dw, bundle.sharpe_int,
-                                      bundle.mpr_dw, bundle.factor_int))
-        assert bundle.y_left is not None  # cached before tracing
+        size = 5 * bundle.n_paths * bundle.n_steps * 8
+        assert bundle.y_left is not None and bundle.s is not None  # cached before tracing
         tracemalloc.start()
         try:
             bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))

@@ -4,17 +4,33 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvhedge import _kernels as kernels
 from mvhedge import levy, market, ngou
 
 from conftest import empty_jump_path
 
 
+class TwoFactor(market.CoefficientModel):
+    d, h, rate = 1, 2, 0.0
+
+    def drift(self, y):
+        y = np.asarray(y)
+        return (0.1 + 0.01 * y.sum(-1))[..., None]
+
+    def vol(self, y):
+        y = np.asarray(y)
+        return np.sqrt(y.sum(-1))[..., None, None]
+
+
 def assert_step_slices_contiguous(bundle):
-    # per-step arrays are stored step-major behind their (n, K, ...) shapes;
-    # the factor integral is one total per path and factor
-    for name in ("y", "s", "dw", "sharpe_int", "mpr_dw", "discounted"):
-        arr = getattr(bundle, name)
+    # per-step arrays are stored step-major behind their (n, K, ...) shapes,
+    # and so are the re-run quadratures; the quadratures and the factor
+    # integral are stored as one total per path
+    arrays = {name: getattr(bundle, name) for name in ("y", "s", "dw", "discounted")}
+    arrays.update(zip(("sharpe_steps", "mpr_steps"), bundle.step_quadratures()))
+    for name, arr in arrays.items():
         assert all(arr[:, k].flags.c_contiguous for k in range(arr.shape[1])), name
+    assert bundle.sharpe_int.shape == bundle.mpr_dw.shape == (bundle.n_paths,)
     assert bundle.factor_int.shape == (bundle.n_paths, bundle.ou.dim)
 
 
@@ -162,10 +178,10 @@ class TestSimulation:
 
     @pytest.mark.parametrize("case", ["flat", "bns"])
     def test_bundle_holds_no_prices_until_read(self, case, ou_unit, no_jumps, cpe_spec):
-        # a bundle keeps the factor, the increments and the two density
-        # quadratures step by step (about 4 per-step arrays) and the factor
-        # integral as one total per path; prices and the per-step factor
-        # integral would add one array each
+        # a bundle keeps the factor and the increments step by step (about
+        # 2 per-step arrays) and the two density quadratures and the factor
+        # integral as totals per path; prices, the per-step quadratures and
+        # the per-step factor integral would add one array each
         model, spec = {"flat": (market.ConstantBS(0.1, 0.2), no_jumps),
                        "bns": (market.BNS(0.5, 0.02), cpe_spec)}[case]
         grid = market.GridConfig(1.0, 0.01)
@@ -178,7 +194,7 @@ class TestSimulation:
             tracemalloc.stop()
         j = b.jumps
         events = sum(a.nbytes for a in (j.offsets, j.times, j.components, j.sizes, j.step_index))
-        assert (held - events) / (b.n_paths * b.n_steps * 8) <= 4.1
+        assert (held - events) / (b.n_paths * b.n_steps * 8) <= 2.1
 
     def test_prices_are_derived_once(self, bns_model, ou_unit, cpe_spec):
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], market.GridConfig(0.5, 0.01),
@@ -212,7 +228,8 @@ class TestSimulation:
 
     def test_constant_model_matches_closed_form(self, ou_unit, no_jumps):
         # flat coefficients: log S_k = log s0 + (alpha - beta^2/2) t_k + beta W_k,
-        # and the accumulators are theta^2 dt and theta dW with theta = (alpha - r)/beta
+        # and the quadratures' per-step terms are theta^2 dt and theta dW with
+        # theta = (alpha - r)/beta
         alpha, beta, rate = 0.1, 0.2, 0.03
         m = market.ConstantBS(alpha, beta, rate=rate)
         grid = market.GridConfig(1.0, 0.01)
@@ -221,9 +238,10 @@ class TestSimulation:
         log_s = math.log(100.0) + (alpha - 0.5 * beta**2) * b.times[None, :] + beta * w
         np.testing.assert_allclose(np.log(b.s[:, :, 0]), log_s, rtol=1e-12, atol=0)
         theta = (alpha - rate) / beta
-        np.testing.assert_allclose(b.sharpe_int, np.full((200, grid.n_steps), theta**2 * grid.step),
+        sharpe_steps, mpr_steps = b.step_quadratures()
+        np.testing.assert_allclose(sharpe_steps, np.full((200, grid.n_steps), theta**2 * grid.step),
                                    rtol=1e-12, atol=0)
-        np.testing.assert_allclose(b.mpr_dw, theta * b.dw[:, :, 0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(mpr_steps, theta * b.dw[:, :, 0], rtol=1e-12, atol=0)
         assert_step_slices_contiguous(b)
 
     def test_bns_sharpe_integral_matches_closed_form(self, ou_unit, cpe_spec):
@@ -239,7 +257,7 @@ class TestSimulation:
         y = b.y[:, :-1, 0]
         exact = (a**2 * math.expm1(lam * dt) / (lam * y) + 2 * a * beta * dt
                  - beta**2 * y * math.expm1(-lam * dt) / lam)
-        np.testing.assert_allclose(b.sharpe_int, exact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(b.step_quadratures()[0], exact, rtol=1e-12, atol=0)
         assert_step_slices_contiguous(b)
 
     def test_engine_propagates_singular_covariance(self, ou_unit, no_jumps):
@@ -249,18 +267,6 @@ class TestSimulation:
 
     def test_two_factor_general_engine(self, cpe_spec):
         ou2 = ngou.OUParams([1.0, 0.5], [10.0, 6.0])
-
-        class TwoFactor(market.CoefficientModel):
-            d, h, rate = 1, 2, 0.0
-
-            def drift(self, y):
-                y = np.asarray(y)
-                return (0.1 + 0.01 * y.sum(-1))[..., None]
-
-            def vol(self, y):
-                y = np.asarray(y)
-                return np.sqrt(y.sum(-1))[..., None, None]
-
         grid = market.GridConfig(0.5, 0.01)
         b = market.simulate_paths(TwoFactor(), ou2, [cpe_spec, levy.TableMeasure(((1.0, 1.0),))],
                                   [50.0], grid, 40, 6)
@@ -271,6 +277,60 @@ class TestSimulation:
         l_tot = np.array([b.jumps.path(i).totals() for i in range(b.n_paths)])
         resid = lam_int - (np.array([10.0, 6.0]) + l_tot - b.y[:, -1])
         assert np.max(np.abs(resid)) < 1e-11
+
+
+def quadrature_world(case):
+    """(model, OU parameters, specs) of each engine route the quadrature tests cover."""
+    ou = ngou.OUParams([1.0], [10.0])
+    cpe = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
+    return {
+        "bns": (market.BNS(0.5, 0.02, rate=0.03), ou, [cpe]),
+        "constant": (market.ConstantBS(0.1, 0.2, rate=0.03), ou, [levy.TableMeasure(())]),
+        "two_factor": (TwoFactor(), ngou.OUParams([1.0, 0.5], [10.0, 6.0]),
+                       [cpe, levy.TableMeasure(((1.0, 1.0),))]),
+        "tabulated": (market.TabulatedModel([2.0, 10.0, 30.0], [0.05, 0.1, 0.2], [0.15, 0.25, 0.4],
+                                            rate=0.03), ou, [cpe]),
+    }[case]
+
+
+@pytest.mark.parametrize("seed", [71, 5])
+@pytest.mark.parametrize("case", ["bns", "constant", "two_factor", "tabulated"])
+class TestStepQuadratures:
+    # the bundle stores the density's quadratures as path totals; the
+    # per-step terms come from one more run of the same engine
+    grid = market.GridConfig(0.5, 0.01)
+
+    def test_totals_are_in_order_sums_of_the_rerun(self, case, seed, monkeypatch):
+        model, ou, specs = quadrature_world(case)
+        b = market.simulate_paths(model, ou, specs, [100.0], self.grid, 2000, seed)
+        runs = []
+        simulate = kernels.simulate_d1h1
+
+        def recorded(*args, **kwargs):
+            runs.append(simulate(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(kernels, "simulate_d1h1", recorded)
+        sharpe_steps, mpr_steps = b.step_quadratures()
+        assert sharpe_steps.shape == mpr_steps.shape == (b.n_paths, b.n_steps)
+        qv, m = np.zeros(b.n_paths), np.zeros(b.n_paths)
+        for k in range(b.n_steps):
+            qv += sharpe_steps[:, k]
+            m += mpr_steps[:, k]
+        assert np.array_equal(b.sharpe_int, qv) and np.array_equal(b.mpr_dw, m)
+        (y, *_), = runs
+        assert np.array_equal(y, b.y)
+        if case != "constant":
+            assert b.jumps.times.size > 0
+
+    def test_totals_do_not_depend_on_chunking(self, case, seed):
+        model, ou, specs = quadrature_world(case)
+        whole = market.simulate_paths(model, ou, specs, [100.0], self.grid, 2000, seed)
+        parts = list(market.iter_path_chunks(model, ou, specs, [100.0], self.grid, 2000, seed, 1000))
+        assert len(parts) == 2
+        for name in ("sharpe_int", "mpr_dw", "factor_int"):
+            glued = np.concatenate([getattr(p, name) for p in parts])
+            assert np.array_equal(getattr(whole, name), glued), name
 
 
 def test_dump_paths_csv(tmp_path, bns_model, ou_unit, cpe_spec):
@@ -369,7 +429,9 @@ def test_step_order_matches_int64_stable_sort(n_steps, n_events):
     assert np.array_equal(events.bounds, np.searchsorted(step[order], np.arange(n_steps + 1)))
     last = events.rows(n_steps - 1)
     assert np.array_equal(last[:3], [0, 1, 2])
-    assert np.array_equal(events.path(last), (last >= n_events // 3).astype(int))
+    assert np.array_equal(events.paths(n_steps - 1), (last >= n_events // 3).astype(int))
+    # every event's owner, in step order, is the path its offsets assign
+    assert np.array_equal(events.owner, np.searchsorted(offsets, order, side="right") - 1)
     assert np.allclose(events.offset(last, n_steps - 1), 0.5 / n_steps)
 
 

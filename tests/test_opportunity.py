@@ -384,8 +384,7 @@ class TestDensityPath:
         grid = market.GridConfig(1.0, 0.02)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
         a_dot_d, qv = opp._adjusted_gain_parts(b)
-        r = np.cumsum(np.ascontiguousarray(b.sharpe_int), axis=1)
-        m = np.cumsum(np.ascontiguousarray(b.mpr_dw), axis=1)
+        r, m = (np.cumsum(np.ascontiguousarray(a), axis=1) for a in b.step_quadratures())
         assert np.all(qv[:, 0] == 0.0) and np.all(a_dot_d[:, 0] == 0.0)
         assert np.array_equal(qv[:, 1:], r)
         assert np.array_equal(a_dot_d[:, 1:], r + m)
