@@ -1,12 +1,16 @@
 """Hot numeric loops, vectorized across paths with numpy.
 
-Five loops carry the pipeline's work: the path simulation for every
-model (``simulate_d1h1``: the factor, and the density's quadratures as
-path totals or, on request, step by step),
-the log-price recursion along a simulated factor (``price_path``, run
-only when a reader asks for prices), the hedge sweep (``hedge_sweep``:
-per time step it asks the caller for the strategy's pieces, then
-records and applies one ``gains_step``), the pathwise exponent of the
+Two recursions advance a path by one grid step, and each exists once:
+the exact factor update (``factor_step``: decay, then the step's jumps)
+and the log-price update with coefficients frozen at the step-left
+factor (``log_price_step``).  Every loop over steps calls them: the path
+simulation for every model (``simulate_d1h1``: the factor, and the
+density's quadratures as path totals or, on request, step by step), the
+whole-path prices (``price_path``, for readers of full paths), and the
+replays of ``market.PathBundle``'s walks, which feed the backward solve
+and the hedge sweep (``hedge_sweep``: per time step it asks the caller
+for the strategy's pieces, then records and applies one
+``gains_step``).  The other loops are the pathwise exponent of the
 surface's inner Monte Carlo (``opportunity_mc_exponent``) and bilinear
 table lookups along paths (``bilinear_steps``).  Each runs a Python
 loop over time steps or jump ordinals and numpy over paths.  All random
@@ -55,38 +59,82 @@ def step_major(n_steps, n_paths, *tail):
     return np.empty((n_steps, n_paths, *tail)).swapaxes(0, 1)
 
 
-def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes, record=False):
+def step_decay(lam, delta):
+    """Each factor component's decay over one step, exp(-lam_i delta) (h,)."""
+    return np.array([math.exp(-lam_i * delta) for lam_i in lam])
+
+
+def step_events(events, k, lam, h):
+    """The jumps of step k: (flat index of each event's (path, factor)
+    entry in an (n, h) array, size, rate, time after the step's left
+    node), in storage order."""
+    ev = events.rows(k)
+    comps = events.jumps.components[ev]
+    return events.paths(k) * h + comps, events.jumps.sizes[ev], lam[comps], events.offset(ev, k)
+
+
+def factor_step(y, edel, delta, jumps):
+    """Advance the factor (n, h) over one step, in place, exactly.
+
+    Every component decays by ``edel`` (h,), then each of the step's
+    ``jumps`` (``step_events``) adds its size decayed from its time to
+    the step's right node.  Returns those decays (one per event).
+    """
+    at, sz, lam_ev, u = jumps
+    y *= edel
+    e = np.exp(-lam_ev * (delta - u))
+    if at.size:
+        y += np.bincount(at, sz * e, minlength=y.size).reshape(y.shape)
+    return e
+
+
+def log_price_start(s0, n):
+    """Log prices (n, d) of every path at time zero."""
+    return np.tile([math.log(s0_m) for s0_m in s0], (n, 1))
+
+
+def log_price_step(model, ls, y, dw_k, delta):
+    """Log prices (n, d) one step on from ``ls``, coefficients frozen at
+    the step-left factor ``y`` (n, h): log S gains
+    (b(y) - diag(sigma sigma')/2) delta + sigma dW.  The model is read
+    only through ``drift`` and ``vol``."""
+    vol = model.vol(y)
+    diag_cov = np.einsum("nij,nij->ni", vol, vol)
+    return ls + (model.drift(y) - 0.5 * diag_cov) * delta + np.einsum("nij,nj->ni", vol, dw_k)
+
+
+def simulate_d1h1(model, y0, lam, delta, dw, events, record=False):
     """Forward sweep of the factor and the density's quadratures, any model.
 
     The one simulation engine; the name is kept because benchmark
-    records report it.  Prices are left to ``price_path``, which reads
-    the factor this returns.  ``dw`` (n, K, d) holds the Brownian
-    increments, ``events`` groups the jump events by grid step
-    (``rows(k)``, and per step their owning ``paths`` and within-step
-    ``offset``), and ``components``/``sizes`` are the events' factor and
-    size in storage order.  The model is read only through
+    records report it.  Prices are left to ``log_price_step``.  ``dw``
+    (n, K, d) holds the Brownian increments, ``events`` groups the jump
+    events by grid step (``rows(k)``, and per step their owning
+    ``paths`` and within-step ``offset``, and the events' factor and
+    size through ``jumps``).  The model is read only through
     ``sharpe_squared`` and ``market_price_of_risk`` at states (..., h).
-    Returns (y, sharpe_int, mpr_dw, factor_int): the factor (n, K+1, h)
-    and three whole-path totals, each the in-order sum of its per-step
-    terms from zero: the integral of the squared market price of risk
-    (jump-inclusive quadrature) and the variance-matched loading
-    against the Brownian increments (n,), and lambda * integral of Y
-    (n, h), exact.  With ``record`` the per-step terms of the first two
-    follow as step-major (n, K) arrays.
+    Returns (y_end, sharpe_int, mpr_dw, factor_int): the terminal
+    factor (n, h) and three whole-path totals, each the in-order sum of
+    its per-step terms from zero: the integral of the squared market
+    price of risk (jump-inclusive quadrature) and the variance-matched
+    loading against the Brownian increments (n,), and lambda * integral
+    of Y (n, h), exact.  With ``record`` the factor at every node
+    (n, K+1, h) and the per-step terms (n, K) of the first two totals
+    follow, step-major.
     """
     n, nk = dw.shape[:2]
     h = lam.size
     nq = SEG_NODES.size
     # decay factors per component, as scalars: a step's factor decays by
     # edel, and from its left node to quadrature node q by node_decay[q]
-    edel = np.array([math.exp(-lam_i * delta) for lam_i in lam])
+    edel = step_decay(lam, delta)
     node_times = SEG_NODES * delta
     node_decay = np.array([[math.exp(-lam_i * xi) for lam_i in lam] for xi in node_times])
 
-    y_out = step_major(nk + 1, n, h)
     sharpe_int = np.zeros(n)
     mpr_dw = np.zeros(n)
     if record:
+        y_out = step_major(nk + 1, n, h)
         sharpe_steps = step_major(nk, n)
         mpr_steps = step_major(nk, n)
     factor_int = np.zeros((n, h))
@@ -95,17 +143,13 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes, record=F
     states = np.empty((1 + nq, n, h))
     y = states[0]
     y[:] = y0
-    y_out[:, 0] = y
     for k in range(nk):
-        ev = events.rows(k)
-        comps = components[ev]
-        # flat index of each event's (path, factor) entry in an (n, h) array
-        at = events.paths(k) * h + comps
-        lam_ev = lam[comps]
-        u = events.offset(ev, k)
-        sz = sizes[ev]
+        if record:
+            y_out[:, k] = y
+        jumps = step_events(events, k, lam, h)
+        at, sz, lam_ev, u = jumps
         np.multiply(y, node_decay[:, None, :], out=states[1:])
-        if ev.size:
+        if at.size:
             # events before each node, node by node, in storage order
             node, j = np.nonzero(u < node_times[:, None])
             w = sz[j] * np.exp(-lam_ev[j] * (node_times[node] - u[j]))
@@ -128,35 +172,26 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, components, sizes, record=F
         # the step's whole term first, then the total, so the total is
         # the in-order sum of the per-step terms
         term = y * (1.0 - edel)
-        y *= edel
-        if ev.size:
-            e = np.exp(-lam_ev * (delta - u))
+        e = factor_step(y, edel, delta, jumps)
+        if at.size:
             term += np.bincount(at, sz * (1.0 - e), minlength=n * h).reshape(n, h)
-            y += np.bincount(at, sz * e, minlength=n * h).reshape(n, h)
         factor_int += term
-        y_out[:, k + 1] = y
+    y_end = y.copy()
     if record:
-        return y_out, sharpe_int, mpr_dw, factor_int, sharpe_steps, mpr_steps
-    return y_out, sharpe_int, mpr_dw, factor_int
+        y_out[:, nk] = y
+        return y_end, sharpe_int, mpr_dw, factor_int, y_out, sharpe_steps, mpr_steps
+    return y_end, sharpe_int, mpr_dw, factor_int
 
 
 def price_path(model, y, dw, s0, delta):
-    """Prices (n, K+1, d) along a simulated factor, stored step-major.
-
-    The explicit log-solution with coefficients frozen at the step-left
-    factor ``y[:, k]`` (n, h): log S gains (b(y) - diag(sigma sigma')/2)
-    delta + sigma dW over each step, from log ``s0`` (d,).  The model is
-    read only through ``drift`` and ``vol``.
-    """
+    """Prices (n, K+1, d) along a simulated factor (n, K+1, h), stored
+    step-major: ``log_price_step`` from log ``s0`` (d,) at every step."""
     n, nk, d = dw.shape
     logs = step_major(nk + 1, n, d)
-    ls = np.tile([math.log(s0_m) for s0_m in s0], (n, 1))
+    ls = log_price_start(s0, n)
     logs[:, 0] = ls
     for k in range(nk):
-        y_k = y[:, k]
-        vol = model.vol(y_k)
-        diag_cov = np.einsum("nij,nij->ni", vol, vol)
-        ls = ls + (model.drift(y_k) - 0.5 * diag_cov) * delta + np.einsum("nij,nj->ni", vol, dw[:, k])
+        ls = log_price_step(model, ls, y[:, k], dw[:, k], delta)
         logs[:, k + 1] = ls
     # in place, so log prices and prices never take memory at once
     return np.exp(logs, out=logs)
@@ -182,32 +217,43 @@ def strategy_position(xi, adj, v, gains_left, value_left):
     return np.atleast_2d(xi) - gap[:, None] * np.atleast_2d(adj)
 
 
-def hedge_sweep(prices, discount, strategy, v, n_record=0):
+def hedge_sweep(nodes, discount, strategy, v, n_record=0):
     """Cumulative gains of the feedback strategy, in one pass over the steps.
 
-    ``prices`` (n, K+1, d) are discounted step by step by ``discount``
-    (K+1,).  ``strategy(k, d_k)`` returns the claim's value (n,), the pure
-    hedge and the adjustment (n, d) at the discounted prices ``d_k`` of step
-    k; only the running gains (n,) are kept between steps.  Returns
-    (terminal gains, recorded): recorded holds the gains, positions, wealth
-    and discounted prices of the leading ``n_record`` paths, or is empty.
+    ``nodes`` yields the factor, its left limit and the prices (n, d) at
+    grid nodes 0..K (``PathBundle.walk``); the prices are discounted
+    step by step by ``discount`` (K+1,).  ``strategy(k, d_k, y_k,
+    y_left_k)`` returns the claim's value (n,), the pure hedge and the
+    adjustment (n, d) at the discounted prices ``d_k`` of step k; only
+    the running gains (n,) are kept between steps.  Returns (terminal
+    gains, recorded): recorded holds the gains, positions, wealth and
+    discounted prices of the leading ``n_record`` paths, or is empty.
     """
-    n, nk, d = prices.shape[0], prices.shape[1] - 1, prices.shape[2]
+    nodes = iter(nodes)
+    nk = discount.size - 1
+    y, y_left, s = next(nodes)
+    n, d = s.shape
     m = min(n_record, n)
     gains = np.zeros(n)
     rec_gains = np.zeros((m, nk + 1))
     position = np.zeros((m, nk, d))
+    discounted = np.empty((m, nk + 1, d))
+    d_k = s * discount[0]
+    discounted[:, 0] = d_k[:m]
     for k in range(nk):
-        d_k = prices[:, k] * discount[k]
-        value, xi, adj = strategy(k, d_k)
+        value, xi, adj = strategy(k, d_k, y, y_left)
         if m:
             position[:, k] = strategy_position(xi[:m], adj[:m], v, gains[:m], value[:m])
-        gains = gains_step(gains, xi, adj, v, value, prices[:, k + 1] * discount[k + 1] - d_k)
+        y, y_left, s = next(nodes)
+        d_next = s * discount[k + 1]
+        gains = gains_step(gains, xi, adj, v, value, d_next - d_k)
         rec_gains[:, k + 1] = gains[:m]
+        discounted[:, k + 1] = d_next[:m]
+        d_k = d_next
     if not m:
         return gains, {}
     return gains, {"gains": rec_gains, "position": position, "wealth": v + rec_gains,
-                   "discounted": prices[:m] * discount[None, :, None]}
+                   "discounted": discounted}
 
 
 def opportunity_mc_exponent(sharpe2, lam, y_start, horizon, offsets, times, components, sizes):

@@ -45,7 +45,7 @@ class DiscountedCall:
 
     def __call__(self, bundle: PathBundle) -> np.ndarray:
         t_end = bundle.times[-1]
-        s_t = bundle.s[:, -1, self.asset]
+        s_t = bundle.terminal_prices[:, self.asset]
         return np.exp(-bundle.rate * t_end) * np.maximum(self.sign * (s_t - self.strike), 0.0)
 
     def basis_feature(self, d_prices, horizon, rate):
@@ -342,7 +342,8 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     otherwise the surface term -V F/(1+F), linear in V: that step solves
     for V in closed form.  Both read the surface only through its jump
     channels (``OpportunitySurface.jump_channels``), tabulated once per
-    solve.  The value rolls from step to step.
+    solve.  The value rolls from step to step, and the states come from
+    the bundle's backward walk, so no per-step array but ``dw`` is held.
     """
     config = config or BsdeConfig()
     if bundle.n_paths < 100:
@@ -355,8 +356,6 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     dt = bundle.grid.step
     # prices are discounted one step at a time, without ``bundle.discounted``'s copy
     discount = np.exp(-bundle.rate * bundle.times)
-    y = bundle.y
-    yl = bundle.y_left
     h_term = np.asarray(payoff(bundle), dtype=float)
     diagnostics = {"payoff": check_square_integrability(h_term)}
 
@@ -383,10 +382,15 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     n_deficient = 0
     routes = {"cholesky_qr2": 0, "svd": 0}
 
+    # the factor, its left limit and the prices, replayed step by step
+    # from checkpoints; the terminal node is the payoff's
+    nodes = bundle.walk_backward()
+    next(nodes)
     for k in range(nk - 1, -1, -1):
-        disc_k = bundle.s[:, k] * discount[k]
-        mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl[:, k]))
-        chan = channels(k, yl[:, k, 0]) if nq else None
+        y_k, yl_k, s_k = next(nodes)
+        disc_k = s_k * discount[k]
+        mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl_k))
+        chan = channels(k, yl_k[:, 0]) if nq else None
 
         if k == 0:
             # all paths share the time-zero state: plain means
@@ -399,7 +403,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             if "knots" in config.basis and config.n_knots > 0:
                 qs = np.linspace(0.0, 1.0, config.n_knots + 2)[1:-1]
                 knots = np.quantile(disc_k, qs, axis=0)
-            xs = table.features(disc_k, y[:, k], knots=knots)
+            xs = table.features(disc_k, y_k, knots=knots)
             mean = xs.mean(axis=1)
             scale = xs.std(axis=1)
             keep = scale > 1e-10 * (1.0 + np.abs(mean))
@@ -433,7 +437,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         fit = table.steps[max(k, 1)] if nk > 1 else None
         shift = None
         if nq and fit is not None:
-            shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc_k, yl[:, k])
+            shift = _factor_shift(roles, fit.keep, fit.coef_value, fit.scale, disc_k, yl_k)
         slope, quad = shift if shift is not None else (0.0, 0.0)
         g, jump = driver(vbar, mpr, slope, quad, chan, lam_cal)
         v_now = v_hat - g * dt

@@ -115,10 +115,10 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     value source, read through ``value_and_loadings(k, d_prices, y)``:
     the backward solution's regression table, or, when ``solution`` is
     None, the payoff itself (a constant claim is its own value).  Each
-    chunk is swept once, step by step, keeping only per-path running
-    gains.  Reports the mean squared terminal shortfall with its
-    standard error and, for constant payoffs, the closed-form
-    comparators evaluated at the surface's time-zero value.
+    chunk is swept once along its forward walk, step by step, keeping
+    only per-path running gains.  Reports the mean squared terminal
+    shortfall with its standard error and, for constant payoffs, the
+    closed-form comparators evaluated at the surface's time-zero value.
     """
     cfg = config or HedgeConfig()
     source = solution.table if solution is not None else payoff
@@ -135,17 +135,17 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     recorded = {}
     p0 = None
     for bundle in bundles:
-        model, y, y_left = bundle.model, bundle.y, bundle.y_left
+        model = bundle.model
         if p0 is None:
-            p0 = float(surface.value_at_states(0.0, y[:, 0])[0])
+            p0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
 
-        def strategy(k, d_k):
-            value, vbar = source.value_and_loadings(k, d_k, y[:, k])
-            adj = adjustment(model, d_k, y_left[:, k])
-            return value, pure_hedge(model, d_k, y_left[:, k], vbar), adj
+        def strategy(k, d_k, y_k, y_left_k):
+            value, vbar = source.value_and_loadings(k, d_k, y_k)
+            adj = adjustment(model, d_k, y_left_k)
+            return value, pure_hedge(model, d_k, y_left_k, vbar), adj
 
-        gains, rec = kernels.hedge_sweep(bundle.s, np.exp(-bundle.rate * bundle.times), strategy, endowment,
-                                         0 if recorded else cfg.record_paths)
+        gains, rec = kernels.hedge_sweep(bundle.walk(), np.exp(-bundle.rate * bundle.times), strategy,
+                                         endowment, 0 if recorded else cfg.record_paths)
         recorded = recorded or rec
         h_term = payoff(bundle)
         shortfall = endowment + gains - h_term
@@ -155,9 +155,8 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         sq_sq += float((sq**2).sum())
         payoff_sum += float(h_term.sum())
         count += bundle.n_paths
-        # release the chunk before a generator simulates the next one;
-        # ``strategy`` holds its arrays too
-        del bundle, y, y_left, strategy, gains
+        # release the chunk before a generator simulates the next one
+        del bundle, gains
     mse = sq_sum / count
     var_sq = max(sq_sq / count - mse**2, 0.0) * count / max(count - 1, 1)
     report = HedgeReport(

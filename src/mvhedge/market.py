@@ -437,48 +437,70 @@ def _pack_jumps(paths: list[JumpPath], grid: GridConfig, n_paths: int, n_compone
 
 
 class PathBundle:
-    """One simulated chunk: factor, increments, quadratures and jump records.
+    """One simulated chunk: increments, jump records, terminal factor and totals.
 
-    Per-step arrays have shape (n_paths, n_steps[+1], ...) and are stored
+    A bundle stores the Brownian increments ``dw`` (n_paths, n_steps, d)
     step-major (``_kernels.step_major``), so one step's slice ``[:, k]``
-    is contiguous.  The prices ``s`` are derived from the factor and the
-    increments on first read and kept; the density never reads them.
+    is contiguous, and the jump events with the simulation's grouping
+    of them by step (``StepEvents``).  The factor is a deterministic
+    function of the jump record and the prices follow from the factor
+    and the increments, so every other per-step quantity is replayed,
+    bitwise, by the recursions the engine runs (``_kernels.factor_step``
+    and ``_kernels.log_price_step``):
 
-    Per-path totals over the whole path, each the in-order sum of its
-    per-step terms:
+    walk           : forward, node by node, keeping no history (the hedge)
+    walk_backward  : backward, from checkpoints every m = ceil(sqrt(K))
+                     steps, one segment at a time (the backward solve)
+    terminal_prices: (n_paths, d), from the pass that saves the
+                     checkpoints (the payoffs)
 
+    ``y``, ``y_left`` and ``s`` (n_paths, n_steps + 1, ...) are derived
+    in full on first read and kept, for the readers that want whole
+    paths (``density_path``, ``validate``, ``dump_paths_csv``).
+
+    Stored per path, each total the in-order sum of its per-step terms:
+
+    y_end      : the factor at the horizon (n_paths, h)
     sharpe_int : integral of the squared market price of risk (n_paths,)
     mpr_dw     : market price of risk (at step left) dotted with dW,
                  variance-matched to sharpe_int step by step (n_paths,)
     factor_int : lambda_i * integral of Y_i, exact including jumps
                  (n_paths, h)
 
-    ``step_quadratures`` re-runs the engine for the per-step terms of the
-    first two.
+    ``step_quadratures`` re-runs the engine for the per-step terms of
+    sharpe_int and mpr_dw.
     """
 
-    def __init__(self, model, ou, specs, s0, grid, y, dw, sharpe_int, mpr_dw,
-                 factor_int, jumps, master_seed, path_offset):
+    def __init__(self, model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
+                 factor_int, jumps, master_seed, path_offset, events=None):
         self.model = model
         self.ou = ou
         self.specs = tuple(specs)
         self.s0 = np.atleast_1d(np.asarray(s0, dtype=float))
         self.grid = grid
         self.times = grid.times
-        self.y = y
         self.dw = dw
+        self.y_end = y_end
         self.sharpe_int = sharpe_int
         self.mpr_dw = mpr_dw
         self.factor_int = factor_int
         self.jumps = jumps
         self.master_seed = master_seed
         self.path_offset = path_offset
+        # checkpoint spacing of the backward walk; tests set it on a
+        # fresh bundle to check that the walk does not depend on it
+        self._every = math.ceil(math.sqrt(self.n_steps))
+        self._events = events
+        self._on_node = None
+        self._checkpoints = None
+        self._terminal = None
+        self._y = None
         self._s = None
         self._y_left = None
 
     @property
     def n_paths(self) -> int:
-        return self.y.shape[0]
+        return self.dw.shape[0]
 
     @property
     def n_steps(self) -> int:
@@ -487,6 +509,19 @@ class PathBundle:
     @property
     def rate(self) -> float:
         return self.model.rate
+
+    @property
+    def y_start(self) -> np.ndarray:
+        """The factor at time zero, shared by every path (1, h)."""
+        return self.ou.y0[None, :]
+
+    @property
+    def y(self) -> np.ndarray:
+        """Factor (n, K+1, h) at every node, from one more engine run on first read."""
+        if self._y is None:
+            self._y = _run_engine(self.model, self.ou, self.grid, self.dw, self._step_events(),
+                                  record=True)[4]
+        return self._y
 
     @property
     def s(self) -> np.ndarray:
@@ -504,25 +539,124 @@ class PathBundle:
     def y_left(self) -> np.ndarray:
         """Left limits at grid times; differs from y only at exact node jumps."""
         if self._y_left is None:
-            j = self.jumps
-            on_node = np.zeros(0, dtype=bool)
-            if j.times.size:
-                node = np.searchsorted(self.times, j.times)
-                on_node = (node < self.times.size) & (
-                    self.times[np.minimum(node, self.times.size - 1)] == j.times
-                )
-            if j.times.size and np.any(on_node):
+            node, path, comp, size, _ = self._node_jumps()
+            if node.size:
                 yl = self.y.copy(order="K")
-                pidx = np.repeat(np.arange(j.n_paths), np.diff(j.offsets))
-                np.subtract.at(
-                    yl,
-                    (pidx[on_node], node[on_node], j.components[on_node]),
-                    j.sizes[on_node],
-                )
+                np.subtract.at(yl, (path, node, comp), size)
                 self._y_left = yl
             else:
                 self._y_left = self.y
         return self._y_left
+
+    @property
+    def terminal_prices(self) -> np.ndarray:
+        """Prices (n, d) at the horizon."""
+        if self._terminal is None:
+            self._checkpoint()
+        return self._terminal
+
+    def _node_jumps(self):
+        """(node, path, component, size) of the events exactly on a grid
+        node, which make a left limit differ from y, sorted by node, and
+        each node's bounds in them; found once, from the step grouping."""
+        if self._on_node is None:
+            ev, j = self._step_events(), self.jumps
+            # an event of step k lies in (t_k, t_k+1] (event times are
+            # positive), so in step order the nodes ascend
+            node = j.step_index[ev.order] + 1
+            on = np.flatnonzero(self.times[node] == j.times[ev.order])
+            node, rows = node[on], ev.order[on]
+            bounds = np.searchsorted(node, np.arange(self.n_steps + 2))
+            self._on_node = node, ev.owner[on], j.components[rows], j.sizes[rows], bounds
+        return self._on_node
+
+    def _step_events(self) -> StepEvents:
+        """The jump events grouped by grid step: the simulation's grouping,
+        or, for a bundle built without one, grouped on first use and kept."""
+        if self._events is None:
+            self._events = self.jumps.by_step(self.times)
+        return self._events
+
+    def _start(self):
+        """The factor (n, h) and log prices (n, d) at time zero."""
+        y = np.empty((self.n_paths, self.ou.dim))
+        y[:] = self.ou.y0
+        return y, kernels.log_price_start(self.s0, self.n_paths)
+
+    def _steps(self, y, ls, k0, k1):
+        """Advance the factor ``y`` (in place) and the log prices ``ls``
+        from node k0 to node k1, yielding both at nodes k0+1..k1."""
+        lam, delta = self.ou.mean_reversion, self.grid.step
+        edel = kernels.step_decay(lam, delta)
+        events = self._step_events()
+        for k in range(k0, k1):
+            ls = kernels.log_price_step(self.model, ls, y, self.dw[:, k], delta)
+            kernels.factor_step(y, edel, delta, kernels.step_events(events, k, lam, lam.size))
+            yield y, ls
+
+    def _left_limit(self, k, y):
+        """The factor's left limit at node k, given its value ``y`` there."""
+        _, path, comp, size, bounds = self._node_jumps()
+        on = slice(bounds[k], bounds[k + 1])
+        if on.start == on.stop:
+            return y
+        yl = y.copy()
+        np.subtract.at(yl, (path[on], comp[on]), size[on])
+        return yl
+
+    def _checkpoint(self):
+        """One forward pass: the terminal prices, and the factor and log
+        prices every ``_every`` steps for ``walk_backward``."""
+        m, nk = self._every, self.n_steps
+        y, ls = self._start()
+        saved = [(y.copy(), ls)]
+        for k, (y, ls) in enumerate(self._steps(y, ls, 0, nk), 1):
+            if k % m == 0 and k < nk:
+                saved.append((y.copy(), ls))
+        self._terminal = np.exp(ls)
+        self._checkpoints = saved
+
+    def walk(self):
+        """Yield (y_k, y_left_k, s_k), each (n, ...), at nodes k = 0..K.
+
+        The factor and prices are replayed step by step and no step is
+        kept, except the terminal prices, which a payoff reads next.
+        """
+        y, ls = self._start()
+        y_k = y.copy()
+        yield y_k, self._left_limit(0, y_k), np.exp(ls)
+        for k, (y, ls) in enumerate(self._steps(y, ls, 0, self.n_steps), 1):
+            s = np.exp(ls)
+            if k == self.n_steps and self._terminal is None:
+                self._terminal = s
+            y_k = y.copy()
+            yield y_k, self._left_limit(k, y_k), s
+
+    def walk_backward(self):
+        """Yield (y_k, y_left_k, s_k), each (n, ...), at nodes k = K..0.
+
+        The pass behind ``terminal_prices`` saves the factor and the log
+        prices every m steps; each segment between two checkpoints is
+        re-run forward into one pair of (m, n, ...) buffers, then read
+        backward.
+        """
+        if self._checkpoints is None:
+            self._checkpoint()
+        m, nk = self._every, self.n_steps
+        yield self.y_end, self._left_limit(nk, self.y_end), self.terminal_prices
+        ys = np.empty((min(m, nk), self.n_paths, self.ou.dim))
+        lss = np.empty((min(m, nk), self.n_paths, self.model.d))
+        for j in range(len(self._checkpoints) - 1, -1, -1):
+            k0 = j * m
+            size = min(m, nk - k0)
+            y, ls = self._checkpoints[j]
+            ys[0], lss[0] = y, ls
+            for i, (y, ls) in enumerate(self._steps(y.copy(), ls, k0, k0 + size - 1), 1):
+                ys[i], lss[i] = y, ls
+            # copies, so the buffers can take the next segment
+            for i in range(size - 1, -1, -1):
+                y_k = ys[i].copy()
+                yield y_k, self._left_limit(k0 + i, y_k), np.exp(lss[i])
 
     def step_quadratures(self):
         """Per-step terms (n, K) of ``sharpe_int`` and ``mpr_dw``, step-major.
@@ -531,8 +665,8 @@ class PathBundle:
         events, so the terms are those the totals were summed from.
         Nothing is kept on the bundle.
         """
-        *_, sharpe_steps, mpr_steps = _run_engine(self.model, self.ou, self.grid, self.dw, self.jumps,
-                                                  record=True)
+        *_, sharpe_steps, mpr_steps = _run_engine(self.model, self.ou, self.grid, self.dw,
+                                                  self._step_events(), record=True)
         return sharpe_steps, mpr_steps
 
     def factor_path(self, i: int) -> FactorPath:
@@ -575,10 +709,10 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
     return paths, dw
 
 
-def _run_engine(model, ou, grid, dw, jumps, record=False):
-    """``_kernels.simulate_d1h1`` on a chunk's increments and jump events."""
-    return kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step, dw, jumps.by_step(grid.times),
-                                 jumps.components, jumps.sizes, record=record)
+def _run_engine(model, ou, grid, dw, events, record=False):
+    """``_kernels.simulate_d1h1`` on a chunk's increments and its jump
+    events grouped by step."""
+    return kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step, dw, events, record=record)
 
 
 def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: int,
@@ -598,9 +732,10 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
         raise ConfigurationError("initial prices must be positive, one per asset")
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid, n_paths, len(specs))
-    y, sharpe_int, mpr_dw, factor_int = _run_engine(model, ou, grid, dw, rj)
-    return PathBundle(model, ou, specs, s0, grid, y, dw, sharpe_int, mpr_dw,
-                      factor_int, rj, master_seed, path_offset)
+    events = rj.by_step(grid.times)
+    y_end, sharpe_int, mpr_dw, factor_int = _run_engine(model, ou, grid, dw, events)
+    return PathBundle(model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
+                      factor_int, rj, master_seed, path_offset, events)
 
 
 def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_size=10_000,

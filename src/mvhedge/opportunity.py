@@ -453,13 +453,14 @@ def density_path(surface: OpportunitySurface, bundle) -> DensityPath:
 
 
 def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
-    """Terminal density values only, from the bundle's two path totals.
+    """Terminal density values only, from the bundle's two path totals
+    and its terminal factor.
 
     The engine sums the per-step quadratures from zero in step order,
     as the running sums of ``_adjusted_gain_parts`` do, so the values
     equal ``density_path(...).terminal`` bitwise.
     """
     qv, m = bundle.sharpe_int, bundle.mpr_dw
-    o0 = float(surface.value_at_states(0.0, bundle.y[:, 0])[0])
-    o_t = surface.value_at_states(bundle.times[-1], bundle.y[:, -1])
+    o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
+    o_t = surface.value_at_states(bundle.times[-1], bundle.y_end)
     return o_t * np.exp(-(qv + m) - 0.5 * qv) / o0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -146,8 +147,8 @@ class TestSolveBackward:
         assert sol.diagnostics["factorization"] == {"cholesky_qr2": bundle.n_steps - 1, "svd": 0}
 
     def test_discounted_never_built(self, bns_setup, ou, cpe, monkeypatch):
-        # the solve discounts one step at a time and never regroups the
-        # jump events by step
+        # the solve discounts one step at a time and replays the factor
+        # from the simulation's grouping of the jump events by step
         model, _, surface = bns_setup
         built, grouped = [], []
         prop = market.PathBundle.discounted
@@ -158,6 +159,9 @@ class TestSolveBackward:
         bundle = market.simulate_paths(model, ou, [cpe], [100.0], market.GridConfig(1.0, 0.02), 300, 5)
         bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
         assert built == [] and grouped == [bundle.jumps]
+        # nor do the whole factor, the per-step quadratures or a hedge's walk
+        bundle.y, bundle.step_quadratures(), list(bundle.walk())
+        assert grouped == [bundle.jumps]
 
     def test_ill_conditioned_steps_take_svd(self, ou, cpe):
         # at T = 5 the BNS designs reach cond 1e7 at some steps
@@ -242,6 +246,29 @@ class TestSolveBackward:
         finally:
             tracemalloc.stop()
         assert peak < bound * size
+
+    def test_fresh_bundle_solve_builds_no_full_path(self, ou):
+        # the solve reads the factor and the prices from the bundle's
+        # backward walk: checkpoints every ceil(sqrt(K)) steps and one
+        # segment's buffers, on top of the per-step regression temporaries
+        # and the table; a full factor or price array would add 1 (n, K)
+        # array (0.39 of one is measured here at K = 500)
+        model = market.ConstantBS(0.1, 0.2, rate=0.0)
+        spec = levy.TableMeasure(())
+        surface = opp.make_surface(model, ou, [spec], 1.0)
+        grid = market.GridConfig(1.0, 0.002)
+        call = bsde.DiscountedCall(100.0)
+        bsde.solve_backward(market.simulate_paths(model, ou, [spec], [100.0], grid, 200, 3), surface,
+                            call)  # one-time caches
+        bundle = market.simulate_paths(model, ou, [spec], [100.0], grid, 3000, 3)
+        tracemalloc.start()
+        try:
+            bsde.solve_backward(bundle, surface, call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle._y is None and bundle._s is None
+        assert peak < 0.45 * bundle.n_paths * bundle.n_steps * 8
 
     def test_constant_claim_r2_in_unit_interval(self, bns_setup):
         # the value target's spread is rounding noise: no spread, r2 = 1
@@ -552,3 +579,27 @@ class TestLocalization:
         for est, se in results[:-1]:
             ref, ref_se = results[-1]
             assert abs(est - ref) <= 4 * (se + ref_se)
+
+
+@pytest.mark.parametrize("case", ["flat", "bns"])
+def test_solve_does_not_depend_on_checkpoint_spacing(case, flat_setup, bns_setup, ou, cpe):
+    # the backward walk replays the states from checkpoints every m steps:
+    # the solution is the same, bit for bit, for every m
+    model, _, surface = flat_setup if case == "flat" else bns_setup
+    spec = levy.TableMeasure(()) if case == "flat" else cpe
+    grid = market.GridConfig(1.0, 0.02)
+    sols = []
+    for every in (1, 7, 8, 50):  # 8 = ceil(sqrt(50)), the default
+        bundle = market.simulate_paths(model, ou, [spec], [100.0], grid, 400, 13)
+        bundle._every = every
+        sols.append(bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0)))
+    ref = sols[0]
+    for sol in sols[1:]:
+        assert sol.value_at_zero == ref.value_at_zero and sol.se_at_zero == ref.se_at_zero
+        for name in ("r2", "cond", "mean_value", "mean_loading", "mean_jump_term"):
+            assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+        assert sol.diagnostics["factorization"] == ref.diagnostics["factorization"]
+        assert np.array_equal(sol.table.loadings_at_zero, ref.table.loadings_at_zero)
+        for fit, ref_fit in zip(sol.table.steps[1:], ref.table.steps[1:]):
+            for field in dataclasses.fields(bsde.StepFit):
+                assert np.array_equal(getattr(fit, field.name), getattr(ref_fit, field.name)), field.name

@@ -7,7 +7,7 @@ import pytest
 from mvhedge import _kernels as kernels
 from mvhedge import levy, market, ngou
 
-from conftest import empty_jump_path
+from conftest import TwoAssetConstant, empty_jump_path
 
 
 class TwoFactor(market.CoefficientModel):
@@ -178,10 +178,12 @@ class TestSimulation:
 
     @pytest.mark.parametrize("case", ["flat", "bns"])
     def test_bundle_holds_no_prices_until_read(self, case, ou_unit, no_jumps, cpe_spec):
-        # a bundle keeps the factor and the increments step by step (about
-        # 2 per-step arrays) and the two density quadratures and the factor
-        # integral as totals per path; prices, the per-step quadratures and
-        # the per-step factor integral would add one array each
+        # a bundle keeps only the increments step by step (1 per-step
+        # array), and the terminal factor, the two density quadratures and
+        # the factor integral per path; the factor, prices, the per-step
+        # quadratures and the per-step factor integral would add one array
+        # each.  The jump events and their grouping by step scale with the
+        # events, not the steps, and are not counted
         model, spec = {"flat": (market.ConstantBS(0.1, 0.2), no_jumps),
                        "bns": (market.BNS(0.5, 0.02), cpe_spec)}[case]
         grid = market.GridConfig(1.0, 0.01)
@@ -193,13 +195,15 @@ class TestSimulation:
         finally:
             tracemalloc.stop()
         j = b.jumps
-        events = sum(a.nbytes for a in (j.offsets, j.times, j.components, j.sizes, j.step_index))
-        assert (held - events) / (b.n_paths * b.n_steps * 8) <= 2.1
+        e = b._step_events()
+        events = sum(a.nbytes for a in (j.offsets, j.times, j.components, j.sizes, j.step_index,
+                                        e.order, e.bounds, e.owner))
+        assert (held - events) / (b.n_paths * b.n_steps * 8) <= 1.1
 
     def test_prices_are_derived_once(self, bns_model, ou_unit, cpe_spec):
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], market.GridConfig(0.5, 0.01),
                                   20, 3)
-        assert b.s is b.s
+        assert b.s is b.s and b.y is b.y and b.terminal_prices is b.terminal_prices
 
     def test_factor_path_roundtrip(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(1.0, 0.05)
@@ -318,8 +322,8 @@ class TestStepQuadratures:
             qv += sharpe_steps[:, k]
             m += mpr_steps[:, k]
         assert np.array_equal(b.sharpe_int, qv) and np.array_equal(b.mpr_dw, m)
-        (y, *_), = runs
-        assert np.array_equal(y, b.y)
+        (y_end, *_, y, _, _), = runs
+        assert np.array_equal(y_end, b.y_end) and np.array_equal(y[:, -1], b.y_end)
         if case != "constant":
             assert b.jumps.times.size > 0
 
@@ -331,6 +335,50 @@ class TestStepQuadratures:
         for name in ("sharpe_int", "mpr_dw", "factor_int"):
             glued = np.concatenate([getattr(p, name) for p in parts])
             assert np.array_equal(getattr(whole, name), glued), name
+
+
+def walk_bundle(case):
+    """A fresh 50-step bundle of each case the walks cover."""
+    ou = ngou.OUParams([1.0], [10.0])
+    grid = market.GridConfig(1.0, 0.02)
+    if case == "bns_node_jump":
+        # sampled jumps, and on path 0 one more event exactly on node 25
+        cpe = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
+        rng = np.random.default_rng(3)
+        paths = [levy.sample_jump_path([cpe], grid.horizon, rng) for _ in range(40)]
+        p = paths[0]
+        at = np.searchsorted(p.times, grid.times[25])
+        paths[0] = levy.JumpPath(np.insert(p.times, at, grid.times[25]), np.insert(p.components, at, 0),
+                                 np.insert(p.sizes, at, 2.0), grid.horizon, 1)
+        return market.simulate_paths(market.BNS(0.5, 0.02, rate=0.03), ou, [cpe], [100.0], grid, 40, 7,
+                                     jump_paths=paths)
+    if case == "constant":
+        return market.simulate_paths(market.ConstantBS(0.1, 0.2, rate=0.03), ou, [levy.TableMeasure(())],
+                                     [100.0], grid, 40, 7)
+    model = TwoAssetConstant([0.1, 0.05], [[0.3, 0.0], [0.25, 0.12]])
+    return market.simulate_paths(model, ou, [levy.TableMeasure(())], [100.0, 50.0], grid, 40, 7)
+
+
+@pytest.mark.parametrize("every", [1, 7, 8, 50])  # 8 = ceil(sqrt(50)), the default
+@pytest.mark.parametrize("case", ["bns_node_jump", "constant", "two_asset"])
+def test_walks_replay_the_engine_bitwise(case, every):
+    # both walks give, node by node, the engine's factor, its left limits
+    # and price_path's prices, bit for bit, whatever the checkpoint spacing
+    b = walk_bundle(case)
+    assert b._every == 8
+    b._every = every
+    backward = list(b.walk_backward())[::-1]
+    forward = list(b.walk())
+    ref = walk_bundle(case)
+    assert np.array_equal(ref.y[:, -1], b.y_end)
+    assert np.array_equal(ref.s[:, -1], b.terminal_prices)
+    for nodes in (forward, backward):
+        assert len(nodes) == b.n_steps + 1
+        for name, ref_arr, got in zip(("y", "y_left", "s"), (ref.y, ref.y_left, ref.s), zip(*nodes)):
+            assert np.array_equal(ref_arr, np.stack(got, axis=1)), name
+    if case == "bns_node_jump":
+        assert ref.y[0, 25, 0] - ref.y_left[0, 25, 0] == pytest.approx(2.0, rel=1e-14)
+        assert np.array_equal(np.flatnonzero(np.any(ref.y != ref.y_left, axis=(0, 2))), [25])
 
 
 def test_dump_paths_csv(tmp_path, bns_model, ou_unit, cpe_spec):
