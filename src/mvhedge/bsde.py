@@ -58,6 +58,14 @@ class DiscountedPut(DiscountedCall):
     sign = -1.0
 
 
+def black_scholes_call(s: float, k: float, r: float, sig: float, t_end: float) -> float:
+    """Black–Scholes price of a call with strike k and expiry t_end on spot s."""
+    d1 = (math.log(s / k) + (r + 0.5 * sig * sig) * t_end) / (sig * math.sqrt(t_end))
+    d2 = d1 - sig * math.sqrt(t_end)
+    cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
+    return s * cdf(d1) - k * math.exp(-r * t_end) * cdf(d2)
+
+
 def check_square_integrability(h_values: np.ndarray) -> dict:
     """Empirical moment diagnostics for the terminal payoff."""
     h4 = float(np.mean(h_values.astype(float) ** 4))
@@ -70,12 +78,10 @@ def check_square_integrability(h_values: np.ndarray) -> dict:
 @dataclass
 class BsdeConfig:
     """Regression settings for the backward sweep: the state columns of
-    the design (``basis``), the number of per-step quantile hinge knots
-    and the relative singular-value cutoff of a rank-deficient fit."""
+    the design (``basis``) and the number of per-step quantile hinge knots."""
 
     basis: tuple = ("1", "D", "Y", "DY", "D2", "Y2", "logD", "payoff", "knots")
     n_knots: int = 6
-    rcond: float = 1e-10
 
 
 @dataclass
@@ -163,6 +169,8 @@ class RegressionTable:
 # design's condition number stays well below 1/sqrt(eps) (about 7e7);
 # designs estimated at or above this take the thin SVD
 _CHOLESKY_COND_LIMIT = 1e7
+# relative singular-value cutoff of a rank-deficient fit
+_RCOND = 1e-10
 
 
 class _LeastSquares:
@@ -264,6 +272,13 @@ class BSDESolution:
     value_at_zero: float
     se_at_zero: float
     diagnostics: dict = field(default_factory=dict)
+
+    def agrees_with(self, est: float, se: float, widen: float = 1.0):
+        """(ok, band): whether a density-weighted value ``est`` with
+        standard error ``se`` lies within 4 (se0 + se) of the value at
+        zero, the band scaled by ``widen``."""
+        band = 4 * (self.se_at_zero + se) * widen
+        return abs(self.value_at_zero - est) <= band, band
 
     def export_csv(self, fname):
         with open(fname, "w") as f:
@@ -418,7 +433,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             a[0] = 1.0
             np.subtract(xs[keep], mean[:, None], out=a[1:])
             a[1:] /= scale[:, None]
-            ls = _LeastSquares(a.T, config.rcond)
+            ls = _LeastSquares(a.T, _RCOND)
             v_hat, coef_v = ls.fit(v_next)
             # martingale-residual control variate: center before the
             # Brownian-loading regressions to kill the dW sample-mean noise

@@ -232,8 +232,7 @@ def cmd_price(cfg, args):
     print(f"backward value at zero : {solution.value_at_zero:.8g} (se {solution.se_at_zero:.3g})")
     print(f"density-weighted value : {est:.8g} (se {se:.3g})")
     print(f"difference             : {solution.value_at_zero - est:.4g}")
-    band = 4 * (solution.se_at_zero + se)
-    print(f"agreement at 4 se      : {'yes' if abs(solution.value_at_zero - est) <= band else 'NO'}")
+    print(f"agreement at 4 se      : {'yes' if solution.agrees_with(est, se)[0] else 'NO'}")
     return 0
 
 

@@ -75,6 +75,13 @@ class HedgeReport:
     comparators: dict = field(default_factory=dict)
     recorded: dict = field(default_factory=dict)
 
+    def closed_form_agreement(self):
+        """(ok, band): whether the simulated MSE lies within
+        max(4 se, 2 % of it) of the closed-form hedging error."""
+        herr = self.comparators["hedging_error"]
+        band = max(4 * self.se_mse, 0.02 * herr)
+        return abs(self.mse - herr) <= band, band
+
     def summary(self) -> str:
         lines = [
             "hedge report",
@@ -90,8 +97,7 @@ class HedgeReport:
             lines.append(f"  closed-form variance: {c['variance']:.6g}")
             lines.append(f"  closed-form error   : {c['hedging_error']:.6g}")
             lines.append(f"  variance gap        : {c['gap']:.6g}")
-            band = max(4 * self.se_mse, 0.02 * c["hedging_error"])
-            ok = abs(self.mse - c["hedging_error"]) <= band
+            ok, band = self.closed_form_agreement()
             lines.append(f"  simulated vs closed : {'PASS' if ok else 'FAIL'} (band {band:.4g})")
         return "\n".join(lines)
 

@@ -468,7 +468,7 @@ class PathBundle:
                  (n_paths, h)
 
     ``step_quadratures`` re-runs the engine for the per-step terms of
-    sharpe_int and mpr_dw.
+    sharpe_int and mpr_dw, and keeps that run's factor as ``y``.
     """
 
     def __init__(self, model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
@@ -662,11 +662,14 @@ class PathBundle:
         """Per-step terms (n, K) of ``sharpe_int`` and ``mpr_dw``, step-major.
 
         The engine is run again on the bundle's own increments and jump
-        events, so the terms are those the totals were summed from.
-        Nothing is kept on the bundle.
+        events, so the terms are those the totals were summed from.  The
+        factor that run records is kept as ``y`` if ``y`` was not read
+        yet, so a reader of both runs the engine once.
         """
-        *_, sharpe_steps, mpr_steps = _run_engine(self.model, self.ou, self.grid, self.dw,
-                                                  self._step_events(), record=True)
+        *_, y, sharpe_steps, mpr_steps = _run_engine(self.model, self.ou, self.grid, self.dw,
+                                                     self._step_events(), record=True)
+        if self._y is None:
+            self._y = y
         return sharpe_steps, mpr_steps
 
     def factor_path(self, i: int) -> FactorPath:

@@ -86,6 +86,8 @@ class ConstantSharpeSurface(OpportunitySurface):
 
 # share of the explicit transport and jump stability limits a time step takes
 _CFL = 0.8
+# implicit weight of the reaction term: one half is Crank–Nicolson
+_REACTION_THETA = 0.5
 
 
 @dataclass
@@ -99,7 +101,6 @@ class MeshConfig:
 
     n_y: int = 400
     n_time_slices: int = 513
-    reaction_theta: float = 0.5
     n_quad: int = 24
     y_floor: float | None = None
     y_top: float | None = None
@@ -306,7 +307,7 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     dt_max = _CFL * deta / lam
     if nu_mass > 0:
         dt_max = min(dt_max, _CFL / nu_mass)
-    react = (1 - mesh.reaction_theta) * float(rho.max())
+    react = (1 - _REACTION_THETA) * float(rho.max())
     if react > 0:
         dt_max = min(dt_max, 1.0 / react)
     m_slices = mesh.n_time_slices
@@ -332,13 +333,12 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
         jidx_up = np.minimum(jidx + 1, mesh.n_y - 1)
         jw_down = 1 - jw
 
-    theta = mesh.reaction_theta
     u = np.ones(mesh.n_y)
     table = np.empty((m_slices, mesh.n_y))
     table[m_slices - 1] = u  # t = T
     store_row = m_slices - 1
-    denom = 1.0 + theta * dt * rho
-    shrink = 1.0 - (1 - theta) * dt * rho
+    denom = 1.0 + _REACTION_THETA * dt * rho
+    shrink = 1.0 - (1 - _REACTION_THETA) * dt * rho
     conv = np.zeros(mesh.n_y)  # floor entry stays 0: transport dropped, state never reaches it
     for step in range(1, n_steps + 1):
         np.subtract(u[1:], u[:-1], out=conv[1:])
@@ -438,8 +438,9 @@ def density_path(surface: OpportunitySurface, bundle) -> DensityPath:
     """Variance-optimal density along a bundle, normalized to one at t=0."""
     if abs(surface.horizon - bundle.times[-1]) > 1e-9:
         raise ConfigurationError("surface horizon does not match the bundle grid")
-    opp = surface.value_along(bundle.times, bundle.y)
+    # the quadratures' engine run also gives the factor ``bundle.y``
     a_dot_d, qv = _adjusted_gain_parts(bundle)
+    opp = surface.value_along(bundle.times, bundle.y)
     see = stochastic_exponential(-a_dot_d, qv)
     o0 = float(opp[0, 0])
     density = opp * see / o0

@@ -8,13 +8,6 @@ import pytest
 from mvhedge import bsde, levy, market, ngou, opportunity as opp
 
 
-def bs_call_price(s, k, r, sig, t_end):
-    d1 = (math.log(s / k) + (r + 0.5 * sig * sig) * t_end) / (sig * math.sqrt(t_end))
-    d2 = d1 - sig * math.sqrt(t_end)
-    cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-    return s * cdf(d1) - k * math.exp(-r * t_end) * cdf(d2)
-
-
 def step_design(sol, bundle, k):
     """Standardized design (p, n) of fitted step k at the fit states, intercept first."""
     fit = sol.table.steps[k]
@@ -120,7 +113,7 @@ class TestSolveBackward:
         # the last fitted step regresses exactly the payoff path by path
         k = bundle.n_steps - 1
         a = step_design(sol, bundle, k)
-        coef, *_ = np.linalg.lstsq(a.T, h, rcond=bsde.BsdeConfig().rcond)
+        coef, *_ = np.linalg.lstsq(a.T, h, rcond=bsde._RCOND)
         fitted = sol.table.steps[k].coef_value @ a
         assert np.max(np.abs(fitted - a.T @ coef)) <= 1e-10 * np.max(np.abs(h))
 
@@ -140,7 +133,7 @@ class TestSolveBackward:
     def test_flat_call_matches_closed_form(self, flat_setup):
         _, bundle, surface = flat_setup
         sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
-        target = bs_call_price(100.0, 100.0, 0.0, 0.2, 1.0)
+        target = bsde.black_scholes_call(100.0, 100.0, 0.0, 0.2, 1.0)
         assert abs(sol.value_at_zero - target) <= 3 * sol.se_at_zero
         # without jumps Y has no spread, so D·Y is a multiple of D and is dropped with Y
         assert "rank_deficient_steps" not in sol.diagnostics
@@ -283,8 +276,7 @@ class TestSolveBackward:
         pay = bsde.DiscountedCall(100.0)
         basis = ("1", "D", "D2", "logD", "payoff", "knots")
         sol = bsde.solve_backward(bundle, surface, pay, bsde.BsdeConfig(basis=basis))
-        est, se = bsde.mc_value_at_zero(surface, bundle, pay)
-        assert abs(sol.value_at_zero - est) <= 4 * (sol.se_at_zero + se)
+        assert sol.agrees_with(*bsde.mc_value_at_zero(surface, bundle, pay))[0]
 
     def test_one_step_fallback_closed_form(self, ou, cpe):
         # one step fits no regression, so the surface term -V F/(1+F) is the
@@ -310,8 +302,7 @@ class TestSolveBackward:
         _, bundle, surface = bns_setup
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(bundle, surface, pay)
-        est, se = bsde.mc_value_at_zero(surface, bundle, pay)
-        assert abs(sol.value_at_zero - est) <= 4 * (sol.se_at_zero + se)
+        assert sol.agrees_with(*bsde.mc_value_at_zero(surface, bundle, pay))[0]
 
     @pytest.mark.parametrize("case", ["flat", "flat_rate", "bns"])
     def test_put_call_parity(self, case, flat_setup, bns_setup, ou):
@@ -390,7 +381,7 @@ class TestSolveBackward:
                 slope, quad = shift
                 v_k = v_hat - dt * (brownian - lam * (slope * c[:, 0] + quad * c[:, 1]))
             assert (shift is None) == ("Y" not in basis)
-            coef, *_ = np.linalg.lstsq(a.T, v_k, rcond=bsde.BsdeConfig().rcond)
+            coef, *_ = np.linalg.lstsq(a.T, v_k, rcond=bsde._RCOND)
             projected = a.T @ coef
             assert np.max(np.abs(value - projected)) <= 1e-10 * np.max(np.abs(projected))
 
@@ -440,7 +431,7 @@ class TestLeastSquares:
 
     @pytest.mark.parametrize("collinear", [False, True])
     def test_matches_lstsq(self, collinear):
-        rcond = bsde.BsdeConfig().rcond
+        rcond = bsde._RCOND
         a, rng = self.design(500, collinear)
         targets = 30.0 + a[:, 1:] @ [1.0, -2.0, 0.5, 0.3] + rng.standard_normal((500, 3)).T
         targets = targets.T
@@ -481,7 +472,7 @@ class TestLeastSquares:
         (2e7, "svd"), (1e9, "svd"), ("collinear", "svd"),
     ])
     def test_routes_match_lstsq(self, cond, route):
-        rcond = bsde.BsdeConfig().rcond
+        rcond = bsde._RCOND
         if cond == "collinear":
             a, rng = self.conditioned_design(1e2)
             a[:, -1] = a[:, 1] + 2.0 * a[:, 2]
@@ -507,7 +498,7 @@ class TestLeastSquares:
         # its Gram matrix is exactly singular
         a, _ = self.conditioned_design(1e2)
         a[:, 5] = a[:, 4]
-        ls = bsde._LeastSquares(a, bsde.BsdeConfig().rcond)
+        ls = bsde._LeastSquares(a, bsde._RCOND)
         assert ls.route == "svd" and ls.deficient
 
     def test_user_rcond_truncates(self):
@@ -529,6 +520,11 @@ class TestLeastSquares:
             1.0 - np.sum((0.5 * noise) ** 2) / np.sum((target - target.mean()) ** 2), rel=1e-12)
 
 
+def test_black_scholes_call_reference_values():
+    assert bsde.black_scholes_call(100, 100, 0, 0.2, 1) == 7.965567455405804
+    assert bsde.black_scholes_call(100, 100, 0.05, 0.2, 1) == 10.450583572185565
+
+
 class TestOracle:
     def test_constant_payoff_recovers_level(self, bns_setup):
         _, bundle, surface = bns_setup
@@ -543,7 +539,7 @@ class TestOracle:
     def test_flat_call_against_closed_form(self, flat_setup):
         _, bundle, surface = flat_setup
         est, se = bsde.mc_value_at_zero(surface, bundle, bsde.DiscountedCall(100.0))
-        target = bs_call_price(100.0, 100.0, 0.0, 0.2, 1.0)
+        target = bsde.black_scholes_call(100.0, 100.0, 0.0, 0.2, 1.0)
         assert abs(est - target) <= 3 * se
 
     def test_chunked_equals_whole(self, ou, cpe):

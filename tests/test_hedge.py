@@ -12,13 +12,6 @@ from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp
 from conftest import TwoAssetConstant
 
 
-def bs_call_price(s, k, r, sig, t_end):
-    d1 = (math.log(s / k) + (r + 0.5 * sig * sig) * t_end) / (sig * math.sqrt(t_end))
-    d2 = d1 - sig * math.sqrt(t_end)
-    cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-    return s * cdf(d1) - k * math.exp(-r * t_end) * cdf(d2)
-
-
 def bs_delta(s, k, sig, t_end):
     d1 = (math.log(s / k) + 0.5 * sig * sig * t_end) / (sig * math.sqrt(t_end))
     return 0.5 * (1 + math.erf(d1 / math.sqrt(2)))
@@ -148,15 +141,13 @@ class TestRunHedge:
         pay = bsde.ConstantPayoff(30000.0)
         sol = bsde.solve_backward(bundle, surface, pay)
         rep = hedge.run_hedge(bundle, surface, sol, pay, 10000.0)
-        herr = rep.comparators["hedging_error"]
-        assert abs(rep.mse - herr) <= max(4 * rep.se_mse, 0.02 * herr)
+        assert rep.closed_form_agreement()[0]
 
     def test_closed_form_value_route_matches(self, bns_world):
         _, _, _, bundle, surface = bns_world
         pay = bsde.ConstantPayoff(30000.0)
         rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0)
-        herr = rep.comparators["hedging_error"]
-        assert abs(rep.mse - herr) <= max(4 * rep.se_mse, 0.02 * herr)
+        assert rep.closed_form_agreement()[0]
 
     def test_payoff_equal_endowment_is_free(self, bns_world):
         _, _, _, bundle, surface = bns_world
@@ -424,7 +415,7 @@ def test_two_asset_constant_claim_matches_herr(ou):
                           hedge.HedgeConfig(record_paths=8))
     herr = math.exp(-model.constant_sharpe) * 2e4**2
     assert rep.comparators["hedging_error"] == pytest.approx(herr, rel=1e-12)
-    assert abs(rep.mse - herr) <= max(4 * rep.se_mse, 0.02 * herr)
+    assert rep.closed_form_agreement()[0]
     # self-financing: gains are the positions summed against both price moves
     rec = rep.recorded
     gains = np.sum(rec["position"] * np.diff(rec["discounted"], axis=1), axis=(1, 2))
@@ -454,6 +445,6 @@ class TestCompleteMarket:
         surface = opp.make_surface(model, ou, [spec], 1.0)
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(bundle, surface, pay)
-        price = bs_call_price(100.0, 100.0, 0.0, 0.2, 1.0)
+        price = bsde.black_scholes_call(100.0, 100.0, 0.0, 0.2, 1.0)
         rep = hedge.run_hedge(bundle, surface, sol, pay, price)
         assert rep.mse < 0.05 * price**2

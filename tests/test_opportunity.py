@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mvhedge import _kernels as kernels
-from mvhedge import levy, market, ngou, opportunity as opp
+from mvhedge import levy, market, ngou, opportunity as opp, validate
 
 
 class TwoFactorBNS(market.CoefficientModel):
@@ -200,9 +200,8 @@ class TestIpdeSurface:
 
     def test_cross_validation_against_mc(self, bns, ou, cpe, bns_surface):
         # reachable-wedge probes; tolerance couples the MC error and a mesh budget
-        for i, (t, yv) in enumerate([(0.0, 10.0), (0.3, 8.0), (0.6, 11.0), (0.8, 16.0)]):
-            est, se = opp.estimate_opportunity_mc(bns, ou, [cpe], t, [yv], 1.0, 2000, (5, i))
-            assert abs(bns_surface.value(t, yv) - est) <= 4 * se + 1e-4
+        probes = [(0.0, 10.0), (0.3, 8.0), (0.6, 11.0), (0.8, 16.0)]
+        assert validate.surface_against_mc(bns_surface, bns, ou, [cpe], probes, (5,)).ok
 
     def test_state_and_path_lookups_agree(self, bns_surface):
         # states below the floor, inside the mesh and above its top
@@ -255,15 +254,15 @@ class TestIpdeSurface:
 
     def test_explicit_terms_step_error(self, bns, ou, cpe):
         # two steps over T = 40 break the transport and jump bounds first
-        mesh = opp.MeshConfig(reaction_theta=0.0, n_time_slices=3, n_time_steps=2)
+        mesh = opp.MeshConfig(n_time_slices=3, n_time_steps=2)
         with pytest.raises(ValueError, match="explicit terms"):
             opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
 
     def test_explicit_reaction_step_error(self, bns, ou, cpe):
         # a low floor puts nodes where the reaction rate (alpha + beta y)^2 / y
-        # is large; a user-set step count (the transport and jump limits'
-        # pick) is beyond what keeps the fully explicit reaction positive
-        mesh = opp.MeshConfig(reaction_theta=0.0, y_floor=1e-3, n_time_steps=3584)
+        # is large; a user-set step count within the transport and jump
+        # limits is beyond what keeps the explicit half of the reaction positive
+        mesh = opp.MeshConfig(y_floor=1e-3, n_time_steps=3584)
         with pytest.raises(ValueError, match="positivity bound of the explicit reaction"):
             opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
 
@@ -366,18 +365,26 @@ class TestDensityPath:
         grid = market.GridConfig(1.0, 0.01)
         b = market.simulate_paths(m, ou, [levy.TableMeasure(())], [100.0], grid, 500, 8)
         surf = opp.make_surface(m, ou, [levy.TableMeasure(())], 1.0)
-        dp = opp.density_path(surf, b)
-        theta = 0.5
-        w_acc = np.concatenate([np.zeros((500, 1)), np.cumsum(b.dw[:, :, 0], axis=1)], axis=1)
-        ref = np.exp(-theta * w_acc - 0.5 * theta**2 * b.times[None, :])
-        assert np.max(np.abs(dp.density - ref) / ref) < 1e-6
+        assert validate.flat_density_pathwise(surf, b).ok
 
     def test_density_mean_one(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(1.0, 0.01)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 20000, 9)
-        zt = opp.density_terminal(bns_surface, b)
-        se = zt.std(ddof=1) / math.sqrt(zt.size)
-        assert abs(zt.mean() - 1.0) <= 4 * se + 0.004
+        assert validate.density_mean_one(bns_surface, [b], slack=0.004).ok
+
+    def test_one_engine_run(self, bns, ou, cpe, bns_surface, monkeypatch):
+        # the factor comes from the quadratures' run, and the fields do
+        # not depend on whether the factor was read first
+        grid = market.GridConfig(1.0, 0.02)
+        b, ref = (market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10) for _ in range(2))
+        ref.y
+        runs, simulate = [], kernels.simulate_d1h1
+        monkeypatch.setattr(kernels, "simulate_d1h1", lambda *a, **kw: runs.append(kw) or simulate(*a, **kw))
+        dp = opp.density_path(bns_surface, b)
+        assert len(runs) == 1
+        dp_ref = opp.density_path(bns_surface, ref)
+        for name in ("opportunity", "a_dot_d", "stoch_exp", "density", "density_left"):
+            assert np.array_equal(getattr(dp, name), getattr(dp_ref, name)), name
 
     def test_running_sums_match_cumsum(self, bns, ou, cpe):
         # the per-step loop adds in the same order as a cumulative sum along each path
