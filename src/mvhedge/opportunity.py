@@ -127,18 +127,11 @@ class IpdeSurface(OpportunitySurface):
         self._dt = self.t_slices[1] - self.t_slices[0]
         self._deta = self.eta[1] - self.eta[0]
 
-    def _t_bracket(self, t):
-        x = (t - self.t_slices[0]) / self._dt
-        x = min(max(x, 0.0), self.t_slices.size - 1 - 1e-12)
-        i = int(x)
-        return i, x - i
-
     def _t_brackets(self, times):
-        t_idx = np.empty(len(times), dtype=np.int64)
-        wts = np.empty(len(times))
-        for k, t in enumerate(times):
-            t_idx[k], wts[k] = self._t_bracket(t)
-        return t_idx, wts
+        """Bracketing slice index and weight (m,) of each time (m,), clamped to the table."""
+        x = np.clip((np.asarray(times) - self.t_slices[0]) / self._dt, 0.0, self.t_slices.size - 1 - 1e-12)
+        t_idx = x.astype(np.int64)
+        return t_idx, x - t_idx
 
     def _count_clamped(self, eta):
         self.n_below_floor += int(np.count_nonzero(eta < self.eta[0]))
@@ -176,8 +169,7 @@ class IpdeSurface(OpportunitySurface):
         y = np.asarray(y, dtype=float)
         if y.ndim == 2:
             y = y[:, 0]
-        i, wt = self._t_bracket(t)
-        return self._lookup(np.array([i]), np.array([wt]), y[:, None])[:, 0]
+        return self._lookup(*self._t_brackets([t]), y[:, None])[:, 0]
 
     def value(self, t, y):
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -186,7 +178,7 @@ class IpdeSurface(OpportunitySurface):
     def value_along(self, times, y):
         if y.ndim == 3:
             y = y[:, :, 0]
-        return self._lookup(*self._t_brackets(np.asarray(times)), y)
+        return self._lookup(*self._t_brackets(times), y)
 
     def jump_channels(self, times, z_nodes, z_weights):
         """Channel tables at ``times`` on the mesh nodes, read bilinearly in log y.

@@ -1,8 +1,9 @@
 """Desk-scale invariant suites across all modules, used by the CLI.
 
-The checks of acceptance criteria 1, 3 and 4 take their scale as
-arguments; the acceptance and unit tests call them at their own scales.
-Each desk check is small enough to run in seconds; bands combine a
+Every check that a test also runs is one function that takes its scale
+(specs, bundles, surfaces, path counts, seeds, probes) as arguments and
+returns a ``CheckResult``; ``run_validate`` calls it at desk scale, the
+tests at theirs.  Each desk check runs in seconds; bands combine a
 statistical part (standard errors) with a discretization budget that
 widens with the square root of the step scale.
 """
@@ -43,6 +44,100 @@ class ValidationReport:
         n_bad = sum(not c.ok for c in self.checks)
         lines.append(f"{len(self.checks) - n_bad}/{len(self.checks)} checks passed")
         return "\n".join(lines)
+
+
+def _mean_within_4se(name, vals, target, detail) -> CheckResult:
+    """The mean of ``vals`` lies within 4 se (ddof = 1) of ``target``; ``detail`` formats mean, se, target."""
+    mean = vals.mean()
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    return CheckResult(name, abs(mean - target) <= 4 * se, detail.format(mean=mean, se=se, target=target))
+
+
+def moment_rate_quadrature(spec, c, n_nodes, z_max) -> CheckResult:
+    """A compound Poisson spec's moment rate at order ``c`` against
+    Gauss-Legendre quadrature of its Levy density on [0, z_max], to 1e-10 relative."""
+    psi = levy.exp_moment_rate(spec, c)
+    x, w = leggauss(n_nodes)
+    z = z_max * (x + 1.0) / 2.0
+    mu, mu1 = spec.event_rate, spec.jump_rate
+    quad = float(np.sum(z_max / 2.0 * w * np.expm1(c * z) * mu * mu1 * np.exp(-mu1 * z)))
+    return CheckResult("moment rate closed form vs quadrature", abs(psi - quad) <= 1e-10 * abs(quad),
+                       f"closed {psi:.9g} quad {quad:.9g}")
+
+
+def moment_condition_rejects(spec, order) -> CheckResult:
+    """The exponential-moment condition raises at ``order``."""
+    name = "moment condition rejects critical order"
+    try:
+        levy.validate_moment_condition(spec, order)
+    except levy.MomentConditionError as exc:
+        return CheckResult(name, True, str(exc)[:60])
+    return CheckResult(name, False, "no error raised")
+
+
+def jump_sampling_reproducible(specs, horizon, seed) -> CheckResult:
+    """Two draws of one path from one seed are bit-identical."""
+    a = levy.sample_jump_path(specs, horizon, seed)
+    b = levy.sample_jump_path(specs, horizon, seed)
+    same = all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("times", "sizes", "components"))
+    return CheckResult("jump sampling reproducible", same, f"{len(a)} events")
+
+
+def event_count_statistics(specs, horizon, n_seeds, seed) -> CheckResult:
+    """The mean event count over paths seeded ``(seed, i)`` lies within 3 sd of the Poisson mean."""
+    counts = np.array([len(levy.sample_jump_path(specs, horizon, (seed, i))) for i in range(n_seeds)])
+    mean = counts.mean()
+    target = sum(s.total_intensity * s.time_scale for s in specs) * horizon
+    band = 3 * math.sqrt(target) / math.sqrt(n_seeds)
+    return CheckResult("event count statistics", abs(mean - target) <= band,
+                       f"mean {mean:.2f} target {target} band {band:.2f}")
+
+
+def exponential_moment(spec, c, n_paths, seed) -> CheckResult:
+    """E[exp(c L(lambda))] over paths seeded ``(*seed, i)`` on [0, 1] against exp(lambda psi(c))."""
+    totals = np.array([levy.sample_jump_path([spec], 1.0, (*seed, i)).totals()[0] for i in range(n_paths)])
+    target = math.exp(spec.time_scale * levy.exp_moment_rate(spec, c))
+    return _mean_within_4se("exponential moment matches", np.exp(c * totals), target,
+                            "emp {mean:.3f} target {target:.3f} se {se:.3f}")
+
+
+def factor_balance(bundle) -> CheckResult:
+    """lambda * integral of Y = y0 + L(lambda T) - Y_T on every path, to 1e-12 relative."""
+    l_tot = np.array([bundle.jumps.path(i).totals() for i in range(bundle.n_paths)])
+    lhs = bundle.factor_int
+    resid = np.abs(lhs - (bundle.ou.y0 + l_tot - bundle.y_end)) / np.maximum(np.abs(lhs), 1.0)
+    return CheckResult("factor balance identity", resid.max() < 1e-12, f"max rel resid {resid.max():.2e}")
+
+
+def discount_identity(bundle) -> CheckResult:
+    """The discounted prices are exp(-r t) S, bitwise."""
+    expect = np.exp(-bundle.rate * bundle.times)[None, :, None] * bundle.s
+    ok = np.array_equal(bundle.discounted, expect)
+    return CheckResult("discount identity", ok, "exact by construction")
+
+
+def price_moment_lognormal(bundle) -> CheckResult:
+    """Terminal prices of a flat-coefficient bundle have the lognormal mean s0 exp(alpha T)."""
+    target = bundle.s0[0] * math.exp(bundle.model.alpha * bundle.times[-1])
+    return _mean_within_4se("price moment matches lognormal", bundle.s[:, -1, 0], target,
+                            "mean {mean:.3f} target {target:.3f} se {se:.3f}")
+
+
+def frozen_factor_equivalence(grid, n_paths, seed) -> CheckResult:
+    """BNS prices with the factor pinned at 10 equal the flat model's, to 1e-9 relative."""
+    ou = ngou.OUParams([1e-12], [10.0])
+    empty = [levy.TableMeasure(())]
+    b_bns, b_flat = (market.simulate_paths(model, ou, empty, [100.0], grid, n_paths, seed)
+                     for model in (market.BNS(0.5, 0.02), market.ConstantBS(0.5 + 0.02 * 10, math.sqrt(10.0))))
+    diff = np.max(np.abs(b_bns.s - b_flat.s) / b_flat.s)
+    return CheckResult("frozen-factor equivalence", diff < 1e-9, f"max rel diff {diff:.2e}")
+
+
+def stochastic_exponential_martingale(theta, n_paths, seed) -> CheckResult:
+    """The stochastic exponential of -theta W at t = 1 has mean one."""
+    w_1 = np.random.default_rng(seed).standard_normal(n_paths)
+    vals = opportunity.stochastic_exponential(-theta * w_1, theta**2 * np.ones(n_paths))
+    return _mean_within_4se("stochastic exponential martingale", vals, 1.0, "mean {mean:.4f} se {se:.4f}")
 
 
 def closed_form_identities(seed, p0_margin=1e-8, level=5e4) -> CheckResult:
@@ -95,6 +190,35 @@ def flat_density_pathwise(surface, bundle) -> CheckResult:
                        f"pathwise err {err:.2e}")
 
 
+def density_jumps_only_at_jump_times(surface, model, ou, specs, grid, n_paths, seed) -> CheckResult:
+    """With one jump on the middle node of every path, the density's left
+    limit differs from it there and nowhere else (by at most 1e-13)."""
+    node = grid.n_steps // 2
+    jp = levy.JumpPath(grid.times[[node]], np.array([0]), np.array([2.0]), grid.horizon, 1)
+    b = market.simulate_paths(model, ou, specs, [100.0], grid, n_paths, seed, jump_paths=[jp] * n_paths)
+    dp = opportunity.density_path(surface, b)
+    ratio = dp.density_left / dp.density
+    off = np.delete(ratio, node, axis=1)
+    return CheckResult("density jumps only at jump times",
+                       np.all(np.abs(off - 1.0) <= 1e-13) and np.all(np.abs(ratio[:, node] - 1.0) > 1e-6),
+                       f"ratio at jump {ratio[0, node]:.4f}")
+
+
+def surface_decreases_with_horizon(shorter, longer, ys) -> CheckResult:
+    """At t = 0 the longer horizon's surface lies below the shorter's at ``ys``, to 1e-9."""
+    mono = np.all(longer.value_at_states(0.0, ys) <= shorter.value_at_states(0.0, ys) + 1e-9)
+    return CheckResult("surface decreases with horizon", bool(mono), "")
+
+
+def flat_grid_closed_form(surface, model, slices, ys) -> CheckResult:
+    """A flat-coefficient grid solve is exp(-theta^2 (T - t)) at the
+    time slices indexed ``slices`` and states ``ys``, to 1e-8."""
+    err = max(np.max(np.abs(surface.value_at_states(t, ys)
+                             - math.exp(-model.constant_sharpe * (surface.horizon - t))))
+              for t in surface.t_slices[slices])
+    return CheckResult("grid solve reproduces the flat closed form", err < 1e-8, f"max err {err:.2e}")
+
+
 def surface_against_mc(surface, model, ou, specs, probes, seed) -> CheckResult:
     """Criterion 4: the surface at the i-th (t, y) probe lies within
     4 se + 1e-4 of a 2000-path Monte Carlo estimate seeded ``(*seed, i)``."""
@@ -110,97 +234,59 @@ def surface_against_mc(surface, model, ou, specs, probes, seed) -> CheckResult:
                        f"{inside}/{len(probes)} probes inside 4 se + 1e-4; worst ratio {worst:.2f}")
 
 
+def self_financing(report, endowment) -> CheckResult:
+    """A hedge report's recorded terminal wealth is the endowment plus the
+    positions' gains on the discounted prices of every asset, to 1e-6 of the endowment."""
+    rec = report.recorded
+    gains = np.sum(rec["position"] * np.diff(rec["discounted"], axis=1), axis=(1, 2))
+    err = np.max(np.abs(rec["wealth"][:, -1] - endowment - gains))
+    return CheckResult("self-financing bookkeeping", err < 1e-6 * endowment, f"max resid {err:.2e}")
+
+
+def zero_gap_flat_position(bundle, surface, endowment, n_record) -> CheckResult:
+    """A constant claim equal to the endowment is hedged exactly by holding nothing."""
+    rep = hedge.run_hedge(bundle, surface, None, bsde.ConstantPayoff(endowment), endowment,
+                          hedge.HedgeConfig(record_paths=n_record))
+    flat = rep.mse == 0.0 and np.max(np.abs(rep.recorded["position"])) == 0.0
+    return CheckResult("zero tracking gap keeps a flat position", flat, f"mse {rep.mse:.3g}")
+
+
 def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationReport:
     rep = ValidationReport()
-    rng = np.random.default_rng(master_seed)
     step = 0.01 * delta_scale
     widen = math.sqrt(max(delta_scale, 1.0))
 
     cpe = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
-    table = levy.TableMeasure(((1.0, 2.0),))
     ou = ngou.OUParams([1.0], [10.0])
     bns = market.BNS(0.5, 0.02)
     cbs = market.ConstantBS(0.1, 0.2)
+    empty = [levy.TableMeasure(())]
 
     # moment machinery
-    psi = levy.exp_moment_rate(cpe, 1.0)
-    x, w = leggauss(200)
-    z = 15.0 * (x + 1.0) / 2.0
-    quad = float(np.sum(7.5 * w * np.expm1(z) * 10 * 8 * np.exp(-8 * z)))
-    rep.add("moment rate closed form vs quadrature", abs(psi - quad) < 1e-9,
-            f"closed {psi:.9g} quad {quad:.9g}")
-    try:
-        levy.validate_moment_condition(cpe, 8.0)
-        rep.add("moment condition rejects critical order", False, "no error raised")
-    except levy.MomentConditionError as exc:
-        rep.add("moment condition rejects critical order", True, str(exc)[:60])
-
-    jp1 = levy.sample_jump_path([cpe], 5.0, 42)
-    jp2 = levy.sample_jump_path([cpe], 5.0, 42)
-    same = (
-        np.array_equal(jp1.times, jp2.times)
-        and np.array_equal(jp1.sizes, jp2.sizes)
-        and np.array_equal(jp1.components, jp2.components)
-    )
-    rep.add("jump sampling reproducible", same, f"{len(jp1)} events")
-
-    counts = np.array([len(levy.sample_jump_path([cpe], 20.0, (master_seed, i))) for i in range(500)])
-    mean, target = counts.mean(), 10.0 * 20.0
-    band = 3 * math.sqrt(target) / math.sqrt(500)
-    rep.add("event count statistics", abs(mean - target) <= band,
-            f"mean {mean:.2f} target {target} band {band:.2f}")
-
-    c_ord = 2.0
-    totals = np.array([levy.sample_jump_path([cpe], 1.0, (master_seed, 7, i)).totals()[0] for i in range(4000)])
-    emp = np.exp(c_ord * totals)
-    target = math.exp(levy.exp_moment_rate(cpe, c_ord))
-    se = emp.std(ddof=1) / math.sqrt(emp.size)
-    rep.add("exponential moment matches", abs(emp.mean() - target) <= 4 * se,
-            f"emp {emp.mean():.3f} target {target:.3f} se {se:.3f}")
+    rep.checks += [
+        moment_rate_quadrature(cpe, 1.0, 200, 15.0),
+        moment_condition_rejects(cpe, 8.0),
+        jump_sampling_reproducible([cpe], 5.0, 42),
+        event_count_statistics([cpe], 20.0, 500, master_seed),
+        exponential_moment(cpe, 2.0, 4000, (master_seed, 7)),
+    ]
 
     # factor identities on simulated bundles
-    grid = market.GridConfig(5.0, step)
-    b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 1000, master_seed + 1)
-    lhs = b.factor_int[:, 0]
-    l_tot = np.array([b.jumps.path(i).totals()[0] for i in range(b.n_paths)])
-    resid = np.abs(lhs - (10.0 + l_tot - b.y[:, -1, 0])) / np.maximum(np.abs(lhs), 1.0)
-    rep.add("factor balance identity", resid.max() < 1e-12, f"max rel resid {resid.max():.2e}")
-    floor = 10.0 * np.exp(-b.times)
-    rep.add("factor floor", (b.y[:, :, 0] - floor[None, :]).min() >= -1e-12,
-            f"min margin {(b.y[:, :, 0] - floor[None, :]).min():.2e}")
-    disc = b.discounted
-    rep.add("discount identity", np.max(np.abs(disc - np.exp(-bns.rate * b.times)[None, :, None] * b.s)) == 0.0,
-            "exact by construction")
+    b = market.simulate_paths(bns, ou, [cpe], [100.0], market.GridConfig(5.0, step), 1000, master_seed + 1)
+    rep.checks.append(factor_balance(b))
+    margin = (b.y[:, :, 0] - 10.0 * np.exp(-b.times)[None, :]).min()
+    rep.add("factor floor", margin >= -1e-12, f"min margin {margin:.2e}")
+    rep.checks.append(discount_identity(b))
     s2 = market.sharpe_squared(bns, b.y.reshape(-1, 1))
     rep.add("squared market price of risk nonnegative", float(s2.min()) >= 0.0, f"min {s2.min():.3g}")
 
-    # price moment against the lognormal mean
     grid1 = market.GridConfig(1.0, step)
-    bc = market.simulate_paths(cbs, ou, [levy.TableMeasure(())], [100.0], grid1, 10000, master_seed + 2)
-    st = bc.s[:, -1, 0]
-    target = 100.0 * math.exp(0.1)
-    se = st.std(ddof=1) / math.sqrt(st.size)
-    rep.add("price moment matches lognormal", abs(st.mean() - target) <= 4 * se,
-            f"mean {st.mean():.3f} target {target:.3f} se {se:.3f}")
-
-    # frozen-factor equivalence
-    ou_frozen = ngou.OUParams([1e-12], [10.0])
-    empty = [levy.TableMeasure(())]
-    b_bns = market.simulate_paths(bns, ou_frozen, empty, [100.0], grid1, 200, master_seed + 3)
-    b_cbs = market.simulate_paths(market.ConstantBS(0.5 + 0.02 * 10, math.sqrt(10.0)), ou_frozen, empty,
-                                  [100.0], grid1, 200, master_seed + 3)
-    diff = np.max(np.abs(b_bns.s - b_cbs.s) / b_cbs.s)
-    rep.add("frozen-factor equivalence", diff < 1e-9, f"max rel diff {diff:.2e}")
-
-    # stochastic exponential martingale
-    theta = 0.5
-    nsim, nk = 10000, 200
-    dw = rng.standard_normal((nsim, nk)) * math.sqrt(1.0 / nk)
-    w_path = np.cumsum(dw, axis=1)
-    vals = opportunity.stochastic_exponential(-theta * w_path[:, -1], theta**2 * np.ones(nsim))
-    se = vals.std(ddof=1) / math.sqrt(nsim)
-    rep.add("stochastic exponential martingale", abs(vals.mean() - 1.0) <= 4 * se,
-            f"mean {vals.mean():.4f} se {se:.4f}")
+    bc = market.simulate_paths(cbs, ou, empty, [100.0], grid1, 10000, master_seed + 2)
+    rep.checks += [
+        price_moment_lognormal(bc),
+        frozen_factor_equivalence(grid1, 200, master_seed + 3),
+        stochastic_exponential_martingale(0.5, 10000, master_seed),
+    ]
 
     # density: flat-coefficient closed form and martingale mean
     rep.checks.append(flat_density_pathwise(opportunity.make_surface(cbs, ou, empty, 1.0), bc))
@@ -209,17 +295,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.checks.append(density_mean_one(surf_b, [bb], slack=0.004 * widen))
     zt = opportunity.density_terminal(surf_b, bb)
     rep.add("density positive", float(zt.min()) > 0.0, f"min {zt.min():.3g}")
-
-    # density ratio is one except at jump nodes
-    jump_node = levy.JumpPath(np.array([0.5]), np.array([0]), np.array([2.0]), 1.0, 1)
-    b1 = market.simulate_paths(bns, ou, [cpe], [100.0], grid1, 4, master_seed, jump_paths=[jump_node] * 4)
-    dp1 = opportunity.density_path(surf_b, b1)
-    ratio = dp1.density_left / dp1.density
-    node = int(round(0.5 / grid1.step))
-    off = np.delete(ratio, node, axis=1)
-    rep.add("density jumps only at jump times",
-            np.allclose(off, 1.0, atol=1e-12) and np.all(np.abs(ratio[:, node] - 1.0) > 1e-6),
-            f"ratio at jump {ratio[0, node]:.4f}")
+    rep.checks.append(density_jumps_only_at_jump_times(surf_b, bns, ou, [cpe], grid1, 4, master_seed))
 
     # surface properties
     ys = np.linspace(4.0, 16.0, 7)
@@ -227,20 +303,13 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.add("surface within (0, 1]", bool((vals > 0).all() and (vals <= 1.0 + 1e-12).all()),
             f"range [{vals.min():.4f}, {vals.max():.4f}]")
     rep.add("surface terminal one", abs(surf_b.value(1.0, 10.0) - 1.0) < 1e-12, "")
-    surf_b2 = opportunity.solve_opportunity_ipde(bns, ou, cpe, 2.0)
-    mono = np.all(surf_b2.value_at_states(0.0, ys) <= surf_b.value_at_states(0.0, ys) + 1e-9)
-    rep.add("surface decreases with horizon", bool(mono), "")
-
     mesh = opportunity.MeshConfig(n_y=60, n_time_slices=65, n_time_steps=512)
-    surf_flat = opportunity.solve_opportunity_ipde(cbs, ou, cpe, 1.0, mesh)
-    errs = []
-    for t in surf_flat.t_slices[[0, 26, 58]]:
-        target = math.exp(-cbs.constant_sharpe * (1.0 - t))
-        errs.append(np.max(np.abs(surf_flat.value_at_states(t, ys) - target)))
-    rep.add("grid solve reproduces the flat closed form", max(errs) < 1e-8, f"max err {max(errs):.2e}")
-
     probes = [(0.0, 10.0), (0.4, 8.0), (0.7, 13.0)]
-    rep.checks.append(surface_against_mc(surf_b, bns, ou, [cpe], probes, (master_seed, 5)))
+    rep.checks += [
+        surface_decreases_with_horizon(surf_b, opportunity.solve_opportunity_ipde(bns, ou, cpe, 2.0), ys),
+        flat_grid_closed_form(opportunity.solve_opportunity_ipde(cbs, ou, cpe, 1.0, mesh), cbs, [0, 26, 58], ys),
+        surface_against_mc(surf_b, bns, ou, [cpe], probes, (master_seed, 5)),
+    ]
 
     # backward solver and closed forms
     pay = bsde.ConstantPayoff(30000.0)
@@ -255,19 +324,10 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.add("backward value agrees with the density-weighted value", ok,
             f"|{sol_c.value_at_zero:.4f} - {est:.4f}| <= {band:.3g}")
 
-    rep.checks.append(closed_form_identities(master_seed + 9, p0_margin=1e-6, level=1e4))
-
-    rep_h = hedge.run_hedge(bb, surf_b, None, pay, 10000.0,
-                            hedge.HedgeConfig(record_paths=16))
-    rec = rep_h.recorded
-    gains_recon = np.sum(rec["position"][:, :, 0] * np.diff(rec["discounted"][:, :, 0], axis=1), axis=1)
-    sf_err = np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains_recon))
-    rep.add("self-financing bookkeeping", sf_err < 1e-6 * 10000.0, f"max resid {sf_err:.2e}")
-
-    pay_eq = bsde.ConstantPayoff(10000.0)
-    rep_eq = hedge.run_hedge(bb, surf_b, None, pay_eq, 10000.0,
-                             hedge.HedgeConfig(record_paths=8))
-    rep.add("zero tracking gap keeps a flat position",
-            rep_eq.mse == 0.0 and np.max(np.abs(rep_eq.recorded["position"])) == 0.0,
-            f"mse {rep_eq.mse:.3g}")
+    rep.checks += [
+        closed_form_identities(master_seed + 9, p0_margin=1e-6, level=1e4),
+        self_financing(hedge.run_hedge(bb, surf_b, None, pay, 10000.0, hedge.HedgeConfig(record_paths=16)),
+                       10000.0),
+        zero_gap_flat_position(bb, surf_b, 10000.0, 8),
+    ]
     return rep

@@ -7,6 +7,21 @@ import pytest
 from mvhedge import bsde, cli, hedge, market, opportunity
 
 
+# the checks of ``mvhedge validate``, in the order it prints them
+VALIDATE_CHECKS = [
+    "moment rate closed form vs quadrature", "moment condition rejects critical order",
+    "jump sampling reproducible", "event count statistics", "exponential moment matches",
+    "factor balance identity", "factor floor", "discount identity",
+    "squared market price of risk nonnegative", "price moment matches lognormal", "frozen-factor equivalence",
+    "stochastic exponential martingale", "flat-model density matches the explicit change of measure",
+    "density terminal mean one", "density positive", "density jumps only at jump times",
+    "surface within (0, 1]", "surface terminal one", "surface decreases with horizon",
+    "grid solve reproduces the flat closed form", "grid solve agrees with Monte Carlo",
+    "backward value of a constant claim", "backward value agrees with the density-weighted value",
+    "closed-form identities", "self-financing bookkeeping", "zero tracking gap keeps a flat position",
+]
+
+
 def run(args):
     return cli.main(args)
 
@@ -312,4 +327,6 @@ class TestOtherCommands:
     def test_validate_widened_bands_at_doubled_step(self):
         from mvhedge.validate import run_validate
 
-        assert run_validate(delta_scale=2.0).ok
+        report = run_validate(delta_scale=2.0)
+        assert report.ok, report.render()
+        assert [c.name for c in report.checks] == VALIDATE_CHECKS

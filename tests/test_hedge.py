@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mvhedge import _kernels as kernels
-from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp
+from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp, validate
 
 from conftest import TwoAssetConstant
 
@@ -151,20 +151,15 @@ class TestRunHedge:
 
     def test_payoff_equal_endowment_is_free(self, bns_world):
         _, _, _, bundle, surface = bns_world
-        pay = bsde.ConstantPayoff(10000.0)
-        rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                              hedge.HedgeConfig(record_paths=4))
-        assert rep.mse == 0.0
-        assert np.max(np.abs(rep.recorded["position"])) == 0.0
+        check = validate.zero_gap_flat_position(bundle, surface, 10000.0, 4)
+        assert check.ok, check.detail
 
     def test_self_financing_bookkeeping(self, bns_world):
         _, _, _, bundle, surface = bns_world
-        pay = bsde.ConstantPayoff(30000.0)
-        rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
+        rep = hedge.run_hedge(bundle, surface, None, bsde.ConstantPayoff(30000.0), 10000.0,
                               hedge.HedgeConfig(record_paths=8))
-        rec = rep.recorded
-        gains = np.sum(rec["position"][:, :, 0] * np.diff(rec["discounted"][:, :, 0], axis=1), axis=1)
-        assert np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains)) < 1e-6 * 1e4
+        check = validate.self_financing(rep, 10000.0)
+        assert check.ok, check.detail
 
     def test_recorded_wealth_matches_sweep(self, bns_world, ou, monkeypatch):
         model, cpe, grid, _, surface = bns_world
@@ -417,9 +412,8 @@ def test_two_asset_constant_claim_matches_herr(ou):
     assert rep.comparators["hedging_error"] == pytest.approx(herr, rel=1e-12)
     assert rep.closed_form_agreement()[0]
     # self-financing: gains are the positions summed against both price moves
-    rec = rep.recorded
-    gains = np.sum(rec["position"] * np.diff(rec["discounted"], axis=1), axis=(1, 2))
-    assert np.max(np.abs(rec["wealth"][:, -1] - 10000.0 - gains)) < 1e-6 * 1e4
+    check = validate.self_financing(rep, 10000.0)
+    assert check.ok, check.detail
 
 
 class TestCompleteMarket:

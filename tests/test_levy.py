@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvhedge import levy
+from mvhedge import levy, validate
 
 
 class TestSpecs:
@@ -21,11 +21,11 @@ class TestSpecs:
 
     def test_moment_condition_at_critical_order(self):
         spec = levy.CompoundPoissonExp(10.0, 8.0)
-        with pytest.raises(levy.MomentConditionError):
-            levy.validate_moment_condition(spec, 8.0)
-        with pytest.raises(levy.MomentConditionError):
-            levy.validate_moment_condition(spec, 9.5)
-        assert levy.validate_moment_condition(spec, 7.9) > 0
+        for order in (8.0, 9.5):
+            check = validate.moment_condition_rejects(spec, order)
+            assert check.ok, check.detail
+        check = validate.moment_condition_rejects(spec, 7.9)
+        assert not check.ok and check.detail == "no error raised"
 
     def test_empty_table_is_valid_no_jump_spec(self):
         spec = levy.TableMeasure(())
@@ -43,13 +43,8 @@ class TestExpMomentRate:
         assert got == pytest.approx(10.0 / 7.0, rel=1e-14)
 
     def test_exponential_vs_quadrature(self):
-        from numpy.polynomial.legendre import leggauss
-
-        x, w = leggauss(400)
-        z = 20.0 * (x + 1.0) / 2.0
-        quad = float(np.sum(10.0 * w * np.expm1(1.3 * z) * 10 * 8 * np.exp(-8 * z)))
-        got = levy.exp_moment_rate(levy.CompoundPoissonExp(10.0, 8.0), 1.3)
-        assert got == pytest.approx(quad, rel=1e-10)
+        check = validate.moment_rate_quadrature(levy.CompoundPoissonExp(10.0, 8.0), 1.3, 400, 20.0)
+        assert check.ok, check.detail
 
     def test_table_direct_sum(self):
         got = levy.exp_moment_rate(levy.TableMeasure(((1.0, 2.0),)), 1.0)
@@ -72,23 +67,12 @@ class TestSampling:
 
     def test_reproducible_bit_identical(self):
         spec = [levy.CompoundPoissonExp(10.0, 8.0), levy.TableMeasure(((0.5, 3.0), (2.0, 1.0)))]
-        a = levy.sample_jump_path(spec, 3.0, 12345)
-        b = levy.sample_jump_path(spec, 3.0, 12345)
-        assert np.array_equal(a.times, b.times)
-        assert np.array_equal(a.sizes, b.sizes)
-        assert np.array_equal(a.components, b.components)
+        check = validate.jump_sampling_reproducible(spec, 3.0, 12345)
+        assert check.ok, check.detail
 
     def test_event_count_statistics(self):
-        # rate lam*mu on (0, T]; mean count over seeds within 3 sigma
-        spec = [levy.CompoundPoissonExp(10.0, 8.0, 1.0)]
-        t_end = 200.0
-        n_seeds = 10000
-        counts = np.fromiter(
-            (len(levy.sample_jump_path(spec, t_end, (9, i))) for i in range(n_seeds)), dtype=float
-        )
-        target = 10.0 * t_end
-        band = 3.0 * math.sqrt(target / n_seeds)
-        assert abs(counts.mean() - target) <= band
+        check = validate.event_count_statistics([levy.CompoundPoissonExp(10.0, 8.0, 1.0)], 200.0, 10000, 9)
+        assert check.ok, check.detail
 
     def test_table_mass_statistics(self):
         # oracle: total mass mean = lam*nu*z*T = 2*1*5 = 10
@@ -108,17 +92,8 @@ class TestSampling:
         assert (np.diff(cum) >= 0).all()
 
     def test_exponential_moment_monte_carlo(self):
-        # sample mean of e^(c L(lam t)) vs exp(lam t psi(c)) at 4 standard errors
-        spec = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
-        c = 2.0
-        totals = np.fromiter(
-            (levy.sample_jump_path([spec], 1.0, (13, i)).totals()[0] for i in range(100000)),
-            dtype=float,
-        )
-        vals = np.exp(c * totals)
-        target = math.exp(levy.exp_moment_rate(spec, c))
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - target) <= 4 * se
+        check = validate.exponential_moment(levy.CompoundPoissonExp(10.0, 8.0, 1.0), 2.0, 100000, (13,))
+        assert check.ok, check.detail
 
 
 class TestTruncation:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvhedge import _kernels as kernels
-from mvhedge import levy, market, ngou
+from mvhedge import levy, market, ngou, validate
 
 from conftest import TwoAssetConstant, empty_jump_path
 
@@ -129,33 +129,25 @@ class TestSimulation:
         m = market.ConstantBS(0.1, 0.2, rate=0.0)
         grid = market.GridConfig(1.0, 0.01)
         b = market.simulate_paths(m, ou_unit, [no_jumps], [100.0], grid, 20000, 2)
-        st = b.s[:, -1, 0]
-        se = st.std(ddof=1) / math.sqrt(st.size)
-        assert abs(st.mean() - 100.0 * math.exp(0.1)) <= 4 * se
+        check = validate.price_moment_lognormal(b)
+        assert check.ok, check.detail
 
     def test_frozen_factor_matches_flat_model(self):
-        # factor pinned at 10 by a negligible reversion speed and no jumps
-        ou = ngou.OUParams([1e-12], [10.0])
-        spec = [levy.TableMeasure(())]
-        grid = market.GridConfig(1.0, 0.01)
-        b1 = market.simulate_paths(market.BNS(0.5, 0.02), ou, spec, [100.0], grid, 100, 9)
-        b2 = market.simulate_paths(market.ConstantBS(0.7, math.sqrt(10.0)), ou, spec, [100.0], grid, 100, 9)
-        assert np.max(np.abs(b1.s - b2.s) / b2.s) < 1e-9
+        check = validate.frozen_factor_equivalence(market.GridConfig(1.0, 0.01), 100, 9)
+        assert check.ok, check.detail
 
     def test_discount_identity(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(1.0, 0.02)
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 50, 3)
-        expect = np.exp(-bns_model.rate * b.times)[None, :, None] * b.s
-        assert np.array_equal(b.discounted, expect)
+        check = validate.discount_identity(b)
+        assert check.ok, check.detail
         assert (b.s > 0).all()
 
     def test_bundle_balance_identity(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(2.0, 0.01)
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 300, 4)
-        lam_int = b.factor_int[:, 0]
-        l_tot = np.array([b.jumps.path(i).totals()[0] for i in range(b.n_paths)])
-        resid = lam_int - (10.0 + l_tot - b.y[:, -1, 0])
-        assert np.max(np.abs(resid)) <= 1e-12 * 20.0
+        check = validate.factor_balance(b)
+        assert check.ok, check.detail
 
     def test_chunking_invariance(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(0.5, 0.01)
@@ -277,10 +269,8 @@ class TestSimulation:
         assert b.y.shape == (40, 51, 2)
         assert (b.s > 0).all()
         assert_step_slices_contiguous(b)
-        lam_int = b.factor_int
-        l_tot = np.array([b.jumps.path(i).totals() for i in range(b.n_paths)])
-        resid = lam_int - (np.array([10.0, 6.0]) + l_tot - b.y[:, -1])
-        assert np.max(np.abs(resid)) < 1e-11
+        check = validate.factor_balance(b)
+        assert check.ok, check.detail
 
 
 def quadrature_world(case):

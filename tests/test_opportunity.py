@@ -154,10 +154,8 @@ class TestIpdeSurface:
         m = market.ConstantBS(0.1, 0.2, rate=0.0)
         mesh = opp.MeshConfig(n_y=60, n_time_slices=65, n_time_steps=512)
         surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0, mesh)
-        ys = np.linspace(4.0, 15.0, 9)
-        for t in surf.t_slices[[0, 13, 44]]:
-            target = math.exp(-m.constant_sharpe * (1.0 - t))
-            assert np.max(np.abs(surf.value_at_states(t, ys) - target)) < 1e-8
+        check = validate.flat_grid_closed_form(surf, m, [0, 13, 44], np.linspace(4.0, 15.0, 9))
+        assert check.ok, check.detail
 
     def test_zero_premium_identically_one(self, ou, cpe):
         m = market.ConstantBS(0.05, 0.3, rate=0.05)
@@ -195,8 +193,8 @@ class TestIpdeSurface:
 
     def test_monotone_in_horizon(self, bns, ou, cpe, bns_surface):
         longer = opp.solve_opportunity_ipde(bns, ou, cpe, 2.0)
-        ys = np.linspace(5.0, 18.0, 9)
-        assert np.all(longer.value_at_states(0.0, ys) <= bns_surface.value_at_states(0.0, ys) + 1e-9)
+        check = validate.surface_decreases_with_horizon(bns_surface, longer, np.linspace(5.0, 18.0, 9))
+        assert check.ok, check.detail
 
     def test_cross_validation_against_mc(self, bns, ou, cpe, bns_surface):
         # reachable-wedge probes; tolerance couples the MC error and a mesh budget
@@ -342,12 +340,8 @@ class TestStochasticExponential:
         assert got == pytest.approx(np.exp(0.7 * t), rel=1e-14)
 
     def test_exponential_martingale_mean(self):
-        rng = np.random.default_rng(6)
-        theta = 0.4
-        w_t = rng.standard_normal(100000)
-        vals = opp.stochastic_exponential(-theta * w_t, theta**2 * np.ones_like(w_t))
-        se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - 1.0) <= 4 * se
+        check = validate.stochastic_exponential_martingale(0.4, 100000, 6)
+        assert check.ok, check.detail
 
 
 class TestDensityPath:
@@ -417,13 +411,9 @@ class TestDensityPath:
         assert peak < 2 * b.n_paths * (b.n_steps + 1) * 8
 
     def test_jumps_only_at_jump_times(self, bns, ou, cpe, bns_surface):
-        jp = levy.JumpPath(np.array([0.5]), np.array([0]), np.array([2.0]), 1.0, 1)
         grid = market.GridConfig(1.0, 0.1)
-        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 3, 1, jump_paths=[jp] * 3)
-        dp = opp.density_path(bns_surface, b)
-        ratio = dp.density_left / dp.density
-        assert np.allclose(np.delete(ratio, 5, axis=1), 1.0, atol=1e-13)
-        assert np.all(np.abs(ratio[:, 5] - 1.0) > 1e-6)
+        check = validate.density_jumps_only_at_jump_times(bns_surface, bns, ou, [cpe], grid, 3, 1)
+        assert check.ok, check.detail
 
     def test_horizon_mismatch_raises(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(0.5, 0.01)
