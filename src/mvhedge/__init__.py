@@ -36,8 +36,8 @@ from .market import (
 from .opportunity import (
     MeshConfig,
     OpportunitySurface,
-    density_path,
     density_terminal,
+    density_walk,
     estimate_opportunity_mc,
     make_surface,
     solve_opportunity_ipde,

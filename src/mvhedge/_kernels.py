@@ -1,15 +1,15 @@
 """Hot numeric loops, vectorized across paths with numpy.
 
-Two recursions advance a path by one grid step, and each exists once:
-the exact factor update (``factor_step``: decay, then the step's jumps)
-and the log-price update with coefficients frozen at the step-left
-factor (``log_price_step``).  Every loop over steps calls them: the path
-simulation for every model (``simulate_d1h1``: the factor, and the
-density's quadratures as path totals or, on request, step by step), the
-whole-path prices (``price_path``, for readers of full paths), and the
-replays of ``market.PathBundle``'s walks, which feed the backward solve
-and the hedge sweep (``hedge_sweep``: per time step it asks the caller
-for the strategy's pieces, then records and applies one
+Three recursions advance a path by one grid step, and each exists once:
+the exact factor update (``factor_step``: decay, then the step's jumps),
+the log-price update with coefficients frozen at the step-left factor
+(``log_price_step``) and the density's two quadratures over the step
+(``density_step``).  Every loop over steps calls them: the engine's
+pass (``engine_steps``, summed by ``simulate_d1h1`` and read node by
+node by the density walk), the whole-path prices (``price_path``) and
+the replays of ``market.PathBundle``'s walks, which feed the backward
+solve and the hedge sweep (``hedge_sweep``: per time step it asks the
+caller for the strategy's pieces, then records and applies one
 ``gains_step``).  The other loops are the pathwise exponent of the
 surface's inner Monte Carlo (``opportunity_mc_exponent``) and bilinear
 table lookups along paths (``bilinear_steps``).  Each runs a Python
@@ -103,84 +103,86 @@ def log_price_step(model, ls, y, dw_k, delta):
     return ls + (model.drift(y) - 0.5 * diag_cov) * delta + np.einsum("nij,nj->ni", vol, dw_k)
 
 
-def simulate_d1h1(model, y0, lam, delta, dw, events, record=False):
-    """Forward sweep of the factor and the density's quadratures, any model.
+def density_step(model, states, rule, delta, dw_k, jumps):
+    """The density's two quadratures over one step, each (n,), any model:
+    the integral of the squared market price of risk by the 4-node rule
+    (``rule``: node times, each component's decay to them) with the
+    step's ``jumps`` (``step_events``), and the market price of risk at
+    the step-left factor ``states[0]`` dotted with ``dw_k``, scaled so its
+    conditional variance matches the integral (this keeps the density
+    mean exact given the jumps).  Rows 1.. of ``states`` take the factor
+    at the nodes."""
+    node_times, node_decay = rule
+    y = states[0]
+    n, h = y.shape
+    nq = node_times.size
+    at, sz, lam_ev, u = jumps
+    np.multiply(y, node_decay[:, None, :], out=states[1:])
+    if at.size:
+        # events before each node, node by node, in storage order
+        node, j = np.nonzero(u < node_times[:, None])
+        w = sz[j] * np.exp(-lam_ev[j] * (node_times[node] - u[j]))
+        states[1:] += np.bincount(node * (n * h) + at[j], w, minlength=nq * n * h).reshape(nq, n, h)
+    rho = model.sharpe_squared(states)
+    acc = np.zeros(n)
+    for q in range(nq):
+        acc += SEG_WEIGHTS[q] * rho[1 + q]
+    r_step = acc * delta
+    r_left = rho[0] * delta
+    scale = np.where(r_left > 1e-300, np.sqrt(r_step / np.maximum(r_left, 1e-300)), 1.0)
+    return r_step, np.einsum("ni,ni->n", model.market_price_of_risk(y), dw_k) * scale
 
-    The one simulation engine; the name is kept because benchmark
-    records report it.  Prices are left to ``log_price_step``.  ``dw``
-    (n, K, d) holds the Brownian increments, ``events`` groups the jump
-    events by grid step (``rows(k)``, and per step their owning
-    ``paths`` and within-step ``offset``, and the events' factor and
-    size through ``jumps``).  The model is read only through
-    ``sharpe_squared`` and ``market_price_of_risk`` at states (..., h).
-    Returns (y_end, sharpe_int, mpr_dw, factor_int): the terminal
-    factor (n, h) and three whole-path totals, each the in-order sum of
-    its per-step terms from zero: the integral of the squared market
-    price of risk (jump-inclusive quadrature) and the variance-matched
-    loading against the Brownian increments (n,), and lambda * integral
-    of Y (n, h), exact.  With ``record`` the factor at every node
-    (n, K+1, h) and the per-step terms (n, K) of the first two totals
-    follow, step-major.
+
+def engine_steps(model, y0, lam, delta, dw, events):
+    """The simulation engine's pass over increments ``dw`` (n, K, d) and
+    jump ``events`` grouped by step (``market.StepEvents``), any model.
+
+    Yields per step k the two density quadratures (``density_step``),
+    the exact term of lambda * integral of Y (n, h), and the factor at
+    node k+1 (n, h), one buffer advanced in place.
     """
     n, nk = dw.shape[:2]
     h = lam.size
-    nq = SEG_NODES.size
-    # decay factors per component, as scalars: a step's factor decays by
-    # edel, and from its left node to quadrature node q by node_decay[q]
     edel = step_decay(lam, delta)
     node_times = SEG_NODES * delta
-    node_decay = np.array([[math.exp(-lam_i * xi) for lam_i in lam] for xi in node_times])
-
-    sharpe_int = np.zeros(n)
-    mpr_dw = np.zeros(n)
-    if record:
-        y_out = step_major(nk + 1, n, h)
-        sharpe_steps = step_major(nk, n)
-        mpr_steps = step_major(nk, n)
-    factor_int = np.zeros((n, h))
-    # row 0: the step-left state y, updated in place at the end of each
-    # step; row 1 + q: the state at quadrature node q
-    states = np.empty((1 + nq, n, h))
+    rule = node_times, np.array([[math.exp(-lam_i * xi) for lam_i in lam] for xi in node_times])
+    # row 0: the step-left factor; rows 1..: its values at the quadrature nodes
+    states = np.empty((1 + SEG_NODES.size, n, h))
     y = states[0]
     y[:] = y0
     for k in range(nk):
-        if record:
-            y_out[:, k] = y
         jumps = step_events(events, k, lam, h)
-        at, sz, lam_ev, u = jumps
-        np.multiply(y, node_decay[:, None, :], out=states[1:])
-        if at.size:
-            # events before each node, node by node, in storage order
-            node, j = np.nonzero(u < node_times[:, None])
-            w = sz[j] * np.exp(-lam_ev[j] * (node_times[node] - u[j]))
-            states[1:] += np.bincount(node * (n * h) + at[j], w, minlength=nq * n * h).reshape(nq, n, h)
-        rho = model.sharpe_squared(states)
-        acc = np.zeros(n)
-        for q in range(nq):
-            acc += SEG_WEIGHTS[q] * rho[1 + q]
-        r_step = acc * delta
-        # scale the frozen loading so its conditional variance matches
-        # the same integral; keeps the density mean exact given jumps
-        r_left = rho[0] * delta
-        scale = np.where(r_left > 1e-300, np.sqrt(r_step / np.maximum(r_left, 1e-300)), 1.0)
-        m_step = np.einsum("ni,ni->n", model.market_price_of_risk(y), dw[:, k]) * scale
-        sharpe_int += r_step
-        mpr_dw += m_step
-        if record:
-            sharpe_steps[:, k] = r_step
-            mpr_steps[:, k] = m_step
-        # the step's whole term first, then the total, so the total is
-        # the in-order sum of the per-step terms
+        r_step, m_step = density_step(model, states, rule, delta, dw[:, k], jumps)
+        # the step's whole term first, then the caller's total, so the
+        # total is the in-order sum of the per-step terms
+        at, sz = jumps[:2]
         term = y * (1.0 - edel)
         e = factor_step(y, edel, delta, jumps)
         if at.size:
             term += np.bincount(at, sz * (1.0 - e), minlength=n * h).reshape(n, h)
-        factor_int += term
-    y_end = y.copy()
+        yield r_step, m_step, term, y
+
+
+def simulate_d1h1(model, y0, lam, delta, dw, events, record=False):
+    """(y_end, sharpe_int, mpr_dw, factor_int): the terminal factor and
+    the in-order sums of ``engine_steps``' terms from zero.  With
+    ``record`` the factor at every node (n, K+1, h) follows, step-major,
+    for ``market.PathBundle.y``.  The name is kept because benchmark
+    records report it."""
+    n, nk = dw.shape[:2]
+    sharpe_int, mpr_dw = np.zeros(n), np.zeros(n)
+    factor_int = np.zeros((n, lam.size))
     if record:
-        y_out[:, nk] = y
-        return y_end, sharpe_int, mpr_dw, factor_int, y_out, sharpe_steps, mpr_steps
-    return y_end, sharpe_int, mpr_dw, factor_int
+        y_out = step_major(nk + 1, n, lam.size)
+        y_out[:, 0] = y0
+    for k, (r_step, m_step, term, y) in enumerate(engine_steps(model, y0, lam, delta, dw, events), 1):
+        sharpe_int += r_step
+        mpr_dw += m_step
+        factor_int += term
+        if record:
+            y_out[:, k] = y
+    out = y.copy(), sharpe_int, mpr_dw, factor_int
+    return out + (y_out,) if record else out
 
 
 def price_path(model, y, dw, s0, delta):

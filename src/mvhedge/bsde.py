@@ -369,7 +369,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
         raise ConfigurationError("backward solve is implemented for one factor")
     spec = bundle.specs[0]
     dt = bundle.grid.step
-    # prices are discounted one step at a time, without ``bundle.discounted``'s copy
+    # prices are discounted one step at a time, as the walk reaches them
     discount = np.exp(-bundle.rate * bundle.times)
     h_term = np.asarray(payoff(bundle), dtype=float)
     diagnostics = {"payoff": check_square_integrability(h_term)}

@@ -386,9 +386,6 @@ def main(argv=None) -> int:
         cfg = build_config(args)
         if args.fn is cmd_figure:
             cfg["experiment"] = args.preset
-    except (ConfigurationError, MomentConditionError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # jsonschema.ValidationError and file errors
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

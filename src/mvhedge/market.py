@@ -445,18 +445,19 @@ class PathBundle:
     of them by step (``StepEvents``).  The factor is a deterministic
     function of the jump record and the prices follow from the factor
     and the increments, so every other per-step quantity is replayed,
-    bitwise, by the recursions the engine runs (``_kernels.factor_step``
-    and ``_kernels.log_price_step``):
+    bitwise, by the recursions the engine runs (``_kernels.factor_step``,
+    ``_kernels.log_price_step`` and ``_kernels.density_step``):
 
-    walk           : forward, node by node, keeping no history (the hedge)
+    walk           : forward, node by node, keeping no history (the
+                     hedge, ``validate``'s whole-path checks and
+                     ``dump_paths_csv``)
     walk_backward  : backward, from checkpoints every m = ceil(sqrt(K))
                      steps, one segment at a time (the backward solve)
     terminal_prices: (n_paths, d), from the pass that saves the
                      checkpoints (the payoffs)
 
-    ``y``, ``y_left`` and ``s`` (n_paths, n_steps + 1, ...) are derived
-    in full on first read and kept, for the readers that want whole
-    paths (``density_path``, ``validate``, ``dump_paths_csv``).
+    ``y`` and ``s`` (n_paths, n_steps + 1, ...) are derived in full on
+    first read and kept; no module of the package reads them.
 
     Stored per path, each total the in-order sum of its per-step terms:
 
@@ -466,9 +467,6 @@ class PathBundle:
                  variance-matched to sharpe_int step by step (n_paths,)
     factor_int : lambda_i * integral of Y_i, exact including jumps
                  (n_paths, h)
-
-    ``step_quadratures`` re-runs the engine for the per-step terms of
-    sharpe_int and mpr_dw, and keeps that run's factor as ``y``.
     """
 
     def __init__(self, model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
@@ -496,7 +494,6 @@ class PathBundle:
         self._terminal = None
         self._y = None
         self._s = None
-        self._y_left = None
 
     @property
     def n_paths(self) -> int:
@@ -517,36 +514,19 @@ class PathBundle:
 
     @property
     def y(self) -> np.ndarray:
-        """Factor (n, K+1, h) at every node, from one more engine run on first read."""
+        """Factor (n, K+1, h) at every node, from one more engine run in its
+        ``record`` mode on first read: the tests' whole-path reference, and
+        inside the engine's span for the benchmark's tracer."""
         if self._y is None:
-            self._y = _run_engine(self.model, self.ou, self.grid, self.dw, self._step_events(),
-                                  record=True)[4]
+            self._y = kernels.simulate_d1h1(*self._engine_args(), record=True)[4]
         return self._y
 
     @property
     def s(self) -> np.ndarray:
-        """Prices (n, K+1, d), computed on first read."""
+        """Prices (n, K+1, d) from ``_kernels.price_path`` on ``y``, on first read."""
         if self._s is None:
             self._s = kernels.price_path(self.model, self.y, self.dw, self.s0, self.grid.step)
         return self._s
-
-    @property
-    def discounted(self) -> np.ndarray:
-        disc = np.exp(-self.model.rate * self.times)
-        return self.s * disc[None, :, None]
-
-    @property
-    def y_left(self) -> np.ndarray:
-        """Left limits at grid times; differs from y only at exact node jumps."""
-        if self._y_left is None:
-            node, path, comp, size, _ = self._node_jumps()
-            if node.size:
-                yl = self.y.copy(order="K")
-                np.subtract.at(yl, (path, node, comp), size)
-                self._y_left = yl
-            else:
-                self._y_left = self.y
-        return self._y_left
 
     @property
     def terminal_prices(self) -> np.ndarray:
@@ -557,8 +537,9 @@ class PathBundle:
 
     def _node_jumps(self):
         """(node, path, component, size) of the events exactly on a grid
-        node, which make a left limit differ from y, sorted by node, and
-        each node's bounds in them; found once, from the step grouping."""
+        node, which make a left limit differ from the factor, sorted by
+        node, and each node's bounds in them; found once, from the step
+        grouping."""
         if self._on_node is None:
             ev, j = self._step_events(), self.jumps
             # an event of step k lies in (t_k, t_k+1] (event times are
@@ -594,8 +575,9 @@ class PathBundle:
             kernels.factor_step(y, edel, delta, kernels.step_events(events, k, lam, lam.size))
             yield y, ls
 
-    def _left_limit(self, k, y):
-        """The factor's left limit at node k, given its value ``y`` there."""
+    def left_limit(self, k, y):
+        """The factor's left limit at node k, given its value ``y`` there:
+        ``y`` itself unless an event lies exactly on the node."""
         _, path, comp, size, bounds = self._node_jumps()
         on = slice(bounds[k], bounds[k + 1])
         if on.start == on.stop:
@@ -616,6 +598,13 @@ class PathBundle:
         self._terminal = np.exp(ls)
         self._checkpoints = saved
 
+    def _engine_args(self):
+        return self.model, self.ou.y0, self.ou.mean_reversion, self.grid.step, self.dw, self._step_events()
+
+    def engine_steps(self):
+        """The engine's pass replayed step by step (``_kernels.engine_steps``)."""
+        return kernels.engine_steps(*self._engine_args())
+
     def walk(self):
         """Yield (y_k, y_left_k, s_k), each (n, ...), at nodes k = 0..K.
 
@@ -624,13 +613,13 @@ class PathBundle:
         """
         y, ls = self._start()
         y_k = y.copy()
-        yield y_k, self._left_limit(0, y_k), np.exp(ls)
+        yield y_k, self.left_limit(0, y_k), np.exp(ls)
         for k, (y, ls) in enumerate(self._steps(y, ls, 0, self.n_steps), 1):
             s = np.exp(ls)
             if k == self.n_steps and self._terminal is None:
                 self._terminal = s
             y_k = y.copy()
-            yield y_k, self._left_limit(k, y_k), s
+            yield y_k, self.left_limit(k, y_k), s
 
     def walk_backward(self):
         """Yield (y_k, y_left_k, s_k), each (n, ...), at nodes k = K..0.
@@ -643,7 +632,7 @@ class PathBundle:
         if self._checkpoints is None:
             self._checkpoint()
         m, nk = self._every, self.n_steps
-        yield self.y_end, self._left_limit(nk, self.y_end), self.terminal_prices
+        yield self.y_end, self.left_limit(nk, self.y_end), self.terminal_prices
         ys = np.empty((min(m, nk), self.n_paths, self.ou.dim))
         lss = np.empty((min(m, nk), self.n_paths, self.model.d))
         for j in range(len(self._checkpoints) - 1, -1, -1):
@@ -656,21 +645,7 @@ class PathBundle:
             # copies, so the buffers can take the next segment
             for i in range(size - 1, -1, -1):
                 y_k = ys[i].copy()
-                yield y_k, self._left_limit(k0 + i, y_k), np.exp(lss[i])
-
-    def step_quadratures(self):
-        """Per-step terms (n, K) of ``sharpe_int`` and ``mpr_dw``, step-major.
-
-        The engine is run again on the bundle's own increments and jump
-        events, so the terms are those the totals were summed from.  The
-        factor that run records is kept as ``y`` if ``y`` was not read
-        yet, so a reader of both runs the engine once.
-        """
-        *_, y, sharpe_steps, mpr_steps = _run_engine(self.model, self.ou, self.grid, self.dw,
-                                                     self._step_events(), record=True)
-        if self._y is None:
-            self._y = y
-        return sharpe_steps, mpr_steps
+                yield y_k, self.left_limit(k0 + i, y_k), np.exp(lss[i])
 
     def factor_path(self, i: int) -> FactorPath:
         jp = self.jumps.path(i)
@@ -712,12 +687,6 @@ def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, j
     return paths, dw
 
 
-def _run_engine(model, ou, grid, dw, events, record=False):
-    """``_kernels.simulate_d1h1`` on a chunk's increments and its jump
-    events grouped by step."""
-    return kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step, dw, events, record=record)
-
-
 def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: int,
                    master_seed: int, jump_paths=None, path_offset: int = 0) -> PathBundle:
     """Simulate a bundle of paths, reproducible per (master_seed, path index).
@@ -736,7 +705,8 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
     rj = _pack_jumps(paths, grid, n_paths, len(specs))
     events = rj.by_step(grid.times)
-    y_end, sharpe_int, mpr_dw, factor_int = _run_engine(model, ou, grid, dw, events)
+    y_end, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step,
+                                                                  dw, events)
     return PathBundle(model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
                       factor_int, rj, master_seed, path_offset, events)
 
@@ -752,17 +722,17 @@ def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_siz
 
 
 def dump_paths_csv(bundle: PathBundle, fname, max_paths: int = 100):
-    """Write (path, t, Y_*, S_*, D_*) rows for the first paths of a bundle."""
+    """Write (path, t, Y_*, S_*, D_*) rows for the first paths of a bundle,
+    kept node by node from one forward walk."""
     n = min(bundle.n_paths, max_paths)
-    disc = bundle.discounted
+    discount = np.exp(-bundle.rate * bundle.times)
+    nodes = [(y[:n].copy(), s[:n].copy(), s[:n] * discount[k]) for k, (y, _, s) in enumerate(bundle.walk())]
     with open(fname, "w") as f:
         ycols = ",".join(f"Y_{i+1}" for i in range(bundle.ou.dim))
         scols = ",".join(f"S_{m+1}" for m in range(bundle.model.d))
         dcols = ",".join(f"D_{m+1}" for m in range(bundle.model.d))
         f.write(f"path,t,{ycols},{scols},{dcols}\n")
         for p in range(n):
-            for k, t in enumerate(bundle.times):
-                yv = ",".join(f"{v:.12g}" for v in bundle.y[p, k])
-                sv = ",".join(f"{v:.12g}" for v in bundle.s[p, k])
-                dv = ",".join(f"{v:.12g}" for v in disc[p, k])
+            for t, (y, s, d) in zip(bundle.times, nodes):
+                yv, sv, dv = (",".join(f"{v:.12g}" for v in a[p]) for a in (y, s, d))
                 f.write(f"{bundle.path_offset + p},{t:.12g},{yv},{sv},{dv}\n")

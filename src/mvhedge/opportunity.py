@@ -7,9 +7,9 @@ by a backward finite-difference solve of its integro-PDE (one factor)
 otherwise.  A Monte Carlo estimator at single states (any factor
 dimension) is the independent check of both.
 
-The density path combines the surface with the stochastic exponential
-of the adjusted price integral; its terminal value is the change of
-measure used to price and to validate the backward solver.
+The density walk combines the surface with the stochastic exponential
+of the adjusted price integral, node by node; its terminal value is the
+change of measure used to price and to validate the backward solver.
 """
 
 from __future__ import annotations
@@ -387,62 +387,35 @@ def stochastic_exponential(n_path: np.ndarray, qv_path: np.ndarray) -> np.ndarra
     return np.exp(np.asarray(n_path) - 0.5 * np.asarray(qv_path))
 
 
-@dataclass
-class DensityPath:
-    """Opportunity values, adjusted-gain integral and density along paths."""
+def density_walk(surface: OpportunitySurface, bundle):
+    """Yield the variance-optimal density and its left limit (n,),
+    normalized to one at t = 0, at nodes k = 0..K.
 
-    times: np.ndarray
-    opportunity: np.ndarray  # (n, K+1)
-    a_dot_d: np.ndarray      # (n, K+1) running integral of a against D
-    stoch_exp: np.ndarray    # (n, K+1)
-    density: np.ndarray      # (n, K+1)
-    density_left: np.ndarray
-    o0: float
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.density[:, -1]
-
-
-def _adjusted_gain_parts(bundle):
-    """Running integral of a against D and its quadratic variation.
-
-    Both reduce to integrals of the (squared) market price of risk, so
-    they are accumulated from the per-step quadratures the bundle's
-    totals were summed from (``PathBundle.step_quadratures``) rather
-    than from realized price differences; this keeps the density exact
-    for flat-coefficient models.
+    The quadratures are the engine's per-step terms, replayed
+    (``PathBundle.engine_steps``) into running sums (n,), so the last
+    density equals ``density_terminal`` bitwise on a grid-solved surface.
+    The surface is read one node at a time through ``value_along``, at
+    the factor's left limit only where an event lies on the node.
     """
-    sharpe_steps, mpr_steps = bundle.step_quadratures()
-    n, nk = sharpe_steps.shape
-    # step-major running sums, one contiguous add per step (a cumsum
-    # along the step axis would walk each path with a stride)
-    r_cum = kernels.step_major(nk + 1, n)
-    m_cum = kernels.step_major(nk + 1, n)
-    r_cum[:, 0] = m_cum[:, 0] = 0.0
-    for k in range(nk):
-        np.add(r_cum[:, k], sharpe_steps[:, k], out=r_cum[:, k + 1])
-        np.add(m_cum[:, k], mpr_steps[:, k], out=m_cum[:, k + 1])
-    return r_cum + m_cum, r_cum
-
-
-def density_path(surface: OpportunitySurface, bundle) -> DensityPath:
-    """Variance-optimal density along a bundle, normalized to one at t=0."""
-    if abs(surface.horizon - bundle.times[-1]) > 1e-9:
+    times = bundle.times
+    if abs(surface.horizon - times[-1]) > 1e-9:
         raise ConfigurationError("surface horizon does not match the bundle grid")
-    # the quadratures' engine run also gives the factor ``bundle.y``
-    a_dot_d, qv = _adjusted_gain_parts(bundle)
-    opp = surface.value_along(bundle.times, bundle.y)
-    see = stochastic_exponential(-a_dot_d, qv)
-    o0 = float(opp[0, 0])
-    density = opp * see / o0
-    yl = bundle.y_left
-    if yl is bundle.y or np.shares_memory(yl, bundle.y):
-        density_left = density
-    else:
-        opp_left = surface.value_along(bundle.times, yl)
-        density_left = opp_left * see / o0
-    return DensityPath(bundle.times, opp, a_dot_d, see, density, density_left, o0)
+    qv, m = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
+    o0 = float(surface.value_along(times[:1], bundle.y_start[:, None])[0, 0])
+
+    def at_node(k, y):
+        see = stochastic_exponential(-(qv + m), qv)
+        density = surface.value_along(times[k:k + 1], y[:, None])[:, 0] * see / o0
+        y_left = bundle.left_limit(k, y)
+        if y_left is y:
+            return density, density
+        return density, surface.value_along(times[k:k + 1], y_left[:, None])[:, 0] * see / o0
+
+    yield at_node(0, np.repeat(bundle.y_start, bundle.n_paths, axis=0))
+    for k, (r_step, m_step, _, y) in enumerate(bundle.engine_steps(), 1):
+        qv += r_step
+        m += m_step
+        yield at_node(k, y)
 
 
 def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
@@ -450,8 +423,9 @@ def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
     and its terminal factor.
 
     The engine sums the per-step quadratures from zero in step order,
-    as the running sums of ``_adjusted_gain_parts`` do, so the values
-    equal ``density_path(...).terminal`` bitwise.
+    as the running sums of ``density_walk`` do, so on a surface whose
+    ``value_at_states`` and ``value_along`` agree bitwise the values equal
+    the walk's last density.
     """
     qv, m = bundle.sharpe_int, bundle.mpr_dw
     o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])

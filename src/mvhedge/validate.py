@@ -110,16 +110,20 @@ def factor_balance(bundle) -> CheckResult:
 
 
 def discount_identity(bundle) -> CheckResult:
-    """The discounted prices are exp(-r t) S, bitwise."""
-    expect = np.exp(-bundle.rate * bundle.times)[None, :, None] * bundle.s
-    ok = np.array_equal(bundle.discounted, expect)
+    """The discounted prices exp(-r t) S that the hedge reads from the
+    forward walk equal those the backward solve reads from the backward
+    walk, node by node, bitwise."""
+    discount = np.exp(-bundle.rate * bundle.times)
+    forward = [s * discount[k] for k, (_, _, s) in enumerate(bundle.walk())]
+    ok = all(np.array_equal(s * discount[k], forward[k])
+             for k, (_, _, s) in zip(range(bundle.n_steps, -1, -1), bundle.walk_backward()))
     return CheckResult("discount identity", ok, "exact by construction")
 
 
 def price_moment_lognormal(bundle) -> CheckResult:
     """Terminal prices of a flat-coefficient bundle have the lognormal mean s0 exp(alpha T)."""
     target = bundle.s0[0] * math.exp(bundle.model.alpha * bundle.times[-1])
-    return _mean_within_4se("price moment matches lognormal", bundle.s[:, -1, 0], target,
+    return _mean_within_4se("price moment matches lognormal", bundle.terminal_prices[:, 0], target,
                             "mean {mean:.3f} target {target:.3f} se {se:.3f}")
 
 
@@ -129,7 +133,8 @@ def frozen_factor_equivalence(grid, n_paths, seed) -> CheckResult:
     empty = [levy.TableMeasure(())]
     b_bns, b_flat = (market.simulate_paths(model, ou, empty, [100.0], grid, n_paths, seed)
                      for model in (market.BNS(0.5, 0.02), market.ConstantBS(0.5 + 0.02 * 10, math.sqrt(10.0))))
-    diff = np.max(np.abs(b_bns.s - b_flat.s) / b_flat.s)
+    diff = max(np.max(np.abs(s_bns - s_flat) / s_flat)
+               for (_, _, s_bns), (_, _, s_flat) in zip(b_bns.walk(), b_flat.walk()))
     return CheckResult("frozen-factor equivalence", diff < 1e-9, f"max rel diff {diff:.2e}")
 
 
@@ -179,13 +184,16 @@ def density_mean_one(surface, bundles, slack=0.0) -> CheckResult:
 
 def flat_density_pathwise(surface, bundle) -> CheckResult:
     """Criterion 3's identity: under flat coefficients the density along
-    each path is exp(-theta W - theta^2 t / 2), to 1e-6 relative."""
+    each path is exp(-theta W - theta^2 t / 2), to 1e-6 relative, one node at a time."""
     model = bundle.model
     theta = (model.alpha - model.rate) / model.beta
-    dp = opportunity.density_path(surface, bundle)
-    w_acc = np.concatenate([np.zeros((bundle.n_paths, 1)), np.cumsum(bundle.dw[:, :, 0], axis=1)], axis=1)
-    ref = np.exp(-theta * w_acc - 0.5 * theta**2 * bundle.times[None, :])
-    err = float(np.max(np.abs(dp.density - ref) / ref))
+    w = np.zeros(bundle.n_paths)
+    err = 0.0
+    for k, (density, _) in enumerate(opportunity.density_walk(surface, bundle)):
+        if k:
+            w += bundle.dw[:, k - 1, 0]
+        ref = np.exp(-theta * w - 0.5 * theta**2 * bundle.times[k])
+        err = max(err, float(np.max(np.abs(density - ref) / ref)))
     return CheckResult("flat-model density matches the explicit change of measure", err < 1e-6,
                        f"pathwise err {err:.2e}")
 
@@ -196,8 +204,7 @@ def density_jumps_only_at_jump_times(surface, model, ou, specs, grid, n_paths, s
     node = grid.n_steps // 2
     jp = levy.JumpPath(grid.times[[node]], np.array([0]), np.array([2.0]), grid.horizon, 1)
     b = market.simulate_paths(model, ou, specs, [100.0], grid, n_paths, seed, jump_paths=[jp] * n_paths)
-    dp = opportunity.density_path(surface, b)
-    ratio = dp.density_left / dp.density
+    ratio = np.stack([left / density for density, left in opportunity.density_walk(surface, b)], axis=1)
     off = np.delete(ratio, node, axis=1)
     return CheckResult("density jumps only at jump times",
                        np.all(np.abs(off - 1.0) <= 1e-13) and np.all(np.abs(ratio[:, node] - 1.0) > 1e-6),
@@ -274,11 +281,16 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     # factor identities on simulated bundles
     b = market.simulate_paths(bns, ou, [cpe], [100.0], market.GridConfig(5.0, step), 1000, master_seed + 1)
     rep.checks.append(factor_balance(b))
-    margin = (b.y[:, :, 0] - 10.0 * np.exp(-b.times)[None, :]).min()
+    # the factor's margin above its floor y0 exp(-t), and the squared
+    # market price of risk, at every node of the forward walk
+    floor = 10.0 * np.exp(-b.times)
+    margin = s2 = math.inf
+    for k, (y, _, _) in enumerate(b.walk()):
+        margin = min(margin, (y[:, 0] - floor[k]).min())
+        s2 = min(s2, market.sharpe_squared(bns, y).min())
     rep.add("factor floor", margin >= -1e-12, f"min margin {margin:.2e}")
     rep.checks.append(discount_identity(b))
-    s2 = market.sharpe_squared(bns, b.y.reshape(-1, 1))
-    rep.add("squared market price of risk nonnegative", float(s2.min()) >= 0.0, f"min {s2.min():.3g}")
+    rep.add("squared market price of risk nonnegative", float(s2) >= 0.0, f"min {s2:.3g}")
 
     grid1 = market.GridConfig(1.0, step)
     bc = market.simulate_paths(cbs, ou, empty, [100.0], grid1, 10000, master_seed + 2)

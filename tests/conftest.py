@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from mvhedge import levy, market, ngou
+from mvhedge import _kernels as kernels
+from mvhedge import levy, market, ngou, opportunity
 
 
 @pytest.fixture(autouse=True)
@@ -52,3 +53,33 @@ class TwoAssetConstant(market.CoefficientModel):
 
     def vol(self, y):
         return np.broadcast_to(self.sigma, np.shape(y)[:-1] + (2, 2))
+
+
+def discounted(bundle):
+    """Discounted prices exp(-r t) S (n, K+1, d) of a bundle's whole paths."""
+    return np.exp(-bundle.rate * bundle.times)[None, :, None] * bundle.s
+
+
+def left_limits(bundle):
+    """The factor's left limits (n, K+1, h) at the grid nodes: ``bundle.y``
+    with every jump event that lies exactly on a node taken back out."""
+    y_left = bundle.y.copy()
+    j = bundle.jumps
+    path = np.repeat(np.arange(j.n_paths), np.diff(j.offsets))
+    node = np.minimum(np.searchsorted(bundle.times, j.times), bundle.n_steps)
+    on = bundle.times[node] == j.times
+    np.subtract.at(y_left, (path[on], node[on], j.components[on]), j.sizes[on])
+    return y_left
+
+
+def walk_density(surface, bundle):
+    """Run ``opportunity.density_walk`` to its end and record every
+    ``_kernels.density_step`` it calls: the densities and their left
+    limits (n, K+1) and the per-step quadratures (n, K), stacked."""
+    terms = []
+    step = kernels.density_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "density_step", lambda *a: terms.append(step(*a)) or terms[-1])
+        density, left = (np.stack(a, axis=1) for a in zip(*opportunity.density_walk(surface, bundle)))
+    sharpe_steps, mpr_steps = (np.stack(a, axis=1) for a in zip(*terms))
+    return density, left, sharpe_steps, mpr_steps

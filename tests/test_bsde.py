@@ -5,19 +5,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mvhedge import _kernels as kernels
 from mvhedge import bsde, levy, market, ngou, opportunity as opp
+
+from conftest import discounted, left_limits
 
 
 def step_design(sol, bundle, k):
     """Standardized design (p, n) of fitted step k at the fit states, intercept first."""
     fit = sol.table.steps[k]
-    xs = sol.table.features(bundle.discounted[:, k], bundle.y[:, k], knots=fit.knots)
+    xs = sol.table.features(discounted(bundle)[:, k], bundle.y[:, k], knots=fit.knots)
     return np.vstack([np.ones(bundle.n_paths), (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]])
 
 
 def table_at_fit_states(sol, bundle):
     """The table's value (n, K) and Brownian loadings (n, K, d) at the fit paths' states."""
-    disc = bundle.discounted
+    disc = discounted(bundle)
     pairs = [sol.table.value_and_loadings(k, disc[:, k], bundle.y[:, k]) for k in range(bundle.n_steps)]
     return np.stack([v for v, _ in pairs], 1), np.stack([vbar for _, vbar in pairs], 1)
 
@@ -140,20 +143,19 @@ class TestSolveBackward:
         assert sol.diagnostics["factorization"] == {"cholesky_qr2": bundle.n_steps - 1, "svd": 0}
 
     def test_discounted_never_built(self, bns_setup, ou, cpe, monkeypatch):
-        # the solve discounts one step at a time and replays the factor
-        # from the simulation's grouping of the jump events by step
+        # the solve discounts one step at a time, derives no whole price
+        # array, and replays the factor from the simulation's grouping of
+        # the jump events by step
         model, _, surface = bns_setup
-        built, grouped = [], []
-        prop = market.PathBundle.discounted
-        monkeypatch.setattr(market.PathBundle, "discounted",
-                            property(lambda b: built.append(b) or prop.fget(b)))
+        grouped = []
+        monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
         by_step = market.RaggedJumps.by_step
         monkeypatch.setattr(market.RaggedJumps, "by_step", lambda rj, t: grouped.append(rj) or by_step(rj, t))
         bundle = market.simulate_paths(model, ou, [cpe], [100.0], market.GridConfig(1.0, 0.02), 300, 5)
         bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
-        assert built == [] and grouped == [bundle.jumps]
-        # nor do the whole factor, the per-step quadratures or a hedge's walk
-        bundle.y, bundle.step_quadratures(), list(bundle.walk())
+        assert grouped == [bundle.jumps]
+        # nor do the whole factor, the density walk or a hedge's walk
+        bundle.y, list(opp.density_walk(surface, bundle)), list(bundle.walk())
         assert grouped == [bundle.jumps]
 
     def test_ill_conditioned_steps_take_svd(self, ou, cpe):
@@ -231,7 +233,6 @@ class TestSolveBackward:
         # per path and step (0.68); bns-0.3 holds with the channels
         _, bundle, surface = flat_setup if case == "flat" else bns_setup
         size = 5 * bundle.n_paths * bundle.n_steps * 8
-        assert bundle.y_left is not None and bundle.s is not None  # cached before tracing
         tracemalloc.start()
         try:
             bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
@@ -320,7 +321,7 @@ class TestSolveBackward:
         call, put = (bsde.solve_backward(bundle, surface, pay).value_at_zero
                      for pay in (bsde.DiscountedCall(100.0), bsde.DiscountedPut(100.0)))
         parity = 100.0 - 100.0 * math.exp(-bundle.rate * bundle.times[-1])
-        d_t = bundle.discounted[:, -1, 0]
+        d_t = discounted(bundle)[:, -1, 0]
         assert abs(call - put - parity) <= 4 * d_t.std(ddof=1) / math.sqrt(bundle.n_paths)
 
     def test_martingale_residuals(self, bns_setup):
@@ -345,9 +346,10 @@ class TestSolveBackward:
         _, bundle, surface = bns_setup
         sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0), bsde.BsdeConfig(basis=basis))
         roles = [role for _, role in sol.table.columns]
+        disc = discounted(bundle)
         for k in (1, 30, 70, 99):
             fit = sol.table.steps[k]
-            d_k, y_k = bundle.discounted[:, k], bundle.y[:, k]
+            d_k, y_k = disc[:, k], bundle.y[:, k]
             slope, quad = bsde._factor_shift(roles, fit.keep, fit.coef_process, fit.scale, d_k, y_k)
             v, _ = sol.table.value_and_loadings(k, d_k, y_k)
             for z in (0.05, 0.5, 2.0):
@@ -366,9 +368,10 @@ class TestSolveBackward:
         roles = [role for _, role in sol.table.columns]
         channels = surface.jump_channels(bundle.times, *levy.jump_quadrature(cpe))
         lam, dt, nk = cpe.time_scale, bundle.grid.step, bundle.n_steps
+        disc, y_left = discounted(bundle), left_limits(bundle)
         for k in (1, nk // 2, nk - 1):
             fit = sol.table.steps[k]
-            d_k, y_k, yl_k = bundle.discounted[:, k], bundle.y[:, k], bundle.y_left[:, k]
+            d_k, y_k, yl_k = disc[:, k], bundle.y[:, k], y_left[:, k]
             a = step_design(sol, bundle, k)
             value, vbar = sol.table.value_and_loadings(k, d_k, y_k)
             c = channels(k, yl_k[:, 0])
@@ -390,7 +393,7 @@ class TestSolveBackward:
         # channels once per path at its left state, and every read below
         # the floor or above the top counts; building the channels counts none
         _, bundle, surface = bns_setup
-        yl = bundle.y_left[:, :-1, 0]
+        yl = left_limits(bundle)[:, :-1, 0]
         lo, hi = np.searchsorted(surface.y_nodes, np.quantile(yl, [0.2, 0.8]))
         cut = opp.IpdeSurface(surface.t_slices, surface.y_nodes[lo:hi], surface.table[:, lo:hi], surface.horizon)
         bsde.solve_backward(bundle, cut, bsde.DiscountedCall(100.0))
@@ -410,6 +413,17 @@ class TestSolveBackward:
         small = market.simulate_paths(model, ou, [levy.TableMeasure(())], [100.0], grid, 10, 1)
         with pytest.raises(levy.ConfigurationError):
             bsde.solve_backward(small, surface, bsde.ConstantPayoff(1.0))
+
+    def test_two_factor_bundle_rejected(self):
+        # a flat model ignores the factor, so it simulates with two
+        model = market.ConstantBS(0.1, 0.2)
+        model.h = 2
+        ou2 = ngou.OUParams([1.0, 0.5], [10.0, 5.0])
+        bundle = market.simulate_paths(model, ou2, [levy.TableMeasure(())] * 2, [100.0],
+                                       market.GridConfig(1.0, 0.25), 100, 1)
+        with pytest.raises(levy.ConfigurationError, match="backward solve is implemented for one factor"):
+            bsde.solve_backward(bundle, opp.ConstantSharpeSurface(model.constant_sharpe, 1.0),
+                                bsde.ConstantPayoff(1.0))
 
     def test_export_csv(self, tmp_path, flat_setup):
         _, bundle, surface = flat_setup

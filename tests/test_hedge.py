@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mvhedge import _kernels as kernels
 from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp, validate
 
-from conftest import TwoAssetConstant
+from conftest import TwoAssetConstant, discounted, left_limits
 
 
 def bs_delta(s, k, sig, t_end):
@@ -238,19 +238,16 @@ class TestRunHedge:
         assert rep2.n_paths == 400
 
     def test_discounted_never_built(self, bns_world, ou, monkeypatch):
-        # the sweep discounts one step at a time, and only the recorded
-        # paths get a discounted copy
+        # the sweep discounts one step at a time and derives no whole
+        # price array; only the recorded paths get a discounted copy
         model, cpe, grid, _, surface = bns_world
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31),
                                   surface, pay)
-        built = []
-        prop = market.PathBundle.discounted
-        monkeypatch.setattr(market.PathBundle, "discounted",
-                            property(lambda b: built.append(b) or prop.fget(b)))
+        monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
         chunks = market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 300, 77, 100)
         rep = hedge.run_hedge(chunks, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=4))
-        assert built == [] and rep.recorded["discounted"].shape == (4, grid.n_steps + 1, 1)
+        assert rep.recorded["discounted"].shape == (4, grid.n_steps + 1, 1)
 
     def test_report_exports(self, tmp_path, bns_world):
         _, _, _, bundle, surface = bns_world
@@ -269,7 +266,7 @@ def separate_pass_hedge(chunks, solution, payoff, v, n_record):
     shortfalls, recorded = [], {}
     for bundle in chunks:
         n, nk, d = bundle.n_paths, bundle.n_steps, bundle.model.d
-        disc, y_left = bundle.discounted, bundle.y_left
+        disc, y_left = discounted(bundle), left_limits(bundle)
         value, vbar = np.empty((n, nk)), np.empty((n, nk, d))
         for k in range(nk):
             if solution is None:
@@ -375,13 +372,14 @@ def test_results_do_not_depend_on_layout(case, bns_world, ou):
         pay, endowment = bsde.DiscountedCall(100.0), 8.0
     other = path_major(bundle)
     assert other.dw[0].flags.c_contiguous and not other.dw[:, 1].flags.c_contiguous
-    for name in ("y", "y_left", "s", "discounted", "dw", "y_end", "terminal_prices", "sharpe_int", "mpr_dw",
-                 "factor_int"):
+    for name in ("y", "s", "dw", "y_end", "terminal_prices", "sharpe_int", "mpr_dw", "factor_int"):
         assert np.array_equal(getattr(bundle, name), getattr(other, name)), name
+    for node, other_node in zip(bundle.walk(), other.walk()):
+        assert all(np.array_equal(a, b) for a, b in zip(node, other_node))
     assert np.array_equal(opp.density_terminal(surface, bundle), opp.density_terminal(surface, other))
     sols = [bsde.solve_backward(b, surface, pay) for b in (bundle, other)]
     # the tables at the fit states, with the time-zero constants at k = 0
-    disc = bundle.discounted
+    disc = discounted(bundle)
     tables = [[sol.table.value_and_loadings(k, disc[:, k], bundle.y[:, k]) for k in range(bundle.n_steps)]
               for sol in sols]
     for i, name in enumerate(("value", "loadings")):

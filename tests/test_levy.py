@@ -180,3 +180,13 @@ def test_streams_beyond_64_bits_take_seed_sequence():
     assert levy.path_states(7, 2**64 - 1, 2)[0] == seed_sequence_rng(7, 2**64 - 1).bit_generator.state
     with pytest.raises(ValueError):
         levy.path_states(-1, 0, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: levy.CompoundPoissonExp(10.0, 8.0, 0.0), "time_scale must be positive"),
+    (lambda: levy.TableMeasure(((1.0, 1.0),), -1.0), "time_scale must be positive"),
+    (lambda: levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], -0.5, 1), "horizon must be nonnegative"),
+], ids=["exp_time_scale", "table_time_scale", "negative_horizon"])
+def test_input_guards(build, message):
+    with pytest.raises(levy.ConfigurationError, match=message):
+        build()

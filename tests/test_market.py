@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from mvhedge import _kernels as kernels
-from mvhedge import levy, market, ngou, validate
+from mvhedge import levy, market, ngou, opportunity, validate
 
-from conftest import TwoAssetConstant, empty_jump_path
+from conftest import TwoAssetConstant, empty_jump_path, walk_density
 
 
 class TwoFactor(market.CoefficientModel):
@@ -22,13 +22,17 @@ class TwoFactor(market.CoefficientModel):
         return np.sqrt(y.sum(-1))[..., None, None]
 
 
+def step_terms(bundle):
+    """Per-step terms (n, K) of ``sharpe_int`` and ``mpr_dw``, from a density
+    walk (the surface does not enter them)."""
+    return walk_density(opportunity.ConstantSharpeSurface(0.0, bundle.times[-1]), bundle)[2:]
+
+
 def assert_step_slices_contiguous(bundle):
-    # per-step arrays are stored step-major behind their (n, K, ...) shapes,
-    # and so are the re-run quadratures; the quadratures and the factor
-    # integral are stored as one total per path
-    arrays = {name: getattr(bundle, name) for name in ("y", "s", "dw", "discounted")}
-    arrays.update(zip(("sharpe_steps", "mpr_steps"), bundle.step_quadratures()))
-    for name, arr in arrays.items():
+    # per-step arrays are stored step-major behind their (n, K, ...) shapes;
+    # the quadratures and the factor integral are stored as one total per path
+    for name in ("y", "s", "dw"):
+        arr = getattr(bundle, name)
         assert all(arr[:, k].flags.c_contiguous for k in range(arr.shape[1])), name
     assert bundle.sharpe_int.shape == bundle.mpr_dw.shape == (bundle.n_paths,)
     assert bundle.factor_int.shape == (bundle.n_paths, bundle.ou.dim)
@@ -211,10 +215,12 @@ class TestSimulation:
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 2, 1,
                                   jump_paths=[jp, jp])
         k = 5  # t = 0.5 is a grid node
-        assert b.y[0, k, 0] - b.y_left[0, k, 0] == pytest.approx(2.0, rel=1e-14)
-        # the left limits are a copy that keeps the step-major layout
-        assert not np.shares_memory(b.y_left, b.y)
-        assert all(b.y_left[:, j].flags.c_contiguous for j in range(b.n_steps + 1))
+        nodes = list(b.walk())
+        y, y_left, _ = nodes[k]
+        assert y[0, 0] - y_left[0, 0] == pytest.approx(2.0, rel=1e-14)
+        # the left limit is a copy there, and the factor itself at every other node
+        assert not np.shares_memory(y_left, y)
+        assert all(left is y_j for j, (y_j, left, _) in enumerate(nodes) if j != k)
 
     def test_dimension_mismatch_raises(self, bns_model, cpe_spec):
         ou2 = ngou.OUParams([1.0, 1.0], [10.0, 10.0])
@@ -234,7 +240,7 @@ class TestSimulation:
         log_s = math.log(100.0) + (alpha - 0.5 * beta**2) * b.times[None, :] + beta * w
         np.testing.assert_allclose(np.log(b.s[:, :, 0]), log_s, rtol=1e-12, atol=0)
         theta = (alpha - rate) / beta
-        sharpe_steps, mpr_steps = b.step_quadratures()
+        sharpe_steps, mpr_steps = step_terms(b)
         np.testing.assert_allclose(sharpe_steps, np.full((200, grid.n_steps), theta**2 * grid.step),
                                    rtol=1e-12, atol=0)
         np.testing.assert_allclose(mpr_steps, theta * b.dw[:, :, 0], rtol=1e-12, atol=0)
@@ -253,7 +259,7 @@ class TestSimulation:
         y = b.y[:, :-1, 0]
         exact = (a**2 * math.expm1(lam * dt) / (lam * y) + 2 * a * beta * dt
                  - beta**2 * y * math.expm1(-lam * dt) / lam)
-        np.testing.assert_allclose(b.step_quadratures()[0], exact, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(step_terms(b)[0], exact, rtol=1e-12, atol=0)
         assert_step_slices_contiguous(b)
 
     def test_engine_propagates_singular_covariance(self, ou_unit, no_jumps):
@@ -291,29 +297,21 @@ def quadrature_world(case):
 @pytest.mark.parametrize("case", ["bns", "constant", "two_factor", "tabulated"])
 class TestStepQuadratures:
     # the bundle stores the density's quadratures as path totals; the
-    # per-step terms come from one more run of the same engine
+    # density walk re-runs the engine's step function for the per-step terms
     grid = market.GridConfig(0.5, 0.01)
 
-    def test_totals_are_in_order_sums_of_the_rerun(self, case, seed, monkeypatch):
+    def test_totals_are_in_order_sums_of_the_rerun(self, case, seed):
         model, ou, specs = quadrature_world(case)
         b = market.simulate_paths(model, ou, specs, [100.0], self.grid, 2000, seed)
-        runs = []
-        simulate = kernels.simulate_d1h1
-
-        def recorded(*args, **kwargs):
-            runs.append(simulate(*args, **kwargs))
-            return runs[-1]
-
-        monkeypatch.setattr(kernels, "simulate_d1h1", recorded)
-        sharpe_steps, mpr_steps = b.step_quadratures()
+        sharpe_steps, mpr_steps = step_terms(b)
         assert sharpe_steps.shape == mpr_steps.shape == (b.n_paths, b.n_steps)
         qv, m = np.zeros(b.n_paths), np.zeros(b.n_paths)
         for k in range(b.n_steps):
             qv += sharpe_steps[:, k]
             m += mpr_steps[:, k]
         assert np.array_equal(b.sharpe_int, qv) and np.array_equal(b.mpr_dw, m)
-        (y_end, *_, y, _, _), = runs
-        assert np.array_equal(y_end, b.y_end) and np.array_equal(y[:, -1], b.y_end)
+        # the engine's recording run ends where the simulation did
+        assert np.array_equal(b.y[:, -1], b.y_end)
         if case != "constant":
             assert b.jumps.times.size > 0
 
@@ -352,23 +350,37 @@ def walk_bundle(case):
 @pytest.mark.parametrize("every", [1, 7, 8, 50])  # 8 = ceil(sqrt(50)), the default
 @pytest.mark.parametrize("case", ["bns_node_jump", "constant", "two_asset"])
 def test_walks_replay_the_engine_bitwise(case, every):
-    # both walks give, node by node, the engine's factor, its left limits
-    # and price_path's prices, bit for bit, whatever the checkpoint spacing
+    # both walks give, node by node, whatever the checkpoint spacing: the
+    # engine's recorded factor and the prices of a log_price_step loop
+    # run here on it, bit for bit; and on a few paths, the node-jump path
+    # among them, the factor and its left limits of the exact path
+    # (ngou.evolve) to 1e-12
     b = walk_bundle(case)
     assert b._every == 8
     b._every = every
     backward = list(b.walk_backward())[::-1]
     forward = list(b.walk())
     ref = walk_bundle(case)
+    ls = kernels.log_price_start(ref.s0, ref.n_paths)
+    prices = [np.exp(ls)]
+    for k in range(ref.n_steps):
+        ls = kernels.log_price_step(ref.model, ls, ref.y[:, k], ref.dw[:, k], ref.grid.step)
+        prices.append(np.exp(ls))
+    prices = np.stack(prices, axis=1)
     assert np.array_equal(ref.y[:, -1], b.y_end)
-    assert np.array_equal(ref.s[:, -1], b.terminal_prices)
+    assert np.array_equal(prices[:, -1], b.terminal_prices)
     for nodes in (forward, backward):
         assert len(nodes) == b.n_steps + 1
-        for name, ref_arr, got in zip(("y", "y_left", "s"), (ref.y, ref.y_left, ref.s), zip(*nodes)):
-            assert np.array_equal(ref_arr, np.stack(got, axis=1)), name
-    if case == "bns_node_jump":
-        assert ref.y[0, 25, 0] - ref.y_left[0, 25, 0] == pytest.approx(2.0, rel=1e-14)
-        assert np.array_equal(np.flatnonzero(np.any(ref.y != ref.y_left, axis=(0, 2))), [25])
+        y, y_left, s = (np.stack(a, axis=1) for a in zip(*nodes))
+        assert np.array_equal(y, ref.y) and np.array_equal(s, prices)
+        for i in (0, 1, b.n_paths - 1):
+            fp = b.factor_path(i)
+            at = np.searchsorted(fp.times, b.times)
+            np.testing.assert_allclose(y[i], fp.values[at], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y_left[i], fp.left_values[at], rtol=1e-12, atol=0)
+        if case == "bns_node_jump":
+            assert y[0, 25, 0] - y_left[0, 25, 0] == pytest.approx(2.0, rel=1e-14)
+            assert np.array_equal(np.flatnonzero(np.any(y != y_left, axis=(0, 2))), [25])
 
 
 def test_dump_paths_csv(tmp_path, bns_model, ou_unit, cpe_spec):
@@ -379,6 +391,10 @@ def test_dump_paths_csv(tmp_path, bns_model, ou_unit, cpe_spec):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "path,t,Y_1,S_1,D_1"
     assert len(lines) == 1 + 2 * (b.n_steps + 1)
+    # path 1 at node 2, against the whole paths (the rate is zero: D = S)
+    row = [float(v) for v in lines[1 + (b.n_steps + 1) + 2].split(",")]
+    assert row[:2] == [1.0, pytest.approx(b.times[2], rel=1e-11)]
+    assert row[2:] == pytest.approx([b.y[1, 2, 0], b.s[1, 2, 0], b.s[1, 2, 0]], rel=1e-11)
 
 
 def unchecked_paths(events, h, horizon=1.0):
@@ -520,3 +536,34 @@ def test_streams_pinned(setup, monkeypatch):
     can_jump = isinstance(spec, levy.CompoundPoissonExp)
     assert len(calls) == (n if can_jump else 0)
     assert (b.jumps.times.size > 0) == can_jump
+
+
+class SingularTwoAsset(market.CoefficientModel):
+    """Two assets driven by one Brownian motion: the covariance is singular."""
+
+    d, h, rate = 2, 1, 0.0
+
+    def drift(self, y):
+        return np.broadcast_to([0.1, 0.05], np.shape(y)[:-1] + (2,))
+
+    def vol(self, y):
+        return np.broadcast_to([[0.5, 0.0], [0.5, 0.0]], np.shape(y)[:-1] + (2, 2))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: market.ConstantBS(0.1, 0.0), levy.ConfigurationError, "volatility must be positive"),
+    (lambda: market.TabulatedModel([2.0, 1.0], [0.1, 0.1], [0.2, 0.2]), levy.ConfigurationError,
+     "y_nodes must be strictly increasing"),
+    (lambda: market.TabulatedModel([1.0, 2.0], [0.1, 0.1], [0.2, 0.0]), levy.ConfigurationError,
+     "tabulated volatilities must be positive"),
+    (lambda: market.GridConfig(1.0, 0.0), levy.ConfigurationError, "horizon and step must be positive"),
+    (lambda: market.simulate_paths(market.BNS(0.5, 0.02), ngou.OUParams([1.0], [10.0]),
+                                   [levy.TableMeasure(())], [-100.0], market.GridConfig(1.0, 0.1), 4, 1),
+     levy.ConfigurationError, "initial prices must be positive, one per asset"),
+    (lambda: market.sharpe_squared(SingularTwoAsset(), np.ones((3, 1))), np.linalg.LinAlgError,
+     r"singular volatility covariance \(condition number"),
+], ids=["flat_volatility", "tabulated_nodes", "tabulated_volatility", "grid_step", "initial_prices",
+        "singular_two_asset_covariance"])
+def test_input_guards(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -124,3 +124,13 @@ def test_params_validation():
         ngou.OUParams([1.0], [-1.0])
     with pytest.raises(levy.ConfigurationError):
         ngou.OUParams([1.0, 2.0], [1.0])
+
+
+def test_input_guards(ou_unit):
+    jp = single_jump_path(0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="grid must start at 0"):
+        ngou.evolve(ou_unit, jp, np.array([0.1, 0.5, 1.0]))
+    fp = ngou.evolve(ou_unit, jp, np.array([0.0, 0.5, 1.0]))
+    for t, t_hat in ((0.5, 0.2), (-0.1, 0.5), (0.2, 1.5)):
+        with pytest.raises(ValueError, match="need 0 <= t <= t_hat <= horizon"):
+            ngou.integrated_factor(fp, t, t_hat)

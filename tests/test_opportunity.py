@@ -8,6 +8,8 @@ import pytest
 from mvhedge import _kernels as kernels
 from mvhedge import levy, market, ngou, opportunity as opp, validate
 
+from conftest import walk_density
+
 
 class TwoFactorBNS(market.CoefficientModel):
     """Two uncorrelated BNS assets, asset i driven by factor i."""
@@ -348,9 +350,9 @@ class TestDensityPath:
     def test_normalized_at_zero(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(1.0, 0.01)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 200, 7)
-        dp = opp.density_path(bns_surface, b)
-        assert np.max(np.abs(dp.density[:, 0] - 1.0)) < 1e-12
-        assert dp.density.min() > 0.0
+        density, density_left, *_ = walk_density(bns_surface, b)
+        assert np.max(np.abs(density[:, 0] - 1.0)) < 1e-12
+        assert density.min() > 0.0 and np.array_equal(density_left, density)
 
     def test_flat_model_matches_explicit_density(self, ou):
         # the opportunity factor cancels against the drift part, leaving
@@ -366,37 +368,33 @@ class TestDensityPath:
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 20000, 9)
         assert validate.density_mean_one(bns_surface, [b], slack=0.004).ok
 
-    def test_one_engine_run(self, bns, ou, cpe, bns_surface, monkeypatch):
-        # the factor comes from the quadratures' run, and the fields do
-        # not depend on whether the factor was read first
+    def test_density_walk_runs_no_engine(self, bns, ou, cpe, bns_surface, monkeypatch):
+        # the walk replays the factor and the quadratures step by step, and
+        # its values do not depend on whether the whole factor was read first
         grid = market.GridConfig(1.0, 0.02)
         b, ref = (market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10) for _ in range(2))
         ref.y
-        runs, simulate = [], kernels.simulate_d1h1
-        monkeypatch.setattr(kernels, "simulate_d1h1", lambda *a, **kw: runs.append(kw) or simulate(*a, **kw))
-        dp = opp.density_path(bns_surface, b)
-        assert len(runs) == 1
-        dp_ref = opp.density_path(bns_surface, ref)
-        for name in ("opportunity", "a_dot_d", "stoch_exp", "density", "density_left"):
-            assert np.array_equal(getattr(dp, name), getattr(dp_ref, name)), name
+        monkeypatch.setattr(kernels, "simulate_d1h1", lambda *a, **kw: pytest.fail("ran the engine"))
+        for got, want in zip(opp.density_walk(bns_surface, b), opp.density_walk(bns_surface, ref)):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
-    def test_running_sums_match_cumsum(self, bns, ou, cpe):
-        # the per-step loop adds in the same order as a cumulative sum along each path
+    def test_running_sums_match_cumsum(self, bns, ou, cpe, bns_surface):
+        # the walk adds the per-step terms in the order of a cumulative sum
+        # along each path, and reads the surface at the engine's factor
         grid = market.GridConfig(1.0, 0.02)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
-        a_dot_d, qv = opp._adjusted_gain_parts(b)
-        r, m = (np.cumsum(np.ascontiguousarray(a), axis=1) for a in b.step_quadratures())
-        assert np.all(qv[:, 0] == 0.0) and np.all(a_dot_d[:, 0] == 0.0)
-        assert np.array_equal(qv[:, 1:], r)
-        assert np.array_equal(a_dot_d[:, 1:], r + m)
+        density, _, sharpe_steps, mpr_steps = walk_density(bns_surface, b)
+        r, m = (np.cumsum(a, axis=1) for a in (sharpe_steps, mpr_steps))
+        opportunity = bns_surface.value_along(b.times, b.y)
+        expect = opportunity[:, 1:] * opp.stochastic_exponential(-(r + m), r) / opportunity[0, 0]
+        assert np.array_equal(density[:, 1:], expect)
 
     def test_density_terminal_matches_path_variant(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(1.0, 0.02)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
         assert b.jumps.times.size > 0
-        dp = opp.density_path(bns_surface, b)
-        zt = opp.density_terminal(bns_surface, b)
-        assert np.array_equal(zt, dp.terminal)
+        *_, (last, _) = opp.density_walk(bns_surface, b)
+        assert np.array_equal(opp.density_terminal(bns_surface, b), last)
 
     def test_density_terminal_keeps_no_running_sum_paths(self, bns, ou, cpe, bns_surface):
         # only per-path running sums: the peak stays below two (n, K+1) arrays
@@ -410,6 +408,20 @@ class TestDensityPath:
             tracemalloc.stop()
         assert peak < 2 * b.n_paths * (b.n_steps + 1) * 8
 
+    def test_density_walk_keeps_one_node(self, bns, ou, cpe, bns_surface):
+        # the walk keeps per-path state only: a whole walk peaks below one
+        # (n, K+1) array, where whole density paths would take several
+        grid = market.GridConfig(1.0, 0.01)
+        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 2000, 11)
+        tracemalloc.start()
+        try:
+            for _ in opp.density_walk(bns_surface, b):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < b.n_paths * (b.n_steps + 1) * 8
+
     def test_jumps_only_at_jump_times(self, bns, ou, cpe, bns_surface):
         grid = market.GridConfig(1.0, 0.1)
         check = validate.density_jumps_only_at_jump_times(bns_surface, bns, ou, [cpe], grid, 3, 1)
@@ -419,7 +431,7 @@ class TestDensityPath:
         grid = market.GridConfig(0.5, 0.01)
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 10, 2)
         with pytest.raises(levy.ConfigurationError):
-            opp.density_path(bns_surface, b)
+            next(opp.density_walk(bns_surface, b))
 
 
 def test_two_factor_estimate_is_product_of_grid_solves(cpe):
@@ -473,3 +485,26 @@ def test_practical_floor_respects_hard_bound(ou, cpe):
     assert got == pytest.approx(hard)
     long_floor = opp.practical_floor(ou, [cpe], 50.0)
     assert long_floor > 10.0 * math.exp(-50.0)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("negative_sharpe", "squared market price of risk must be nonnegative"),
+    ("two_factors", "grid solve supports one factor only"),
+    ("floor_above_top", "mesh floor must lie below the mesh top"),
+    ("time_steps", "n_time_steps must be a multiple of n_time_slices - 1"),
+    ("probe_after_horizon", "t must not exceed the horizon"),
+])
+def test_input_guards(case, message, bns, ou, cpe):
+    with pytest.raises(levy.ConfigurationError, match=message):
+        if case == "negative_sharpe":
+            opp.ConstantSharpeSurface(-0.1, 1.0)
+        elif case == "two_factors":
+            opp.solve_opportunity_ipde(TwoFactorBNS([0.5, 0.3], [0.02, 0.05]),
+                                       ngou.OUParams([1.0, 0.5], [10.0, 5.0]), cpe, 1.0)
+        elif case == "floor_above_top":
+            opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(y_floor=2000.0, y_top=1000.0))
+        elif case == "time_steps":
+            opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(n_y=60, n_time_slices=65,
+                                                                         n_time_steps=100))
+        else:
+            opp.estimate_opportunity_mc(bns, ou, [cpe], 1.5, [10.0], 1.0)
