@@ -26,11 +26,9 @@ from .market import (
     PathBundle,
     TabulatedModel,
     adjustment,
-    check_conditions,
     excess_drift,
     iter_path_chunks,
     market_price_of_risk,
-    sharpe_squared,
     simulate_paths,
 )
 from .opportunity import (
@@ -52,6 +50,6 @@ from .bsde import (
     mc_value_at_zero,
     solve_backward,
 )
-from .hedge import HedgeConfig, HedgeReport, closed_forms, pure_hedge, run_hedge
+from .hedge import HedgeReport, closed_forms, pure_hedge, run_hedge
 
 __version__ = "0.1.0"

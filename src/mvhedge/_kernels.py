@@ -11,8 +11,9 @@ the replays of ``market.PathBundle``'s walks, which feed the backward
 solve and the hedge sweep (``hedge_sweep``: per time step it asks the
 caller for the strategy's pieces, then records and applies one
 ``gains_step``).  The other loops are the pathwise exponent of the
-surface's inner Monte Carlo (``opportunity_mc_exponent``) and bilinear
-table lookups along paths (``bilinear_steps``).  Each runs a Python
+surface's inner Monte Carlo (``opportunity_mc_exponent``) and the
+bilinear reads of the backward solver's jump-channel tables
+(``bilinear_steps``).  Each runs a Python
 loop over time steps or jump ordinals and numpy over paths.  All random
 numbers are drawn by the callers.
 

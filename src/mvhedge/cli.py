@@ -165,13 +165,16 @@ def build_components(cfg: dict):
     return model, ou, specs
 
 
-def build_payoff(cfg: dict):
+def build_payoff(cfg: dict, model):
     pc = cfg["payoff"]
     if pc["kind"] == "constant":
         return bsde.ConstantPayoff(pc["level"])
+    asset = pc.get("asset", 0)
+    if asset >= model.d:
+        raise ConfigurationError(f"payoff asset {asset} is not one of the model's {model.d} assets")
     if pc["kind"] == "call":
-        return bsde.DiscountedCall(pc["strike"], pc.get("asset", 0))
-    return bsde.DiscountedPut(pc["strike"], pc.get("asset", 0))
+        return bsde.DiscountedCall(pc["strike"], asset)
+    return bsde.DiscountedPut(pc["strike"], asset)
 
 
 def build_surface(cfg, model, ou, specs, horizon):
@@ -225,8 +228,8 @@ def _fit_solution(cfg, model, ou, specs, grid, surface, payoff):
 def cmd_price(cfg, args):
     model, ou, specs = build_components(cfg)
     grid = _grid(cfg)
+    payoff = build_payoff(cfg, model)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
-    payoff = build_payoff(cfg)
     bundle, solution = _fit_solution(cfg, model, ou, specs, grid, surface, payoff)
     est, se = bsde.mc_value_at_zero(surface, bundle, payoff)
     print(f"backward value at zero : {solution.value_at_zero:.8g} (se {solution.se_at_zero:.3g})")
@@ -239,8 +242,8 @@ def cmd_price(cfg, args):
 def cmd_solve_bsde(cfg, args):
     model, ou, specs = build_components(cfg)
     grid = _grid(cfg)
+    payoff = build_payoff(cfg, model)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
-    payoff = build_payoff(cfg)
     _, solution = _fit_solution(cfg, model, ou, specs, grid, surface, payoff)
     out = output_dir(cfg, args) / "bsde_solution.csv"
     solution.export_csv(out)
@@ -248,7 +251,7 @@ def cmd_solve_bsde(cfg, args):
     return 0
 
 
-def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True, config=None):
+def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True, record_paths=0):
     """Hedge the ``n_paths`` paths after the fit paths ``[0, n_fit_paths)``.
 
     The backward solution is fitted on the fit paths, so the reported
@@ -264,18 +267,18 @@ def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True,
         model, ou, specs, cfg["initial_prices"], grid, cfg["paths"]["n_paths"],
         cfg["paths"]["master_seed"], cfg["paths"]["chunk_size"], path_offset=offset,
     )
-    return hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"], config)
+    return hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"], record_paths)
 
 
 def cmd_hedge(cfg, args):
     model, ou, specs = build_components(cfg)
     grid = _grid(cfg)
+    payoff = build_payoff(cfg, model)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
-    payoff = build_payoff(cfg)
     hc = cfg.get("hedge", {})
     report = _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff,
                                   fit=not hc.get("use_closed_form_value", False),
-                                  config=hedge.HedgeConfig(record_paths=hc.get("record_paths", 0)))
+                                  record_paths=hc.get("record_paths", 0))
     outdir = output_dir(cfg, args)
     report.export_csv(outdir / "hedge_report.csv")
     (outdir / "hedge_report.txt").write_text(report.summary() + "\n")
@@ -387,7 +390,9 @@ def main(argv=None) -> int:
         if args.fn is cmd_figure:
             cfg["experiment"] = args.preset
     except Exception as exc:  # jsonschema.ValidationError and file errors
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+        # a schema error names the offending key, without the schema excerpt
+        where = f"{exc.json_path}: " if hasattr(exc, "json_path") else ""
+        print(f"invalid configuration: {where}{getattr(exc, 'message', exc)}", file=sys.stderr)
         return 2
     try:
         return args.fn(cfg, args)

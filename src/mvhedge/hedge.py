@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
-from ._kernels import gains_step, strategy_position  # noqa: F401  (the strategy's pieces, re-exported)
 from .bsde import BSDESolution, ConstantPayoff
 from .levy import ConfigurationError
 from .market import PathBundle, adjustment
@@ -55,11 +54,6 @@ def closed_forms(p: float, v: float, p0: float):
     # cancels catastrophically when p0 is tiny
     gap = p0**2 / (1.0 - p0) * gap2
     return herr + gap, herr, gap
-
-
-@dataclass
-class HedgeConfig:
-    record_paths: int = 0  # number of leading paths to keep for export
 
 
 @dataclass
@@ -114,7 +108,7 @@ class HedgeReport:
 
 
 def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | None,
-              payoff, endowment: float, config: HedgeConfig | None = None) -> HedgeReport:
+              payoff, endowment: float, record_paths: int = 0) -> HedgeReport:
     """Forward hedge sweep over one bundle or an iterable of chunks.
 
     The claim's value and Brownian loadings at each step come from one
@@ -125,8 +119,8 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     only per-path running gains.  Reports the mean squared terminal
     shortfall with its standard error and, for constant payoffs, the
     closed-form comparators evaluated at the surface's time-zero value.
+    The first ``record_paths`` paths are kept for export.
     """
-    cfg = config or HedgeConfig()
     source = solution.table if solution is not None else payoff
     if not hasattr(source, "value_and_loadings"):
         raise ConfigurationError("without a backward solution the payoff must give its own value "
@@ -151,7 +145,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
             return value, pure_hedge(model, d_k, y_left_k, vbar), adj
 
         gains, rec = kernels.hedge_sweep(bundle.walk(), np.exp(-bundle.rate * bundle.times), strategy,
-                                         endowment, 0 if recorded else cfg.record_paths)
+                                         endowment, 0 if recorded else record_paths)
         recorded = recorded or rec
         h_term = payoff(bundle)
         shortfall = endowment + gains - h_term

@@ -246,37 +246,6 @@ class JumpPath:
         np.add.at(out, self.components, self.sizes)
         return out
 
-    def cumulative(self, component: int, t: np.ndarray) -> np.ndarray:
-        """L_component(lambda * t) evaluated at times t."""
-        mask = self.components == component
-        ti = self.times[mask]
-        si = self.sizes[mask]
-        idx = np.searchsorted(ti, np.asarray(t, dtype=float), side="right")
-        csum = np.concatenate([[0.0], np.cumsum(si)])
-        return csum[idx]
-
-    def truncated_at_level(self, level: float) -> "JumpPath":
-        """Censor all events from the first time any component exceeds ``level``.
-
-        Implements the localization used to stabilize heavy-tailed runs:
-        the returned path agrees with this one strictly before the
-        crossing time and has no events afterwards.
-        """
-        if not self.times.size:
-            return self
-        running = np.zeros(self.n_components)
-        cutoff = self.times.size
-        order = np.argsort(self.times, kind="stable")
-        for pos in order:
-            running[self.components[pos]] += self.sizes[pos]
-            if running.max() > level:
-                cutoff_time = self.times[pos]
-                keep = self.times < cutoff_time
-                return JumpPath(
-                    self.times[keep], self.components[keep], self.sizes[keep], self.horizon, self.n_components
-                )
-        return self
-
 
 # numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's
 # seeding (O'Neill 2014, HMC-CS-2014-0905), both fixed by numpy's

@@ -10,7 +10,6 @@ error at all (see ngou).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,6 @@ class CoefficientModel:
     h: int = 1
     rate: float = 0.0
     constant_sharpe: float | None = None
-    declared_bounds: dict = {}
 
     def drift(self, y):
         raise NotImplementedError
@@ -67,16 +65,6 @@ class ConstantBS(CoefficientModel):
         self.d = 1
         self.h = 1
         self.constant_sharpe = (self.alpha - self.rate) ** 2 / self.beta**2
-        self.declared_bounds = {
-            "A_b": abs(self.alpha),
-            "B_b": 0.0,
-            "A_cov": self.beta**2,
-            "B_cov": 0.0,
-            "Abar_b": 0.0,
-            "Bbar_b": 0.0,
-            "Abar_cov": 0.0,
-            "Bbar_cov": 0.0,
-        }
 
     def drift(self, y):
         y = np.asarray(y, dtype=float)
@@ -106,15 +94,6 @@ class BNS(CoefficientModel):
         self.d = 1
         self.h = 1
         self.constant_sharpe = None
-        self.declared_bounds = {
-            "A_b": abs(self.alpha),
-            "B_b": abs(self.beta),
-            "A_cov": 0.0,
-            "B_cov": 1.0,
-            "b_cov": 1.0,
-            "Abar_b": abs(self.beta),
-            "Bbar_b": 0.0,
-        }
 
     def drift(self, y):
         y = np.asarray(y, dtype=float)
@@ -198,11 +177,6 @@ def _solve_cov(model, y, rhs):
         ) from exc
 
 
-def sharpe_squared(model, y):
-    """Squared market price of risk B'(sigma sigma')^{-1} B, nonnegative."""
-    return model.sharpe_squared(y)
-
-
 def market_price_of_risk(model, y):
     """sigma'(sigma sigma')^{-1} B, the Brownian loading of the risk premium."""
     return model.market_price_of_risk(y)
@@ -213,139 +187,6 @@ def adjustment(model, d_prices, y):
     b = excess_drift(model, y)
     x = _solve_cov(model, y, b)
     return x / np.asarray(d_prices, dtype=float)
-
-
-@dataclass
-class CheckRow:
-    name: str
-    satisfied: bool
-    worst_margin: float | None
-    implied_constant: float | None
-    detail: str
-
-
-@dataclass
-class ConditionReport:
-    rows: list
-    max_cov_condition: float
-    warnings: list
-
-    @property
-    def ok(self) -> bool:
-        return all(r.satisfied for r in self.rows)
-
-
-def _sup_norm(a):
-    return np.max(np.abs(a), axis=tuple(range(1, a.ndim))) if a.ndim > 1 else np.abs(a)
-
-
-def check_conditions(model, y_samples) -> ConditionReport:
-    """Evaluate the linear-growth and derivative bounds at sample states.
-
-    Bounds declared by the model are checked directly; undeclared ones
-    are reported through the smallest constant consistent with the
-    samples.  Derivatives use central differences with relative step
-    1e-5.  The report never raises; degenerate volatility is flagged.
-    """
-    y = np.atleast_2d(np.asarray(y_samples, dtype=float))
-    rows = []
-    warns = []
-    bounds = dict(model.declared_bounds or {})
-    ynorm = _sup_norm(y)
-
-    b = np.atleast_2d(model.drift(y))
-    cov = covariance(model, y)
-    cov_flat = cov.reshape(y.shape[0], -1)
-    bnorm = _sup_norm(b)
-    covnorm = _sup_norm(cov_flat)
-
-    def linear_row(name, lhs, a_key, b_key):
-        a0, b0 = bounds.get(a_key), bounds.get(b_key)
-        if a0 is not None and b0 is not None:
-            margin = (a0 + b0 * ynorm) - lhs
-            i = int(np.argmin(margin))
-            ok = margin[i] >= -1e-9
-            return CheckRow(name, ok, float(margin[i]), None,
-                            f"declared ({a0}, {b0}); worst margin {margin[i]:.4g} at y={y[i]}")
-        implied = float(np.max(lhs))
-        return CheckRow(name, True, None, implied,
-                        f"no declared bound; implied constant {implied:.4g}")
-
-    rows.append(linear_row("drift linear growth", bnorm, "A_b", "B_b"))
-    rows.append(linear_row("covariance linear growth", covnorm, "A_cov", "B_cov"))
-
-    # inverse covariance bound: ||(sigma sigma')^{-1}|| <= 1/(b_cov ||y||)
-    try:
-        inv = np.linalg.inv(cov)
-        invnorm = _sup_norm(inv.reshape(y.shape[0], -1))
-        conds = np.linalg.cond(cov)
-        max_cond = float(np.max(conds))
-        implied_bcov = float(np.min(1.0 / (invnorm * ynorm)))
-        b_cov = bounds.get("b_cov")
-        if b_cov is not None:
-            margin = 1.0 / (b_cov * ynorm) - invnorm
-            i = int(np.argmin(margin))
-            rows.append(CheckRow("inverse covariance bound", bool(margin[i] >= -1e-9),
-                                 float(margin[i]), implied_bcov,
-                                 f"declared b={b_cov}; implied b={implied_bcov:.4g}"))
-        else:
-            rows.append(CheckRow("inverse covariance bound", True, None, implied_bcov,
-                                 f"implied b={implied_bcov:.4g}"))
-    except np.linalg.LinAlgError:
-        max_cond = math.inf
-        rows.append(CheckRow("inverse covariance bound", False, None, None,
-                             "covariance singular at a sample"))
-
-    # derivative bounds by central differences
-    db_norm = np.zeros(y.shape[0])
-    dinv_norm = np.zeros(y.shape[0])
-    inv_ok = max_cond < math.inf
-    for i in range(model.h):
-        step = 1e-5 * np.maximum(np.abs(y[:, i]), 1.0)
-        yp = y.copy()
-        ym = y.copy()
-        yp[:, i] += step
-        ym[:, i] -= step
-        der_b = (np.atleast_2d(model.drift(yp)) - np.atleast_2d(model.drift(ym))) / (2 * step[:, None])
-        db_norm = np.maximum(db_norm, _sup_norm(der_b))
-        if inv_ok:
-            try:
-                der_inv = (np.linalg.inv(covariance(model, yp)) - np.linalg.inv(covariance(model, ym)))
-                der_inv = der_inv.reshape(y.shape[0], -1) / (2 * step[:, None])
-                dinv_norm = np.maximum(dinv_norm, _sup_norm(der_inv))
-            except np.linalg.LinAlgError:
-                inv_ok = False
-    rows.append(linear_row("drift derivative growth", db_norm, "Abar_b", "Bbar_b"))
-    if inv_ok:
-        rows.append(linear_row("inverse covariance derivative growth", dinv_norm, "Abar_cov", "Bbar_cov"))
-        big = dinv_norm > 1e6
-        if np.any(big):
-            warns.append(
-                "inverse-covariance derivative is large near the factor floor; "
-                "bounded on the sampled domain but degenerate as y -> 0"
-            )
-    else:
-        rows.append(CheckRow("inverse covariance derivative growth", False, None, None,
-                             "covariance singular; derivative undefined"))
-    try:
-        s2 = sharpe_squared(model, y)
-        if (s2 < -1e-12).any():
-            rows.append(CheckRow("nonnegative squared market price of risk", False,
-                                 float(s2.min()), None, "negative value found"))
-        else:
-            rows.append(CheckRow("nonnegative squared market price of risk", True,
-                                 float(s2.min()), None, f"min {s2.min():.4g}"))
-        # auxiliary gain bound sum_m x_m^2 sum_n sigma_mn^2 with
-        # x = (sigma sigma')^{-1} B; controls the adjustment integrand
-        x = _solve_cov(model, y, np.atleast_2d(model.drift(y)) - model.rate)
-        sig = model.vol(y)
-        rbar = np.sum(x**2 * np.sum(sig**2, axis=-1), axis=-1)
-        rows.append(CheckRow("adjustment gain bound", True, None, float(rbar.max()),
-                             f"max {rbar.max():.4g} over samples"))
-    except np.linalg.LinAlgError:
-        rows.append(CheckRow("nonnegative squared market price of risk", False, None, None,
-                             "covariance singular"))
-    return ConditionReport(rows, max_cond, warns)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,12 @@ by a backward finite-difference solve of its integro-PDE (one factor)
 otherwise.  A Monte Carlo estimator at single states (any factor
 dimension) is the independent check of both.
 
-The density walk combines the surface with the stochastic exponential
-of the adjusted price integral, node by node; its terminal value is the
-change of measure used to price and to validate the backward solver.
+Every read of the surface goes through ``value_at_states``; on the grid
+solve it and the backward solve's jump-channel tables share one
+interpolation routine.  The density walk combines the surface with the
+stochastic exponential of the adjusted price integral, node by node;
+its terminal value is the change of measure used to price and to
+validate the backward solver.
 """
 
 from __future__ import annotations
@@ -32,21 +35,22 @@ from .ngou import OUParams
 
 
 class OpportunitySurface(ABC):
-    """Callable surface with clamped evaluation outside its state box."""
+    """Surface P(t, y) with clamped evaluation outside its state box.
+
+    Every read goes through ``value_at_states``; the backward solve reads
+    the surface's jump integrals from ``jump_channels``.
+    """
 
     horizon: float
 
-    @abstractmethod
     def value(self, t: float, y) -> float:
         """P at one state (t, y)."""
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        return float(self.value_at_states(t, y.reshape(1, -1))[0])
 
     @abstractmethod
     def value_at_states(self, t: float, y: np.ndarray) -> np.ndarray:
-        """P at time t and states y (n,)."""
-
-    @abstractmethod
-    def value_along(self, times: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate at (times[k], y[:, k]) for every step column."""
+        """P at time t and states y (n,) or (n, 1)."""
 
     @abstractmethod
     def jump_channels(self, times, z_nodes, z_weights):
@@ -69,15 +73,8 @@ class ConstantSharpeSurface(OpportunitySurface):
         self.sharpe2 = float(sharpe2)
         self.horizon = float(horizon)
 
-    def value(self, t, y=None):
-        return math.exp(-self.sharpe2 * (self.horizon - t))
-
     def value_at_states(self, t, y):
-        return np.full(np.asarray(y).shape[0], self.value(t))
-
-    def value_along(self, times, y):
-        col = np.exp(-self.sharpe2 * (self.horizon - np.asarray(times)))
-        return np.tile(col, (y.shape[0], 1))
+        return np.full(np.asarray(y).shape[0], math.exp(-self.sharpe2 * (self.horizon - t)))
 
     def jump_channels(self, times, z_nodes, z_weights):
         # P does not depend on y, so F is zero
@@ -128,103 +125,68 @@ class IpdeSurface(OpportunitySurface):
         self._deta = self.eta[1] - self.eta[0]
 
     def _t_brackets(self, times):
-        """Bracketing slice index and weight (m,) of each time (m,), clamped to the table."""
+        """The time slices (s,) that the times (m,) read, clamped to the
+        table, each time's bracketing rows among them (m,) and its weight (m, 1)."""
         x = np.clip((np.asarray(times) - self.t_slices[0]) / self._dt, 0.0, self.t_slices.size - 1 - 1e-12)
         t_idx = x.astype(np.int64)
-        return t_idx, x - t_idx
+        slices, at = np.unique(np.concatenate([t_idx, t_idx + 1]), return_inverse=True)
+        return slices, at[:t_idx.size], at[t_idx.size:], (x - t_idx)[:, None]
 
     def _count_clamped(self, eta):
         self.n_below_floor += int(np.count_nonzero(eta < self.eta[0]))
         self.n_above_top += int(np.count_nonzero(eta > self.eta[-1]))
 
-    def _interp(self, t_idx, wts, eta):
-        """Values at log-states eta (n, m), column k at time bracket (t_idx[k], wts[k]).
+    def _at_states(self, brackets, eta):
+        """Values (m, n) at log-states eta (n,), row k at the k-th time of ``brackets``.
 
-        Clamps at the floor and continues the surface log-linearly above
-        the mesh top.  An eta of shape (n, 1) is shared by every column.
+        Each distinct time slice is interpolated in log y once, then
+        every row in time.  Clamps at the floor and continues the surface
+        log-linearly above the mesh top.  Counts no clamped state.
         """
-        out = kernels.bilinear_steps(self.table, t_idx, wts, eta, self.eta[0], 1.0 / self._deta)
-        eta = np.broadcast_to(eta, out.shape)
+        slices, lo, hi, w = brackets
+        x = np.clip((eta - self.eta[0]) * (1.0 / self._deta), 0.0, self.eta.size - 1 - 1e-12)
+        j = x.astype(np.int64)
+        wy = x - j
+        on_slices = self.table[slices[:, None], j] * (1.0 - wy) + self.table[slices[:, None], j + 1] * wy
+        out = on_slices[lo] * (1.0 - w) + on_slices[hi] * w
         above = eta > self.eta[-1]
         if np.any(above):
-            rows, cols = np.nonzero(above)
-            i, w = t_idx[cols], wts[cols]
-            top = (1 - w)[:, None] * self.table[i, -2:] + w[:, None] * self.table[i + 1, -2:]
-            out[rows, cols] = self._above_top(top, eta[rows, cols])
+            # the two top columns at the bracket times
+            top = (1 - w) * self.table[slices[lo], -2:] + w * self.table[slices[hi], -2:]
+            slope = (np.log(np.maximum(top[:, 1:], 1e-300)) - np.log(np.maximum(top[:, :1], 1e-300))) / self._deta
+            out[:, above] = top[:, 1:] * np.exp(slope * (eta[above] - self.eta[-1]))
         return out
-
-    def _above_top(self, top, eta):
-        """Log-linear continuation above the mesh top from its two top values (..., 2)."""
-        slope = (np.log(np.maximum(top[..., 1], 1e-300))
-                 - np.log(np.maximum(top[..., 0], 1e-300))) / self._deta
-        return top[..., 1] * np.exp(slope * (eta - self.eta[-1]))
-
-    def _lookup(self, t_idx, wts, y):
-        """``_interp`` at states y (n, m), counting the states off the mesh."""
-        eta = np.log(np.maximum(y, 1e-300))
-        self._count_clamped(eta)
-        return self._interp(t_idx, wts, eta)
 
     def value_at_states(self, t, y):
         y = np.asarray(y, dtype=float)
         if y.ndim == 2:
             y = y[:, 0]
-        return self._lookup(*self._t_brackets([t]), y[:, None])[:, 0]
-
-    def value(self, t, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return float(self.value_at_states(t, y.reshape(1, -1))[0])
-
-    def value_along(self, times, y):
-        if y.ndim == 3:
-            y = y[:, :, 0]
-        return self._lookup(*self._t_brackets(times), y)
+        eta = np.log(np.maximum(y, 1e-300))
+        self._count_clamped(eta)
+        return self._at_states(self._t_brackets([t]), eta)[0]
 
     def jump_channels(self, times, z_nodes, z_weights):
         """Channel tables at ``times`` on the mesh nodes, read bilinearly in log y.
 
         At a node (times[k], y_j) each channel is the contraction of the
-        values ``value_along`` gives at [y_j, y_j + z_q], bit for bit:
-        each shifted node column is interpolated in log y once on the
-        time slices the steps read, then in time at every step, and
-        continued log-linearly above the top.  Building the tables counts
-        no clamped state.  Reading them counts the states below the floor
-        and above the top; a channel holds its floor and top-node values
-        outside the mesh.
+        values ``value_at_states`` gives at [y_j, y_j + z_q], bit for bit.
+        Building the tables counts no clamped state.  Reading them counts
+        the states below the floor and above the top; a channel holds its
+        floor and top-node values outside the mesh.
         """
-        t_idx, wts = self._t_brackets(times)
-        w = wts[:, None]
-        # the two top columns at the step times, for the continuation
-        top = (1 - w) * self.table[t_idx, -2:] + w * self.table[t_idx + 1, -2:]
-        ny = self.y_nodes.size
-        # the slices the steps read, and each step's two rows among them
-        slices, at = np.unique(np.concatenate([t_idx, t_idx + 1]), return_inverse=True)
-        slices = slices[:, None]
-        lo, hi = at[:t_idx.size], at[t_idx.size:]
-
-        def at_states(eta):
-            # the arithmetic of ``kernels.bilinear_steps``, rows (K+1, n_y)
-            x = np.clip((eta - self.eta[0]) * (1.0 / self._deta), 0.0, ny - 1 - 1e-12)
-            j = x.astype(np.int64)
-            wy = x - j
-            on_slices = self.table[slices, j] * (1.0 - wy) + self.table[slices, j + 1] * wy
-            out = on_slices[lo] * (1.0 - w) + on_slices[hi] * w
-            above = eta > self.eta[-1]
-            if np.any(above):
-                out[:, above] = self._above_top(top[:, None, :], eta[above])
-            return out
-
+        brackets = self._t_brackets(times)
+        m, ny = brackets[1].size, self.y_nodes.size
         # time rows of the three channels stacked, and one spare row: the
         # kernel reads row k + 1 with weight 0 at every channel's row k
-        table = np.zeros((3 * t_idx.size + 1, ny))
-        acc = table[:-1].reshape(3, t_idx.size, ny)
-        base = at_states(self.eta)
+        table = np.zeros((3 * m + 1, ny))
+        acc = table[:-1].reshape(3, m, ny)
+        base = self._at_states(brackets, self.eta)
         for zq, wq in zip(z_nodes, z_weights):
-            f = at_states(np.log(self.y_nodes + zq)) / base - 1.0
+            f = self._at_states(brackets, np.log(self.y_nodes + zq)) / base - 1.0
             acc[0] += (wq * zq) * f
             acc[1] += (wq * zq * zq) * f
             acc[2] += wq * (f * f / (1.0 + f))
-        rows = np.arange(3) * t_idx.size
+        rows = np.arange(3) * m
         zero = np.zeros(3)
 
         def channels(k, y):
@@ -280,7 +242,7 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     if mesh.y_top is not None:
         top = mesh.y_top
         if top < ou.y0[0] + z_max:
-            raise ValueError(
+            raise ConfigurationError(
                 f"mesh top {top} cannot cover the jump range: need at least {ou.y0[0] + z_max}"
             )
     else:
@@ -392,24 +354,24 @@ def density_walk(surface: OpportunitySurface, bundle):
     normalized to one at t = 0, at nodes k = 0..K.
 
     The quadratures are the engine's per-step terms, replayed
-    (``PathBundle.engine_steps``) into running sums (n,), so the last
-    density equals ``density_terminal`` bitwise on a grid-solved surface.
-    The surface is read one node at a time through ``value_along``, at
-    the factor's left limit only where an event lies on the node.
+    (``PathBundle.engine_steps``) into running sums (n,), and the surface
+    is read node by node through ``value_at_states``, at the factor's
+    left limit only where an event lies on the node; so the last density
+    equals ``density_terminal`` bitwise.
     """
     times = bundle.times
     if abs(surface.horizon - times[-1]) > 1e-9:
         raise ConfigurationError("surface horizon does not match the bundle grid")
     qv, m = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
-    o0 = float(surface.value_along(times[:1], bundle.y_start[:, None])[0, 0])
+    o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
 
     def at_node(k, y):
         see = stochastic_exponential(-(qv + m), qv)
-        density = surface.value_along(times[k:k + 1], y[:, None])[:, 0] * see / o0
+        density = surface.value_at_states(times[k], y) * see / o0
         y_left = bundle.left_limit(k, y)
         if y_left is y:
             return density, density
-        return density, surface.value_along(times[k:k + 1], y_left[:, None])[:, 0] * see / o0
+        return density, surface.value_at_states(times[k], y_left) * see / o0
 
     yield at_node(0, np.repeat(bundle.y_start, bundle.n_paths, axis=0))
     for k, (r_step, m_step, _, y) in enumerate(bundle.engine_steps(), 1):
@@ -423,9 +385,9 @@ def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
     and its terminal factor.
 
     The engine sums the per-step quadratures from zero in step order,
-    as the running sums of ``density_walk`` do, so on a surface whose
-    ``value_at_states`` and ``value_along`` agree bitwise the values equal
-    the walk's last density.
+    as the running sums of ``density_walk`` do, and both read the
+    surface through ``value_at_states``, so the values equal the walk's
+    last density bitwise.
     """
     qv, m = bundle.sharpe_int, bundle.mpr_dw
     o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])

@@ -253,7 +253,7 @@ def self_financing(report, endowment) -> CheckResult:
 def zero_gap_flat_position(bundle, surface, endowment, n_record) -> CheckResult:
     """A constant claim equal to the endowment is hedged exactly by holding nothing."""
     rep = hedge.run_hedge(bundle, surface, None, bsde.ConstantPayoff(endowment), endowment,
-                          hedge.HedgeConfig(record_paths=n_record))
+                          record_paths=n_record)
     flat = rep.mse == 0.0 and np.max(np.abs(rep.recorded["position"])) == 0.0
     return CheckResult("zero tracking gap keeps a flat position", flat, f"mse {rep.mse:.3g}")
 
@@ -287,7 +287,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     margin = s2 = math.inf
     for k, (y, _, _) in enumerate(b.walk()):
         margin = min(margin, (y[:, 0] - floor[k]).min())
-        s2 = min(s2, market.sharpe_squared(bns, y).min())
+        s2 = min(s2, bns.sharpe_squared(y).min())
     rep.add("factor floor", margin >= -1e-12, f"min margin {margin:.2e}")
     rep.checks.append(discount_identity(b))
     rep.add("squared market price of risk nonnegative", float(s2) >= 0.0, f"min {s2:.3g}")
@@ -338,7 +338,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
 
     rep.checks += [
         closed_form_identities(master_seed + 9, p0_margin=1e-6, level=1e4),
-        self_financing(hedge.run_hedge(bb, surf_b, None, pay, 10000.0, hedge.HedgeConfig(record_paths=16)),
+        self_financing(hedge.run_hedge(bb, surf_b, None, pay, 10000.0, record_paths=16),
                        10000.0),
         zero_gap_flat_position(bb, surf_b, 10000.0, 8),
     ]

@@ -569,28 +569,6 @@ class TestOracle:
         assert se1 == pytest.approx(se2, rel=1e-12)
 
 
-class TestLocalization:
-    def test_truncation_stability(self, ou, cpe):
-        # censoring jumps beyond a high quantile leaves the value within noise
-        model = market.BNS(0.5, 0.02)
-        grid = market.GridConfig(1.0, 0.01)
-        surface = opp.solve_opportunity_ipde(model, ou, cpe, 1.0)
-        pay = bsde.DiscountedCall(100.0)
-        n = 4000
-        base_paths = [levy.sample_jump_path([cpe], 1.0, levy.rng_for_path(71, i)) for i in range(n)]
-        totals = np.array([p.totals()[0] for p in base_paths])
-        level = np.quantile(totals, 0.999)
-        results = []
-        for lvl in (level, level * 2, np.inf):
-            cut = [p if lvl == np.inf else p.truncated_at_level(lvl) for p in base_paths]
-            bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, n, 71, jump_paths=cut)
-            est, se = bsde.mc_value_at_zero(surface, bundle, pay)
-            results.append((est, se))
-        for est, se in results[:-1]:
-            ref, ref_se = results[-1]
-            assert abs(est - ref) <= 4 * (se + ref_se)
-
-
 @pytest.mark.parametrize("case", ["flat", "bns"])
 def test_solve_does_not_depend_on_checkpoint_spacing(case, flat_setup, bns_setup, ou, cpe):
     # the backward walk replays the states from checkpoints every m steps:

@@ -282,6 +282,19 @@ class TestOtherCommands:
                     "--n-fit-paths", "200", "--horizon", "0.1"]) == 2
         assert "unknown basis entry 'Q'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ({"payoff": {"asset": 1}}, "configuration error: payoff asset 1 is not one of the model's 1 assets"),
+        ({"surface": {"y_top": 10.5}}, "configuration error: mesh top 10.5 cannot cover the jump range"),
+        ({"surface": {"y_floor": -1}}, "invalid configuration: $.surface.y_floor: -1 is less than"),
+    ], ids=["asset", "y_top", "y_floor"])
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, override, message):
+        cfg = tmp_path / "p.json"
+        cfg.write_text(json.dumps(override))
+        assert run(["price", "--config", str(cfg), "--n-paths", "200", "--n-fit-paths", "200",
+                    "--horizon", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
     def test_hedge_without_fit_needs_a_constant_claim(self, tmp_path, capsys):
         # the default payoff is a call, which gives no value of its own
         cfg = tmp_path / "h.json"

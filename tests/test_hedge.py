@@ -95,32 +95,32 @@ class TestStrategyPieces:
         assert xi[0, 0] == 0.0
 
     def test_gains_step_hand_value(self):
-        got = hedge.gains_step(np.array([0.0]), np.array([[1.0]]), np.array([[2e-6]]),
+        got = kernels.gains_step(np.array([0.0]), np.array([[1.0]]), np.array([[2e-6]]),
                                1e4, np.array([3e4]), np.array([[1.0]]))
         assert got[0] == pytest.approx(1.04, rel=1e-12)
 
     def test_gains_step_zero_increment(self):
-        got = hedge.gains_step(np.array([0.7]), np.array([[1.0]]), np.array([[2e-6]]),
+        got = kernels.gains_step(np.array([0.7]), np.array([[1.0]]), np.array([[2e-6]]),
                                1e4, np.array([3e4]), np.array([[0.0]]))
         assert got[0] == 0.7
 
     def test_gains_step_no_feedback(self):
-        got = hedge.gains_step(np.array([0.5]), np.array([[2.0]]), np.array([[0.0]]),
+        got = kernels.gains_step(np.array([0.5]), np.array([[2.0]]), np.array([[0.0]]),
                                1e4, np.array([3e4]), np.array([[3.0]]))
         assert got[0] == pytest.approx(0.5 + 6.0, rel=1e-14)
 
     def test_position_hand_value(self):
-        phi = hedge.strategy_position(np.array([[0.5]]), np.array([[2e-6]]), 1e4,
+        phi = kernels.strategy_position(np.array([[0.5]]), np.array([[2e-6]]), 1e4,
                                       np.array([0.0]), np.array([3e4]))
         assert phi[0, 0] == pytest.approx(0.54, rel=1e-12)
 
     def test_position_zero_gap(self):
-        phi = hedge.strategy_position(np.array([[0.5]]), np.array([[2e-6]]), 1e4,
+        phi = kernels.strategy_position(np.array([[0.5]]), np.array([[2e-6]]), 1e4,
                                       np.array([0.0]), np.array([1e4]))
         assert phi[0, 0] == 0.5
 
     def test_position_zero_adjustment(self):
-        phi = hedge.strategy_position(np.array([[0.5]]), np.array([[0.0]]), 1e4,
+        phi = kernels.strategy_position(np.array([[0.5]]), np.array([[0.0]]), 1e4,
                                       np.array([123.0]), np.array([3e4]))
         assert phi[0, 0] == 0.5
 
@@ -157,7 +157,7 @@ class TestRunHedge:
     def test_self_financing_bookkeeping(self, bns_world):
         _, _, _, bundle, surface = bns_world
         rep = hedge.run_hedge(bundle, surface, None, bsde.ConstantPayoff(30000.0), 10000.0,
-                              hedge.HedgeConfig(record_paths=8))
+                              record_paths=8)
         check = validate.self_financing(rep, 10000.0)
         assert check.ok, check.detail
 
@@ -169,7 +169,7 @@ class TestRunHedge:
         swept = []
         sweep = kernels.hedge_sweep
         monkeypatch.setattr(kernels, "hedge_sweep", lambda *args: swept.append(sweep(*args)) or swept[-1])
-        rep = hedge.run_hedge(bundle, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=8))
+        rep = hedge.run_hedge(bundle, surface, sol, pay, 8.0, record_paths=8)
         gains, _ = swept[0]
         assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + gains[:8])
 
@@ -212,7 +212,7 @@ class TestRunHedge:
         def chunks():
             return market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 200, 32, chunk)
 
-        rep = hedge.run_hedge(chunks(), surface, sol, pay, endowment, hedge.HedgeConfig(record_paths=5))
+        rep = hedge.run_hedge(chunks(), surface, sol, pay, endowment, record_paths=5)
         shortfalls, recorded = separate_pass_hedge(chunks(), sol, pay, endowment, 5)
         total = sum(float(sf.sum()) for sf in shortfalls)
         sq_sum = sum(float((sf**2).sum()) for sf in shortfalls)
@@ -246,7 +246,7 @@ class TestRunHedge:
                                   surface, pay)
         monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
         chunks = market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 300, 77, 100)
-        rep = hedge.run_hedge(chunks, surface, sol, pay, 8.0, hedge.HedgeConfig(record_paths=4))
+        rep = hedge.run_hedge(chunks, surface, sol, pay, 8.0, record_paths=4)
         assert rep.recorded["discounted"].shape == (4, grid.n_steps + 1, 1)
 
     def test_report_exports(self, tmp_path, bns_world):
@@ -280,16 +280,16 @@ def separate_pass_hedge(chunks, solution, payoff, v, n_record):
                        for k in range(nk)], 1)
         gains = np.zeros(n)
         for k in range(nk):
-            gains = hedge.gains_step(gains, xi[:, k], adj[:, k], v, value[:, k], disc[:, k + 1] - disc[:, k])
+            gains = kernels.gains_step(gains, xi[:, k], adj[:, k], v, value[:, k], disc[:, k + 1] - disc[:, k])
         shortfalls.append(v + gains - payoff(bundle))
         if not recorded:
             m = min(n_record, n)
             rec_gains = np.zeros((m, nk + 1))
             position = np.zeros((m, nk, d))
             for k in range(nk):
-                position[:, k] = hedge.strategy_position(xi[:m, k], adj[:m, k], v, rec_gains[:, k],
+                position[:, k] = kernels.strategy_position(xi[:m, k], adj[:m, k], v, rec_gains[:, k],
                                                          value[:m, k])
-                rec_gains[:, k + 1] = hedge.gains_step(rec_gains[:, k], xi[:m, k], adj[:m, k], v,
+                rec_gains[:, k + 1] = kernels.gains_step(rec_gains[:, k], xi[:m, k], adj[:m, k], v,
                                                        value[:m, k], disc[:m, k + 1] - disc[:m, k])
             recorded = {"gains": rec_gains, "position": position, "wealth": v + rec_gains,
                         "discounted": disc[:m]}
@@ -405,7 +405,7 @@ def test_two_asset_constant_claim_matches_herr(ou):
     surface = opp.make_surface(model, ou, [spec], 1.0)
     pay = bsde.ConstantPayoff(30000.0)
     rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0,
-                          hedge.HedgeConfig(record_paths=8))
+                          record_paths=8)
     herr = math.exp(-model.constant_sharpe) * 2e4**2
     assert rep.comparators["hedging_error"] == pytest.approx(herr, rel=1e-12)
     assert rep.closed_form_agreement()[0]

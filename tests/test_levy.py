@@ -84,38 +84,9 @@ class TestSampling:
         band = 3.0 * math.sqrt(10.0 / n_seeds)  # variance lam*nu*z^2*T
         assert abs(masses.mean() - 10.0) <= band
 
-    def test_cumulative_monotone(self):
-        spec = [levy.CompoundPoissonExp(10.0, 8.0)]
-        jp = levy.sample_jump_path(spec, 5.0, 7)
-        grid = np.linspace(0, 5, 101)
-        cum = jp.cumulative(0, grid)
-        assert (np.diff(cum) >= 0).all()
-
     def test_exponential_moment_monte_carlo(self):
         check = validate.exponential_moment(levy.CompoundPoissonExp(10.0, 8.0, 1.0), 2.0, 100000, (13,))
         assert check.ok, check.detail
-
-
-class TestTruncation:
-    def test_truncation_censors_after_crossing(self):
-        jp = levy.JumpPath(
-            np.array([0.5, 1.0, 1.5, 2.0]),
-            np.array([0, 0, 0, 0]),
-            np.array([1.0, 3.0, 1.0, 1.0]),
-            3.0,
-            1,
-        )
-        out = jp.truncated_at_level(3.5)
-        # cumulative crosses 3.5 at the second event; events from there drop
-        assert len(out) == 1
-        assert out.times[0] == 0.5
-
-    def test_truncation_noop_below_level(self):
-        jp = levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], 2.0, 3)
-        out = jp.truncated_at_level(1e9)
-        assert len(out) == len(jp)
-        empty = levy.sample_jump_path([levy.TableMeasure(())], 2.0, 3)
-        assert empty.truncated_at_level(1.0) is empty
 
 
 def test_jump_quadrature_integrates_levy_measure():

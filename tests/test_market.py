@@ -41,15 +41,15 @@ def assert_step_slices_contiguous(bundle):
 class TestCoefficientAlgebra:
     def test_sharpe_squared_flat(self):
         m = market.ConstantBS(2.0, 100.0, rate=0.0)
-        assert market.sharpe_squared(m, np.array([[10.0]]))[0] == pytest.approx(4e-4, rel=1e-14)
+        assert m.sharpe_squared(np.array([[10.0]]))[0] == pytest.approx(4e-4, rel=1e-14)
 
     def test_sharpe_squared_bns(self):
         m = market.BNS(0.5, 0.02, rate=0.0)
-        assert market.sharpe_squared(m, np.array([[10.0]]))[0] == pytest.approx(0.049, rel=1e-14)
+        assert m.sharpe_squared(np.array([[10.0]]))[0] == pytest.approx(0.049, rel=1e-14)
 
     def test_zero_excess_drift(self):
         m = market.ConstantBS(0.03, 0.2, rate=0.03)
-        assert market.sharpe_squared(m, np.array([[5.0]]))[0] == 0.0
+        assert m.sharpe_squared(np.array([[5.0]]))[0] == 0.0
         assert market.excess_drift(m, np.array([[5.0]]))[0, 0] == 0.0
 
     def test_adjustment_scalar(self):
@@ -64,7 +64,7 @@ class TestCoefficientAlgebra:
         a = market.adjustment(bns_model, d_prices, y)
         b = market.excess_drift(bns_model, y)
         assert (a * d_prices * b).sum() == pytest.approx(
-            market.sharpe_squared(bns_model, y)[0], rel=1e-12
+            bns_model.sharpe_squared(y)[0], rel=1e-12
         )
 
     def test_market_price_of_risk_scalar(self, bns_model):
@@ -93,30 +93,7 @@ class TestCoefficientAlgebra:
     def test_singular_covariance_reports_condition(self):
         m = market.TabulatedModel([1.0, 2.0], [0.1, 0.1], [1e-200, 1e-200])
         with pytest.raises(np.linalg.LinAlgError):
-            market.sharpe_squared(m, np.array([[1.5]]))
-
-
-class TestConditionReport:
-    def test_flat_model_passes(self):
-        rep = market.check_conditions(market.ConstantBS(2.0, 100.0), np.linspace(1, 30, 20)[:, None])
-        assert rep.ok
-        assert rep.max_cov_condition == pytest.approx(1.0)
-
-    def test_bns_margins(self, bns_model):
-        rep = market.check_conditions(bns_model, np.linspace(4, 30, 30)[:, None])
-        assert rep.ok
-        row = next(r for r in rep.rows if r.name == "inverse covariance bound")
-        assert row.implied_constant == pytest.approx(1.0, rel=1e-9)
-
-    def test_inverse_covariance_derivative_warned_near_zero(self, bns_model):
-        # d(1/y)/dy = -1/y^2 exceeds the warning level below y = 1e-3
-        rep = market.check_conditions(bns_model, np.array([[1e-4], [1.0]]))
-        assert any("inverse-covariance derivative is large" in w for w in rep.warnings)
-
-    def test_degenerate_vol_flagged(self):
-        m = market.TabulatedModel([1.0, 2.0], [0.1, 0.1], [1e-300, 1e-300])
-        rep = market.check_conditions(m, np.array([[1.5]]))
-        assert not rep.ok
+            m.sharpe_squared(np.array([[1.5]]))
 
 
 class TestSimulation:
@@ -560,7 +537,7 @@ class SingularTwoAsset(market.CoefficientModel):
     (lambda: market.simulate_paths(market.BNS(0.5, 0.02), ngou.OUParams([1.0], [10.0]),
                                    [levy.TableMeasure(())], [-100.0], market.GridConfig(1.0, 0.1), 4, 1),
      levy.ConfigurationError, "initial prices must be positive, one per asset"),
-    (lambda: market.sharpe_squared(SingularTwoAsset(), np.ones((3, 1))), np.linalg.LinAlgError,
+    (lambda: SingularTwoAsset().sharpe_squared(np.ones((3, 1))), np.linalg.LinAlgError,
      r"singular volatility covariance \(condition number"),
 ], ids=["flat_volatility", "tabulated_nodes", "tabulated_volatility", "grid_step", "initial_prices",
         "singular_two_asset_covariance"])

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -117,10 +116,10 @@ class TestMonteCarloEstimator:
         paths = [levy.sample_jump_path(specs, 1.0, (4, i)) for i in range(300)]
         offsets = np.concatenate([[0], np.cumsum([len(p) for p in paths])])
         got = kernels.opportunity_mc_exponent(
-            partial(market.sharpe_squared, model), lam, y0, 1.0, offsets,
+            model.sharpe_squared, lam, y0, 1.0, offsets,
             np.concatenate([p.times for p in paths]), np.concatenate([p.components for p in paths]),
             np.concatenate([p.sizes for p in paths]))
-        ref = [per_path_exponent(partial(market.sharpe_squared, model), lam, y0, 1.0, p) for p in paths]
+        ref = [per_path_exponent(model.sharpe_squared, lam, y0, 1.0, p) for p in paths]
         assert got == pytest.approx(ref, rel=1e-12)
 
 
@@ -134,7 +133,7 @@ class TestMcExponentClosedForm:
         times = np.concatenate([t for t, _ in paths])
         sizes = np.concatenate([z for _, z in paths])
         got = kernels.opportunity_mc_exponent(
-            partial(market.sharpe_squared, bns), [1.0], [10.0], 1.0, offsets, times,
+            bns.sharpe_squared, [1.0], [10.0], 1.0, offsets, times,
             np.zeros(times.size, dtype=np.int64), sizes)
         for p, (t, z) in enumerate(paths):
             exact = exact_bns_exponent([0.5], [0.02], [1.0], [10.0], 1.0, t, [0] * len(t), z)
@@ -144,7 +143,7 @@ class TestMcExponentClosedForm:
         model = TwoFactorBNS([0.5, 0.3], [0.02, 0.05])
         times, comps, sizes = [0.1, 0.4, 0.4, 0.8], [1, 0, 1, 0], [2.0, 1.5, 0.5, 0.7]
         got = kernels.opportunity_mc_exponent(
-            partial(market.sharpe_squared, model), [1.0, 0.5], [10.0, 5.0], 1.0,
+            model.sharpe_squared, [1.0, 0.5], [10.0, 5.0], 1.0,
             np.array([0, 4]), np.array(times), np.array(comps), np.array(sizes))
         exact = exact_bns_exponent([0.5, 0.3], [0.02, 0.05], [1.0, 0.5], [10.0, 5.0], 1.0,
                                    times, comps, sizes)
@@ -203,28 +202,36 @@ class TestIpdeSurface:
         probes = [(0.0, 10.0), (0.3, 8.0), (0.6, 11.0), (0.8, 16.0)]
         assert validate.surface_against_mc(bns_surface, bns, ou, [cpe], probes, (5,)).ok
 
-    def test_state_and_path_lookups_agree(self, bns_surface):
-        # states below the floor, inside the mesh and above its top
-        lo, hi = bns_surface.y_nodes[0], bns_surface.y_nodes[-1]
+    def test_value_at_states_matches_pointwise_reference(self, bns_surface):
+        # states below the floor, inside the mesh and above its top, read
+        # against the bilinear formula in (t, log y), the floor value and
+        # the log-linear continuation from the two top nodes, bitwise
+        s = bns_surface
+        lo, hi = s.y_nodes[0], s.y_nodes[-1]
         ys = np.array([1e-3, 0.5 * lo, lo, 0.5 * (lo + hi), 0.9 * hi, hi, 1.5 * hi, 4.0 * hi])
+        etas = np.log(ys)
+        dt, deta, ny = s.t_slices[1] - s.t_slices[0], s.eta[1] - s.eta[0], s.y_nodes.size
         for t in (0.0, 0.37, 1.0):
-            before = (bns_surface.n_below_floor, bns_surface.n_above_top)
-            by_state = bns_surface.value_at_states(t, ys)
-            mid = (bns_surface.n_below_floor, bns_surface.n_above_top)
-            along = bns_surface.value_along([t], ys[:, None])[:, 0]
-            after = (bns_surface.n_below_floor, bns_surface.n_above_top)
-            assert np.array_equal(by_state, along)
-            assert np.subtract(mid, before).tolist() == np.subtract(after, mid).tolist() == [2, 2]
-            # the backward solver's call: every column of a state matrix at one time
-            states = ys[:, None] * np.array([1.0, 0.3, 1.7, 5.0])
-            before = (bns_surface.n_below_floor, bns_surface.n_above_top)
-            per_column = np.column_stack([bns_surface.value_at_states(t, col) for col in states.T])
-            mid = (bns_surface.n_below_floor, bns_surface.n_above_top)
-            batched = bns_surface.value_along(np.full(states.shape[1], t), states)
-            after = (bns_surface.n_below_floor, bns_surface.n_above_top)
-            assert np.array_equal(per_column, batched)
-            assert np.subtract(mid, before).tolist() == np.subtract(after, mid).tolist()
-            assert min(np.subtract(mid, before)) > 0
+            before = (s.n_below_floor, s.n_above_top)
+            got = s.value_at_states(t, ys)
+            assert np.subtract((s.n_below_floor, s.n_above_top), before).tolist() == [2, 2]
+            x = min(max((t - s.t_slices[0]) / dt, 0.0), s.t_slices.size - 1 - 1e-12)
+            i = int(x)
+            w = x - i
+            for eta, val in zip(etas, got):
+                if eta < s.eta[0]:
+                    assert val == s.table[i, 0] * (1.0 - w) + s.table[i + 1, 0] * w
+                elif eta > s.eta[-1]:
+                    top0, top1 = ((1 - w) * s.table[i, c] + w * s.table[i + 1, c] for c in (-2, -1))
+                    slope = (np.log(top1) - np.log(top0)) / deta
+                    assert val == top1 * np.exp(slope * (eta - s.eta[-1]))
+                else:
+                    xe = min((eta - s.eta[0]) * (1.0 / deta), ny - 1 - 1e-12)
+                    j = int(xe)
+                    wy = xe - j
+                    lo_t = s.table[i, j] * (1.0 - wy) + s.table[i, j + 1] * wy
+                    hi_t = s.table[i + 1, j] * (1.0 - wy) + s.table[i + 1, j + 1] * wy
+                    assert val == lo_t * (1.0 - w) + hi_t * w
 
     def test_bilinear_steps_matches_pointwise_reference(self):
         # a non-square table, so a transposed flat index would show
@@ -284,8 +291,8 @@ class TestJumpChannels:
 
     @staticmethod
     def contraction(surface, t, y, z, w):
-        # the per-state reference: F_q from value_along at [y, y + z_q]
-        p = surface.value_along(np.full(z.size + 1, t), y[:, None] + np.concatenate([[0.0], z]))
+        # the per-state reference: F_q from value_at_states at [y, y + z_q]
+        p = np.column_stack([surface.value_at_states(t, y + zq) for zq in np.concatenate([[0.0], z])])
         f = p[:, 1:] / p[:, :1] - 1.0
         return np.column_stack([f @ (w * z), f @ (w * z**2), (f**2 / (1.0 + f)) @ w])
 
@@ -385,16 +392,22 @@ class TestDensityPath:
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
         density, _, sharpe_steps, mpr_steps = walk_density(bns_surface, b)
         r, m = (np.cumsum(a, axis=1) for a in (sharpe_steps, mpr_steps))
-        opportunity = bns_surface.value_along(b.times, b.y)
+        opportunity = np.column_stack([bns_surface.value_at_states(t, b.y[:, k]) for k, t in enumerate(b.times)])
         expect = opportunity[:, 1:] * opp.stochastic_exponential(-(r + m), r) / opportunity[0, 0]
         assert np.array_equal(density[:, 1:], expect)
 
     def test_density_terminal_matches_path_variant(self, bns, ou, cpe, bns_surface):
+        # the walk's last node is the terminal density, bitwise, on a grid
+        # surface and on the closed form
         grid = market.GridConfig(1.0, 0.02)
-        b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 100, 10)
-        assert b.jumps.times.size > 0
-        *_, (last, _) = opp.density_walk(bns_surface, b)
-        assert np.array_equal(opp.density_terminal(bns_surface, b), last)
+        flat = market.ConstantBS(0.1, 0.2)
+        flat_surface = opp.make_surface(flat, ou, [cpe], 1.0)
+        assert isinstance(flat_surface, opp.ConstantSharpeSurface)
+        for model, surface in ((bns, bns_surface), (flat, flat_surface)):
+            b = market.simulate_paths(model, ou, [cpe], [100.0], grid, 100, 10)
+            assert b.jumps.times.size > 0
+            *_, (last, _) = opp.density_walk(surface, b)
+            assert np.array_equal(opp.density_terminal(surface, b), last)
 
     def test_density_terminal_keeps_no_running_sum_paths(self, bns, ou, cpe, bns_surface):
         # only per-path running sums: the peak stays below two (n, K+1) arrays
@@ -466,7 +479,7 @@ def test_surface_decomposition_along_path(bns, ou, cpe, bns_surface):
         dt = grid[k + 1] - grid[k]
         acc_lhs += vals[k + 1] / vals[k] - 1.0
         y_k = fp.values[k]
-        rho = float(market.sharpe_squared(bns, y_k[None, :])[0])
+        rho = float(bns.sharpe_squared(y_k[None, :])[0])
         shifted = np.array([bns_surface.value(grid[k], y_k + zz) for zz in z])
         f_int = float(((shifted / vals[k] - 1.0) * w).sum()) * cpe.time_scale
         acc_rhs += (rho - f_int) * dt
