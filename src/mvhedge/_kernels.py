@@ -10,12 +10,13 @@ node by the density walk), the whole-path prices (``price_path``) and
 the replays of ``market.PathBundle``'s walks, which feed the backward
 solve and the hedge sweep (``hedge_sweep``: per time step it asks the
 caller for the strategy's pieces, then records and applies one
-``gains_step``).  The other loops are the pathwise exponent of the
-surface's inner Monte Carlo (``opportunity_mc_exponent``) and the
-bilinear reads of the backward solver's jump-channel tables
-(``bilinear_steps``).  Each runs a Python
-loop over time steps or jump ordinals and numpy over paths.  All random
-numbers are drawn by the callers.
+``gains_step``).  A step's jumps are slices of the chunk's jump record
+(``market.JumpRecord.step``).  The other loops are the pathwise
+exponent of the surface's inner Monte Carlo (``opportunity_mc_exponent``)
+and the reads of the backward solver's jump-channel table, one (3, n_y)
+block per step (``bilinear_steps``).  Each runs a Python loop over time
+steps or jump ordinals and numpy over paths.  All random numbers are
+drawn by the callers.
 
 Per-step arrays are stored step-major (``step_major``): the public
 shape is (n_paths, n_steps, ...), but the memory runs step by step, so
@@ -65,21 +66,12 @@ def step_decay(lam, delta):
     return np.array([math.exp(-lam_i * delta) for lam_i in lam])
 
 
-def step_events(events, k, lam, h):
-    """The jumps of step k: (flat index of each event's (path, factor)
-    entry in an (n, h) array, size, rate, time after the step's left
-    node), in storage order."""
-    ev = events.rows(k)
-    comps = events.jumps.components[ev]
-    return events.paths(k) * h + comps, events.jumps.sizes[ev], lam[comps], events.offset(ev, k)
-
-
 def factor_step(y, edel, delta, jumps):
     """Advance the factor (n, h) over one step, in place, exactly.
 
     Every component decays by ``edel`` (h,), then each of the step's
-    ``jumps`` (``step_events``) adds its size decayed from its time to
-    the step's right node.  Returns those decays (one per event).
+    ``jumps`` (``market.JumpRecord.step``) adds its size decayed from its
+    time to the step's right node.  Returns those decays (one per event).
     """
     at, sz, lam_ev, u = jumps
     y *= edel
@@ -108,10 +100,10 @@ def density_step(model, states, rule, delta, dw_k, jumps):
     """The density's two quadratures over one step, each (n,), any model:
     the integral of the squared market price of risk by the 4-node rule
     (``rule``: node times, each component's decay to them) with the
-    step's ``jumps`` (``step_events``), and the market price of risk at
-    the step-left factor ``states[0]`` dotted with ``dw_k``, scaled so its
-    conditional variance matches the integral (this keeps the density
-    mean exact given the jumps).  Rows 1.. of ``states`` take the factor
+    step's ``jumps`` (``market.JumpRecord.step``), and the market price
+    of risk at the step-left factor ``states[0]`` dotted with ``dw_k``,
+    scaled so its conditional variance matches the integral (this keeps
+    the density mean exact given the jumps).  Rows 1.. of ``states`` take the factor
     at the nodes."""
     node_times, node_decay = rule
     y = states[0]
@@ -120,7 +112,7 @@ def density_step(model, states, rule, delta, dw_k, jumps):
     at, sz, lam_ev, u = jumps
     np.multiply(y, node_decay[:, None, :], out=states[1:])
     if at.size:
-        # events before each node, node by node, in storage order
+        # events before each node, node by node, in step order
         node, j = np.nonzero(u < node_times[:, None])
         w = sz[j] * np.exp(-lam_ev[j] * (node_times[node] - u[j]))
         states[1:] += np.bincount(node * (n * h) + at[j], w, minlength=nq * n * h).reshape(nq, n, h)
@@ -136,7 +128,7 @@ def density_step(model, states, rule, delta, dw_k, jumps):
 
 def engine_steps(model, y0, lam, delta, dw, events):
     """The simulation engine's pass over increments ``dw`` (n, K, d) and
-    jump ``events`` grouped by step (``market.StepEvents``), any model.
+    the jump record ``events`` (``market.JumpRecord``), any model.
 
     Yields per step k the two density quadratures (``density_step``),
     the exact term of lambda * integral of Y (n, h), and the factor at
@@ -152,7 +144,7 @@ def engine_steps(model, y0, lam, delta, dw, events):
     y = states[0]
     y[:] = y0
     for k in range(nk):
-        jumps = step_events(events, k, lam, h)
+        jumps = events.step(k, lam)
         r_step, m_step = density_step(model, states, rule, delta, dw[:, k], jumps)
         # the step's whole term first, then the caller's total, so the
         # total is the in-order sum of the per-step terms
@@ -294,22 +286,11 @@ def opportunity_mc_exponent(sharpe2, lam, y_start, horizon, offsets, times, comp
     return acc
 
 
-def bilinear_steps(table, t_idx, wt, eta, eta0, inv_deta):
-    """Evaluate a (time slice, log-state) table at per-step state arrays.
-
-    ``t_idx``/``wt`` give the bracketing slice index and weight for each
-    column of ``eta``.  Clamps outside the state range.
-    """
-    ny = table.shape[1]
-    x = (eta - eta0) * inv_deta
-    x = np.clip(x, 0.0, ny - 1 - 1e-12)
+def bilinear_steps(table, eta, eta0, inv_deta):
+    """Read every row of a (rows, log-state) table at the states ``eta``
+    (n,), linearly in log-state: (n, rows).  Clamps outside the state
+    range.  The name is kept because benchmark records report it."""
+    x = np.clip((eta - eta0) * inv_deta, 0.0, table.shape[1] - 1 - 1e-12)
     j = x.astype(np.int64)
     wy = x - j
-    w = wt[None, :]
-    # flat gather: row t_idx, column j of the table is element t_idx*ny + j
-    flat = table.ravel()
-    lo_at = t_idx[None, :] * ny + j
-    hi_at = lo_at + ny
-    lo = flat.take(lo_at) * (1.0 - wy) + flat.take(lo_at + 1) * wy
-    hi = flat.take(hi_at) * (1.0 - wy) + flat.take(hi_at + 1) * wy
-    return lo * (1.0 - w) + hi * w
+    return (table[:, j] * (1.0 - wy) + table[:, j + 1] * wy).T

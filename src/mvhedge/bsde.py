@@ -492,6 +492,25 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     )
 
 
+class StreamedMean:
+    """Sample mean and standard error (ddof = 1) of values added chunk by
+    chunk, from running sums of the values and their squares."""
+
+    def __init__(self):
+        self.total = self.total_sq = 0.0
+        self.count = 0
+
+    def add(self, values):
+        self.total += float(values.sum())
+        self.total_sq += float((values**2).sum())
+        self.count += values.size
+
+    def mean_se(self):
+        n, mean = self.count, self.total / self.count
+        var = max(self.total_sq / n - mean**2, 0.0) * n / max(n - 1, 1)
+        return mean, math.sqrt(var / n)
+
+
 def mc_value_at_zero(surface: OpportunitySurface, bundles, payoff):
     """Density-weighted Monte Carlo value E[Z(T) H] with standard error.
 
@@ -500,16 +519,9 @@ def mc_value_at_zero(surface: OpportunitySurface, bundles, payoff):
     """
     if isinstance(bundles, PathBundle):
         bundles = [bundles]
-    total = 0.0
-    total_sq = 0.0
-    count = 0
+    zh = StreamedMean()
     for bundle in bundles:
-        zh = density_terminal(surface, bundle) * payoff(bundle)
-        total += float(zh.sum())
-        total_sq += float((zh**2).sum())
-        count += zh.size
+        zh.add(density_terminal(surface, bundle) * payoff(bundle))
         # release the chunk before a generator simulates the next one
-        del bundle, zh
-    mean = total / count
-    var = max(total_sq / count - mean**2, 0.0) * count / max(count - 1, 1)
-    return mean, math.sqrt(var / count)
+        del bundle
+    return zh.mean_se()

@@ -251,7 +251,7 @@ def cmd_solve_bsde(cfg, args):
     return 0
 
 
-def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True, record_paths=0):
+def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True):
     """Hedge the ``n_paths`` paths after the fit paths ``[0, n_fit_paths)``.
 
     The backward solution is fitted on the fit paths, so the reported
@@ -267,7 +267,7 @@ def _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff, fit=True,
         model, ou, specs, cfg["initial_prices"], grid, cfg["paths"]["n_paths"],
         cfg["paths"]["master_seed"], cfg["paths"]["chunk_size"], path_offset=offset,
     )
-    return hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"], record_paths)
+    return hedge.run_hedge(chunks, surface, solution, payoff, cfg["endowment"])
 
 
 def cmd_hedge(cfg, args):
@@ -275,10 +275,8 @@ def cmd_hedge(cfg, args):
     grid = _grid(cfg)
     payoff = build_payoff(cfg, model)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
-    hc = cfg.get("hedge", {})
     report = _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff,
-                                  fit=not hc.get("use_closed_form_value", False),
-                                  record_paths=hc.get("record_paths", 0))
+                                  fit=not cfg.get("hedge", {}).get("use_closed_form_value", False))
     outdir = output_dir(cfg, args)
     report.export_csv(outdir / "hedge_report.csv")
     (outdir / "hedge_report.txt").write_text(report.summary() + "\n")

@@ -9,13 +9,12 @@ identity holds to round-off by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels as kernels
-from .bsde import BSDESolution, ConstantPayoff
+from .bsde import BSDESolution, ConstantPayoff, StreamedMean
 from .levy import ConfigurationError
 from .market import PathBundle, adjustment
 from .opportunity import OpportunitySurface
@@ -119,7 +118,8 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     only per-path running gains.  Reports the mean squared terminal
     shortfall with its standard error and, for constant payoffs, the
     closed-form comparators evaluated at the surface's time-zero value.
-    The first ``record_paths`` paths are kept for export.
+    The gains, positions, wealth and discounted prices of the first
+    ``record_paths`` paths are kept in ``recorded``.
     """
     source = solution.table if solution is not None else payoff
     if not hasattr(source, "value_and_loadings"):
@@ -127,11 +127,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
                                  "(a constant claim)")
     if isinstance(bundles, PathBundle):
         bundles = [bundles]
-    total = 0.0
-    sq_sum = 0.0
-    sq_sq = 0.0
-    count = 0
-    payoff_sum = 0.0
+    shortfall, sq, paid = StreamedMean(), StreamedMean(), StreamedMean()
     recorded = {}
     p0 = None
     for bundle in bundles:
@@ -148,24 +144,20 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
                                          endowment, 0 if recorded else record_paths)
         recorded = recorded or rec
         h_term = payoff(bundle)
-        shortfall = endowment + gains - h_term
-        total += float(shortfall.sum())
-        sq = shortfall**2
-        sq_sum += float(sq.sum())
-        sq_sq += float((sq**2).sum())
-        payoff_sum += float(h_term.sum())
-        count += bundle.n_paths
+        short = endowment + gains - h_term
+        shortfall.add(short)
+        sq.add(short**2)
+        paid.add(h_term)
         # release the chunk before a generator simulates the next one
         del bundle, gains
-    mse = sq_sum / count
-    var_sq = max(sq_sq / count - mse**2, 0.0) * count / max(count - 1, 1)
+    mse, se_mse = sq.mean_se()
     report = HedgeReport(
         endowment=endowment,
-        n_paths=count,
+        n_paths=sq.count,
         mse=mse,
-        se_mse=math.sqrt(var_sq / count),
-        mean_shortfall=total / count,
-        payoff_mean=payoff_sum / count,
+        se_mse=se_mse,
+        mean_shortfall=shortfall.mean_se()[0],
+        payoff_mean=paid.mean_se()[0],
         recorded=recorded,
     )
     if isinstance(payoff, ConstantPayoff) and p0 is not None and 0.0 < p0 < 1.0:

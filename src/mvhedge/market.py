@@ -208,82 +208,78 @@ class GridConfig:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
 
-@dataclass(frozen=True)
-class RaggedJumps:
-    """Jump events of a whole path set in flat arrays with per-path offsets."""
+@dataclass(frozen=True, eq=False)
+class JumpRecord:
+    """The jump events of one chunk of paths, stored once, in step order.
 
-    offsets: np.ndarray
+    The events of grid step k, (t_k, t_k+1], are the slice
+    ``bounds[k]:bounds[k + 1]`` of ``times``, ``components``, ``sizes``
+    and their owning ``paths``.  A stable sort put them there, so within
+    a step they keep the order of the paths and, within a path, its
+    (time, component) order.  Only this class reads the arrays by step.
+    """
+
     times: np.ndarray
     components: np.ndarray
     sizes: np.ndarray
-    step_index: np.ndarray
-    horizon: float
+    paths: np.ndarray
+    bounds: np.ndarray
+    grid_times: np.ndarray
+    n_paths: int
     n_components: int
 
-    @property
-    def n_paths(self) -> int:
-        return self.offsets.size - 1
-
-    def path(self, i: int) -> JumpPath:
-        sl = slice(self.offsets[i], self.offsets[i + 1])
-        return JumpPath(self.times[sl], self.components[sl], self.sizes[sl], self.horizon, self.n_components)
-
-    def by_step(self, grid_times: np.ndarray) -> StepEvents:
-        """Group the events by the step of ``grid_times`` they fall in.
+    @classmethod
+    def pack(cls, jump_paths, grid: GridConfig, n_paths: int, n_components: int) -> JumpRecord:
+        """The record of ``jump_paths`` on ``grid``, checked once as a chunk
+        (``levy.pack_events``); an empty list stands for paths without events.
 
         The step index is sorted in the smallest unsigned dtype that holds
         the step count (a radix sort up to 16 bits); a stable sort has one
-        result, so the order is that of the int64 index.
+        result, so the order is that of the int64 index.  The arrays are
+        permuted one at a time, so no event is held twice at once.
         """
-        step = self.step_index.astype(np.min_scalar_type(grid_times.size - 1))
+        grid_times = grid.times
+        offsets, times, comps, sizes = pack_events(jump_paths, n_paths, grid.horizon, n_components)
+        # event times lie in (0, T], so every event falls in one of the steps
+        step = (np.searchsorted(grid_times, times, side="left") - 1).astype(np.min_scalar_type(grid.n_steps))
         order = np.argsort(step, kind="stable")
-        bounds = np.searchsorted(step[order], np.arange(grid_times.size, dtype=step.dtype))
-        owner = np.repeat(np.arange(self.n_paths), np.diff(self.offsets))[order]
-        return StepEvents(self, grid_times, order, bounds, owner)
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(step, minlength=grid.n_steps))))
+        times = times[order]
+        comps = comps[order]
+        sizes = sizes[order]
+        paths = np.repeat(np.arange(n_paths), np.diff(offsets))[order]
+        return cls(times, comps, sizes, paths, bounds, grid_times, n_paths, n_components)
 
+    def step(self, k: int, lam: np.ndarray):
+        """The jumps of step k: (flat index of each event's (path, factor)
+        entry in an (n, h) array, size, rate from ``lam`` (h,), time
+        after the step's left node), in step order."""
+        sl = slice(self.bounds[k], self.bounds[k + 1])
+        comps = self.components[sl]
+        return self.paths[sl] * lam.size + comps, self.sizes[sl], lam[comps], self.times[sl] - self.grid_times[k]
 
-@dataclass(frozen=True)
-class StepEvents:
-    """Jump events grouped by grid step; rows index the flat event arrays.
+    def path(self, i: int) -> JumpPath:
+        """The events of path i, in its (time, component) order."""
+        at = np.flatnonzero(self.paths == i)
+        return JumpPath(self.times[at], self.components[at], self.sizes[at], self.grid_times[-1],
+                        self.n_components)
 
-    The grouping and each event's owning path are stored in step order;
-    the events' times after the step's left node are found per step
-    from the rows.
-    """
-
-    jumps: RaggedJumps
-    grid_times: np.ndarray
-    order: np.ndarray
-    bounds: np.ndarray  # events of step k are order[bounds[k]:bounds[k + 1]]
-    owner: np.ndarray   # owning path of the event at order[i]
-
-    def rows(self, k: int) -> np.ndarray:
-        """Storage indices of the events in step k, in storage order."""
-        return self.order[self.bounds[k]:self.bounds[k + 1]]
-
-    def paths(self, k: int) -> np.ndarray:
-        """Owning path of the events in step k, in the order of ``rows(k)``."""
-        return self.owner[self.bounds[k]:self.bounds[k + 1]]
-
-    def offset(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """Time after the left node of step k of the events at ``rows`` of that step."""
-        return self.jumps.times[rows] - self.grid_times[k]
-
-
-def _pack_jumps(paths: list[JumpPath], grid: GridConfig, n_paths: int, n_components: int) -> RaggedJumps:
-    offsets, times, comps, sizes = pack_events(paths, n_paths, grid.horizon, n_components)
-    step = np.searchsorted(grid.times, times, side="left") - 1
-    step = np.clip(step, 0, grid.n_steps - 1)
-    return RaggedJumps(offsets, times, comps, sizes, step, grid.horizon, n_components)
+    def totals(self) -> np.ndarray:
+        """Total jump mass (n_paths, h) per path and component, each summed
+        in the path's event order, as ``JumpPath.totals`` sums it."""
+        out = np.zeros((self.n_paths, self.n_components))
+        np.add.at(out, (self.paths, self.components), self.sizes)
+        return out
 
 
 class PathBundle:
-    """One simulated chunk: increments, jump records, terminal factor and totals.
+    """One simulated chunk: increments, jump record, terminal factor and totals.
 
     A bundle stores the Brownian increments ``dw`` (n_paths, n_steps, d)
     step-major (``_kernels.step_major``), so one step's slice ``[:, k]``
-    is contiguous, and the jump events with the simulation's grouping
-    of them by step (``StepEvents``).  The factor is a deterministic
+    is contiguous, and the jump events in step order (``jumps``, the
+    ``JumpRecord`` the simulation built), so one step's events are
+    contiguous slices too.  The factor is a deterministic
     function of the jump record and the prices follow from the factor
     and the increments, so every other per-step quantity is replayed,
     bitwise, by the recursions the engine runs (``_kernels.factor_step``,
@@ -311,7 +307,7 @@ class PathBundle:
     """
 
     def __init__(self, model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
-                 factor_int, jumps, master_seed, path_offset, events=None):
+                 factor_int, jumps, master_seed, path_offset):
         self.model = model
         self.ou = ou
         self.specs = tuple(specs)
@@ -329,7 +325,6 @@ class PathBundle:
         # checkpoint spacing of the backward walk; tests set it on a
         # fresh bundle to check that the walk does not depend on it
         self._every = math.ceil(math.sqrt(self.n_steps))
-        self._events = events
         self._on_node = None
         self._checkpoints = None
         self._terminal = None
@@ -379,25 +374,16 @@ class PathBundle:
     def _node_jumps(self):
         """(node, path, component, size) of the events exactly on a grid
         node, which make a left limit differ from the factor, sorted by
-        node, and each node's bounds in them; found once, from the step
-        grouping."""
+        node, and each node's bounds in them; found once."""
         if self._on_node is None:
-            ev, j = self._step_events(), self.jumps
-            # an event of step k lies in (t_k, t_k+1] (event times are
-            # positive), so in step order the nodes ascend
-            node = j.step_index[ev.order] + 1
-            on = np.flatnonzero(self.times[node] == j.times[ev.order])
-            node, rows = node[on], ev.order[on]
+            j = self.jumps
+            # an event of step k lies in (t_k, t_k+1], so in step order the nodes ascend
+            node = np.repeat(np.arange(1, self.n_steps + 1), np.diff(j.bounds))
+            on = np.flatnonzero(self.times[node] == j.times)
+            node = node[on]
             bounds = np.searchsorted(node, np.arange(self.n_steps + 2))
-            self._on_node = node, ev.owner[on], j.components[rows], j.sizes[rows], bounds
+            self._on_node = node, j.paths[on], j.components[on], j.sizes[on], bounds
         return self._on_node
-
-    def _step_events(self) -> StepEvents:
-        """The jump events grouped by grid step: the simulation's grouping,
-        or, for a bundle built without one, grouped on first use and kept."""
-        if self._events is None:
-            self._events = self.jumps.by_step(self.times)
-        return self._events
 
     def _start(self):
         """The factor (n, h) and log prices (n, d) at time zero."""
@@ -410,10 +396,9 @@ class PathBundle:
         from node k0 to node k1, yielding both at nodes k0+1..k1."""
         lam, delta = self.ou.mean_reversion, self.grid.step
         edel = kernels.step_decay(lam, delta)
-        events = self._step_events()
         for k in range(k0, k1):
             ls = kernels.log_price_step(self.model, ls, y, self.dw[:, k], delta)
-            kernels.factor_step(y, edel, delta, kernels.step_events(events, k, lam, lam.size))
+            kernels.factor_step(y, edel, delta, self.jumps.step(k, lam))
             yield y, ls
 
     def left_limit(self, k, y):
@@ -440,7 +425,7 @@ class PathBundle:
         self._checkpoints = saved
 
     def _engine_args(self):
-        return self.model, self.ou.y0, self.ou.mean_reversion, self.grid.step, self.dw, self._step_events()
+        return self.model, self.ou.y0, self.ou.mean_reversion, self.grid.step, self.dw, self.jumps
 
     def engine_steps(self):
         """The engine's pass replayed step by step (``_kernels.engine_steps``)."""
@@ -544,12 +529,12 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
     if s0.size != model.d or (s0 <= 0).any():
         raise ConfigurationError("initial prices must be positive, one per asset")
     paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
-    rj = _pack_jumps(paths, grid, n_paths, len(specs))
-    events = rj.by_step(grid.times)
+    jumps = JumpRecord.pack(paths, grid, n_paths, len(specs))
+    del paths  # the engine runs without the sampled paths: the record holds the events
     y_end, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step,
-                                                                  dw, events)
+                                                                  dw, jumps)
     return PathBundle(model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,
-                      factor_int, rj, master_seed, path_offset, events)
+                      factor_int, jumps, master_seed, path_offset)
 
 
 def iter_path_chunks(model, ou, specs, s0, grid, n_paths, master_seed, chunk_size=10_000,

@@ -85,6 +85,9 @@ class ConstantSharpeSurface(OpportunitySurface):
 _CFL = 0.8
 # implicit weight of the reaction term: one half is Crank–Nicolson
 _REACTION_THETA = 0.5
+# most time steps a surface solve may march; the defaults need at most
+# 12 800 (T = 200), and n_y = 4000 needs 126 800
+MAX_IPDE_STEPS = 1_000_000
 
 
 @dataclass
@@ -175,24 +178,19 @@ class IpdeSurface(OpportunitySurface):
         floor and top-node values outside the mesh.
         """
         brackets = self._t_brackets(times)
-        m, ny = brackets[1].size, self.y_nodes.size
-        # time rows of the three channels stacked, and one spare row: the
-        # kernel reads row k + 1 with weight 0 at every channel's row k
-        table = np.zeros((3 * m + 1, ny))
-        acc = table[:-1].reshape(3, m, ny)
+        # one (3, n_y) block of the three channels per time, read by row
+        table = np.zeros((brackets[1].size, 3, self.y_nodes.size))
         base = self._at_states(brackets, self.eta)
         for zq, wq in zip(z_nodes, z_weights):
             f = self._at_states(brackets, np.log(self.y_nodes + zq)) / base - 1.0
-            acc[0] += (wq * zq) * f
-            acc[1] += (wq * zq * zq) * f
-            acc[2] += wq * (f * f / (1.0 + f))
-        rows = np.arange(3) * m
-        zero = np.zeros(3)
+            table[:, 0] += (wq * zq) * f
+            table[:, 1] += (wq * zq * zq) * f
+            table[:, 2] += wq * (f * f / (1.0 + f))
 
         def channels(k, y):
-            eta = np.log(np.maximum(y, 1e-300))[:, None]
+            eta = np.log(np.maximum(y, 1e-300))
             self._count_clamped(eta)
-            return kernels.bilinear_steps(table, rows + k, zero, eta, self.eta[0], 1.0 / self._deta)
+            return kernels.bilinear_steps(table[k], eta, self.eta[0], 1.0 / self._deta)
 
         return channels
 
@@ -271,6 +269,11 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
             raise ConfigurationError("n_time_steps must be a multiple of n_time_slices - 1")
         per = mesh.n_time_steps // (m_slices - 1)
     n_steps = per * (m_slices - 1)
+    if n_steps > MAX_IPDE_STEPS:
+        raise ConfigurationError(
+            f"surface solve needs {n_steps} time steps, more than {MAX_IPDE_STEPS}, "
+            f"with the mesh floor at {floor:.3g}: raise the floor or lower n_y"
+        )
     dt = horizon / n_steps
     if lam * dt / deta > 1.0 + 1e-9 or (nu_mass > 0 and dt * nu_mass > 1.0 + 1e-9):
         raise ValueError("time step violates the stability bound for the explicit terms")

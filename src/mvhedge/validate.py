@@ -103,7 +103,7 @@ def exponential_moment(spec, c, n_paths, seed) -> CheckResult:
 
 def factor_balance(bundle) -> CheckResult:
     """lambda * integral of Y = y0 + L(lambda T) - Y_T on every path, to 1e-12 relative."""
-    l_tot = np.array([bundle.jumps.path(i).totals() for i in range(bundle.n_paths)])
+    l_tot = bundle.jumps.totals()
     lhs = bundle.factor_int
     resid = np.abs(lhs - (bundle.ou.y0 + l_tot - bundle.y_end)) / np.maximum(np.abs(lhs), 1.0)
     return CheckResult("factor balance identity", resid.max() < 1e-12, f"max rel resid {resid.max():.2e}")
@@ -168,16 +168,12 @@ def closed_form_identities(seed, p0_margin=1e-8, level=5e4) -> CheckResult:
 def density_mean_one(surface, bundles, slack=0.0) -> CheckResult:
     """Criterion 3's mean: the terminal density's sample mean over an
     iterable of bundles lies within 4 se + ``slack`` of one."""
-    total = total_sq = count = 0.0
+    zt = bsde.StreamedMean()
     for bundle in bundles:
-        zt = opportunity.density_terminal(surface, bundle)
-        total += zt.sum()
-        total_sq += (zt**2).sum()
-        count += zt.size
+        zt.add(opportunity.density_terminal(surface, bundle))
         # release the chunk before a generator simulates the next one
-        del bundle, zt
-    mean = total / count
-    se = math.sqrt(max(total_sq / count - mean**2, 0.0) / count)
+        del bundle
+    mean, se = zt.mean_se()
     return CheckResult("density terminal mean one", abs(mean - 1.0) <= 4 * se + slack,
                        f"mean {mean:.4f} (se {se:.4f})")
 

@@ -65,10 +65,9 @@ def left_limits(bundle):
     with every jump event that lies exactly on a node taken back out."""
     y_left = bundle.y.copy()
     j = bundle.jumps
-    path = np.repeat(np.arange(j.n_paths), np.diff(j.offsets))
     node = np.minimum(np.searchsorted(bundle.times, j.times), bundle.n_steps)
     on = bundle.times[node] == j.times
-    np.subtract.at(y_left, (path[on], node[on], j.components[on]), j.sizes[on])
+    np.subtract.at(y_left, (j.paths[on], node[on], j.components[on]), j.sizes[on])
     return y_left
 
 

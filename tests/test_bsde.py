@@ -144,19 +144,19 @@ class TestSolveBackward:
 
     def test_discounted_never_built(self, bns_setup, ou, cpe, monkeypatch):
         # the solve discounts one step at a time, derives no whole price
-        # array, and replays the factor from the simulation's grouping of
-        # the jump events by step
+        # array, and replays the factor from the jump record the
+        # simulation built, the only one built
         model, _, surface = bns_setup
-        grouped = []
+        built = []
         monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
-        by_step = market.RaggedJumps.by_step
-        monkeypatch.setattr(market.RaggedJumps, "by_step", lambda rj, t: grouped.append(rj) or by_step(rj, t))
+        pack = market.JumpRecord.pack
+        monkeypatch.setattr(market.JumpRecord, "pack", lambda *a: built.append(pack(*a)) or built[-1])
         bundle = market.simulate_paths(model, ou, [cpe], [100.0], market.GridConfig(1.0, 0.02), 300, 5)
+        assert len(built) == 1 and built[0] is bundle.jumps
         bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
-        assert grouped == [bundle.jumps]
         # nor do the whole factor, the density walk or a hedge's walk
         bundle.y, list(opp.density_walk(surface, bundle)), list(bundle.walk())
-        assert grouped == [bundle.jumps]
+        assert len(built) == 1
 
     def test_ill_conditioned_steps_take_svd(self, ou, cpe):
         # at T = 5 the BNS designs reach cond 1e7 at some steps

@@ -286,7 +286,10 @@ class TestOtherCommands:
         ({"payoff": {"asset": 1}}, "configuration error: payoff asset 1 is not one of the model's 1 assets"),
         ({"surface": {"y_top": 10.5}}, "configuration error: mesh top 10.5 cannot cover the jump range"),
         ({"surface": {"y_floor": -1}}, "invalid configuration: $.surface.y_floor: -1 is less than"),
-    ], ids=["asset", "y_top", "y_floor"])
+        # about 1.25e7 surface time steps at horizon 0.1: refused before the march
+        ({"surface": {"y_floor": 1e-9}}, "configuration error: surface solve needs 12500480 time steps"),
+        ({"hedge": {"record_paths": 4}}, "invalid configuration: $.hedge: Additional properties"),
+    ], ids=["asset", "y_top", "y_floor", "y_floor_steps", "record_paths"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, override, message):
         cfg = tmp_path / "p.json"
         cfg.write_text(json.dumps(override))

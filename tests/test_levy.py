@@ -115,8 +115,8 @@ def test_sampler_postconditions(specs):
         assert (jp.times.dtype, jp.components.dtype, jp.sizes.dtype) == (float, np.int64, float)
         assert np.array_equal(np.lexsort((jp.components, jp.times)), np.arange(len(jp)))
         levy.JumpPath(jp.times, jp.components, jp.sizes, jp.horizon, h)
-    rj = market._pack_jumps(paths, market.GridConfig(2.0, 0.1), len(paths), h)
-    assert np.bincount(rj.components, minlength=h).min() > 1000
+    record = market.JumpRecord.pack(paths, market.GridConfig(2.0, 0.1), len(paths), h)
+    assert np.bincount(record.components, minlength=h).min() > 1000
 
 
 # path indices on both sides of 2**32 and up to 2**64

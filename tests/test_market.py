@@ -155,8 +155,8 @@ class TestSimulation:
         # array), and the terminal factor, the two density quadratures and
         # the factor integral per path; the factor, prices, the per-step
         # quadratures and the per-step factor integral would add one array
-        # each.  The jump events and their grouping by step scale with the
-        # events, not the steps, and are not counted
+        # each.  The jump record scales with the events, not the steps,
+        # and is not counted
         model, spec = {"flat": (market.ConstantBS(0.1, 0.2), no_jumps),
                        "bns": (market.BNS(0.5, 0.02), cpe_spec)}[case]
         grid = market.GridConfig(1.0, 0.01)
@@ -168,9 +168,7 @@ class TestSimulation:
         finally:
             tracemalloc.stop()
         j = b.jumps
-        e = b._step_events()
-        events = sum(a.nbytes for a in (j.offsets, j.times, j.components, j.sizes, j.step_index,
-                                        e.order, e.bounds, e.owner))
+        events = sum(a.nbytes for a in (j.times, j.components, j.sizes, j.paths, j.bounds, j.grid_times))
         assert (held - events) / (b.n_paths * b.n_steps * 8) <= 1.1
 
     def test_prices_are_derived_once(self, bns_model, ou_unit, cpe_spec):
@@ -408,17 +406,17 @@ class TestEventChecks:
     def test_packed_chunk_rejects_a_later_path(self, message, events):
         paths = unchecked_paths([GOOD, ([], [], []), GOOD, events], 2)
         with pytest.raises(ValueError, match=message):
-            market._pack_jumps(paths, self.grid, len(paths), 2)
+            market.JumpRecord.pack(paths, self.grid, len(paths), 2)
 
     def test_paths_are_checked_apart(self):
         # one component: a later path may start before the previous one ends,
         # but a repeated time inside one path is rejected
         paths = unchecked_paths([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1], [0], [1.0]), GOOD], 2)
-        rj = market._pack_jumps(paths, self.grid, 3, 2)
-        assert rj.offsets.tolist() == [0, 2, 3, 7]
+        record = market.JumpRecord.pack(paths, self.grid, 3, 2)
+        assert [len(record.path(i)) for i in range(3)] == [2, 1, 4]
         single = unchecked_paths([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1, 0.1], [0, 0], [1.0, 1.0])], 1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            market._pack_jumps(single, self.grid, 2, 1)
+            market.JumpRecord.pack(single, self.grid, 2, 1)
 
     def test_probe_checks_inner_paths(self, bns_model, ou_unit, cpe_spec, monkeypatch):
         from mvhedge import opportunity as opp
@@ -438,32 +436,32 @@ class TestEventChecks:
             opp.estimate_opportunity_mc(bns_model, ou_unit, [cpe_spec], 0.0, [10.0], 1.0, 100, 3)
 
     def test_empty_chunk_keeps_component_count(self):
-        rj = market._pack_jumps([], self.grid, 3, 2)
-        assert rj.offsets.tolist() == [0, 0, 0, 0]
-        assert rj.n_components == 2 and rj.times.size == 0
+        record = market.JumpRecord.pack([], self.grid, 3, 2)
+        assert record.n_paths == 3 and record.n_components == 2 and record.times.size == 0
+        assert not record.bounds.any() and record.totals().shape == (3, 2)
 
 
 @pytest.mark.parametrize("n_steps, n_events", [(40, 5000), (1000, 50_000), (70_000, 3000)])
 def test_step_order_matches_int64_stable_sort(n_steps, n_events):
-    # the step index is sorted in the narrowest unsigned dtype; order and
-    # bounds must be those of the int64 stable argsort
+    # the step index is sorted in the narrowest unsigned dtype; the
+    # record's order and bounds must be those of the int64 stable argsort.
+    # Each path holds one event, so an event's owner is its index
     rng = np.random.default_rng(4)
     step = rng.integers(0, n_steps, n_events)
     step[:3] = n_steps - 1
-    grid_times = np.linspace(0.0, 1.0, n_steps + 1)
-    offsets = np.array([0, n_events // 3, n_events])
-    rj = market.RaggedJumps(offsets, grid_times[step] + 0.5 / n_steps, np.zeros(n_events, dtype=np.int64),
-                            np.ones(n_events), step, 1.0, 1)
-    events = rj.by_step(grid_times)
+    grid = market.GridConfig(1.0, 1.0 / n_steps)
+    assert grid.n_steps == n_steps
+    times = grid.times[step] + 0.5 / n_steps
+    paths = unchecked_paths([([t], [0], [1.0]) for t in times], 1)
+    record = market.JumpRecord.pack(paths, grid, n_events, 1)
     order = np.argsort(step, kind="stable")
-    assert np.array_equal(events.order, order)
-    assert np.array_equal(events.bounds, np.searchsorted(step[order], np.arange(n_steps + 1)))
-    last = events.rows(n_steps - 1)
-    assert np.array_equal(last[:3], [0, 1, 2])
-    assert np.array_equal(events.paths(n_steps - 1), (last >= n_events // 3).astype(int))
-    # every event's owner, in step order, is the path its offsets assign
-    assert np.array_equal(events.owner, np.searchsorted(offsets, order, side="right") - 1)
-    assert np.allclose(events.offset(last, n_steps - 1), 0.5 / n_steps)
+    assert np.array_equal(record.paths, order)
+    assert np.array_equal(record.times, times[order])
+    assert np.array_equal(record.bounds, np.searchsorted(step[order], np.arange(n_steps + 1)))
+    at, size, rate, after = record.step(n_steps - 1, np.array([2.0]))
+    assert np.array_equal(at[:3], [0, 1, 2])
+    assert np.array_equal(at, order[record.bounds[-2]:]) and (size == 1.0).all() and (rate == 2.0).all()
+    assert np.allclose(after, 0.5 / n_steps)
 
 
 def reference_draw(spec, grid, master, index):
@@ -504,10 +502,9 @@ def test_streams_pinned(setup, monkeypatch):
     b = market.simulate_paths(model, ngou.OUParams([1.0], [10.0]), [spec], [100.0], grid, n, master,
                               path_offset=offset)
     refs = [reference_draw(spec, grid, master, offset + i) for i in range(n)]
-    assert np.array_equal(b.jumps.offsets, np.cumsum([0] + [r[0].size for r in refs]))
-    assert np.array_equal(b.jumps.times, np.concatenate([r[0] for r in refs]))
-    assert np.array_equal(b.jumps.sizes, np.concatenate([r[1] for r in refs]))
-    assert not b.jumps.components.any()
+    for i, (times, sizes, _) in enumerate(refs):
+        p = b.jumps.path(i)
+        assert np.array_equal(p.times, times) and np.array_equal(p.sizes, sizes) and not p.components.any()
     assert np.array_equal(b.dw, np.stack([r[2] for r in refs]))
     # a spec that cannot jump draws no jump paths at all
     can_jump = isinstance(spec, levy.CompoundPoissonExp)

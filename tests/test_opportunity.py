@@ -237,17 +237,16 @@ class TestIpdeSurface:
         # a non-square table, so a transposed flat index would show
         rng = np.random.default_rng(2)
         table = rng.random((5, 7))
-        t_idx, wt = np.array([0, 3, 2]), np.array([0.0, 0.25, 0.9])
-        eta = rng.uniform(-0.5, 7.0, size=(4, 3))  # clamps on both sides
-        out = kernels.bilinear_steps(table, t_idx, wt, eta, 0.0, 1.0)
-        for r in range(4):
-            for c in range(3):
-                x = min(max(eta[r, c], 0.0), 6 - 1e-12)
-                i, j, w = t_idx[c], int(x), wt[c]
-                wy = x - j
-                lo = table[i, j] * (1.0 - wy) + table[i, j + 1] * wy
-                hi = table[i + 1, j] * (1.0 - wy) + table[i + 1, j + 1] * wy
-                assert out[r, c] == lo * (1.0 - w) + hi * w
+        eta = rng.uniform(-0.5, 7.0, size=6)  # clamps on both sides
+        eta[:2] = -0.5, 7.0
+        out = kernels.bilinear_steps(table, eta, 0.0, 1.0)
+        assert out.shape == (6, 5)
+        for r in range(6):
+            x = min(max(eta[r], 0.0), 6 - 1e-12)
+            j = int(x)
+            wy = x - j
+            for i in range(5):
+                assert out[r, i] == table[i, j] * (1.0 - wy) + table[i, j + 1] * wy
 
     def test_extrapolation_above_top_flagged(self, bns_surface):
         before = bns_surface.n_above_top
