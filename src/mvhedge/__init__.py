@@ -16,7 +16,6 @@ from .levy import (
     exp_moment_rate,
     jump_quadrature,
     sample_jump_path,
-    validate_moment_condition,
 )
 from .ngou import FactorPath, OUParams, evolve, integrated_factor, merge_grid
 from .market import (

@@ -5,10 +5,11 @@ the exact factor update (``factor_step``: decay, then the step's jumps),
 the log-price update with coefficients frozen at the step-left factor
 (``log_price_step``) and the density's two quadratures over the step
 (``density_step``).  Every loop over steps calls them: the engine's
-pass (``engine_steps``, summed by ``simulate_d1h1`` and read node by
-node by the density walk), the whole-path prices (``price_path``) and
-the replays of ``market.PathBundle``'s walks, which feed the backward
-solve and the hedge sweep (``hedge_sweep``: per time step it asks the
+pass (``engine_steps``, summed by ``simulate_d1h1``, which records the
+whole-path factor and prices too when given the initial prices, and
+read node by node by the density walk) and the replays of
+``market.PathBundle``'s walks, which feed the backward solve and the
+hedge sweep (``hedge_sweep``: per time step it asks the
 caller for the strategy's pieces, then records and applies one
 ``gains_step``).  A step's jumps are slices of the chunk's jump record
 (``market.JumpRecord.step``).  The other loops are the pathwise
@@ -156,40 +157,33 @@ def engine_steps(model, y0, lam, delta, dw, events):
         yield r_step, m_step, term, y
 
 
-def simulate_d1h1(model, y0, lam, delta, dw, events, record=False):
+def simulate_d1h1(model, y0, lam, delta, dw, events, s0=None):
     """(y_end, sharpe_int, mpr_dw, factor_int): the terminal factor and
-    the in-order sums of ``engine_steps``' terms from zero.  With
-    ``record`` the factor at every node (n, K+1, h) follows, step-major,
-    for ``market.PathBundle.y``.  The name is kept because benchmark
-    records report it."""
-    n, nk = dw.shape[:2]
+    the in-order sums of ``engine_steps``' terms from zero.  Given the
+    initial prices ``s0`` (d,), the factor (n, K+1, h) and the prices
+    (n, K+1, d) at every node follow, both step-major, for
+    ``market.PathBundle.y`` and ``.s``: each step's prices come from
+    ``log_price_step`` on the step-left factor just recorded.  The name
+    is kept because benchmark records report it."""
+    n, nk, d = dw.shape
     sharpe_int, mpr_dw = np.zeros(n), np.zeros(n)
     factor_int = np.zeros((n, lam.size))
+    record = s0 is not None
     if record:
         y_out = step_major(nk + 1, n, lam.size)
         y_out[:, 0] = y0
-    for k, (r_step, m_step, term, y) in enumerate(engine_steps(model, y0, lam, delta, dw, events), 1):
+        logs = step_major(nk + 1, n, d)
+        logs[:, 0] = log_price_start(s0, n)
+    for k, (r_step, m_step, term, y) in enumerate(engine_steps(model, y0, lam, delta, dw, events)):
         sharpe_int += r_step
         mpr_dw += m_step
         factor_int += term
         if record:
-            y_out[:, k] = y
+            logs[:, k + 1] = log_price_step(model, logs[:, k], y_out[:, k], dw[:, k], delta)
+            y_out[:, k + 1] = y
     out = y.copy(), sharpe_int, mpr_dw, factor_int
-    return out + (y_out,) if record else out
-
-
-def price_path(model, y, dw, s0, delta):
-    """Prices (n, K+1, d) along a simulated factor (n, K+1, h), stored
-    step-major: ``log_price_step`` from log ``s0`` (d,) at every step."""
-    n, nk, d = dw.shape
-    logs = step_major(nk + 1, n, d)
-    ls = log_price_start(s0, n)
-    logs[:, 0] = ls
-    for k in range(nk):
-        ls = log_price_step(model, ls, y[:, k], dw[:, k], delta)
-        logs[:, k + 1] = ls
     # in place, so log prices and prices never take memory at once
-    return np.exp(logs, out=logs)
+    return out + (y_out, np.exp(logs, out=logs)) if record else out
 
 
 def gains_step(gains_left, xi, adj, v, value_left, d_increment):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .levy import ConfigurationError, jump_quadrature
 from .market import PathBundle, market_price_of_risk
-from .opportunity import OpportunitySurface, density_terminal
+from .opportunity import OpportunitySurface, check_horizon, density_terminal
 
 
 class ConstantPayoff:
@@ -363,6 +363,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     config = config or BsdeConfig()
     if bundle.n_paths < 100:
         raise ConfigurationError("backward solve needs a sensible cross-path sample")
+    check_horizon(surface, bundle)
     n, nk = bundle.n_paths, bundle.n_steps
     d, h = bundle.model.d, bundle.ou.dim
     if h != 1:

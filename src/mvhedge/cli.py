@@ -49,8 +49,6 @@ FIGURE_PRESETS = {
         "grid": {"horizon": 200.0, "step": 0.01},
         "payoff": {"kind": "constant", "level": 30000.0},
         "endowment": 10000.0,
-        # the preset's exponential jumps cap admissible moment orders below 8
-        "moment_exponent": 4.0,
         "figure": {"sweep_points": 20, "simulate_errors": True, "simulate_t_max": 20.0},
     },
 }
@@ -66,6 +64,8 @@ DEFAULTS = {
     "payoff": {"kind": "call", "strike": 100.0, "asset": 0},
     "initial_prices": [100.0],
     "endowment": 10000.0,
+    # the order the jumps' exponential moment is checked at; the default
+    # exponential jumps (rate 8) cap admissible orders below 8
     "moment_exponent": 4.0,
     "surface": {},
     "bsde": {},
@@ -159,9 +159,9 @@ def build_components(cfg: dict):
             specs.append(levy.TableMeasure(tuple(map(tuple, sc.get("atoms", []))), sc.get("time_scale", 1.0)))
         else:
             specs.append(levy.TableMeasure((), sc.get("time_scale", 1.0)))
-    c_order = cfg.get("moment_exponent", levy.DEFAULT_MOMENT_EXPONENT)
+    c_order = cfg.get("moment_exponent", DEFAULTS["moment_exponent"])
     for spec in specs:
-        levy.validate_moment_condition(spec, c_order)
+        levy.exp_moment_rate(spec, c_order)
     return model, ou, specs
 
 

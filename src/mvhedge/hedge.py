@@ -17,7 +17,7 @@ from . import _kernels as kernels
 from .bsde import BSDESolution, ConstantPayoff, StreamedMean
 from .levy import ConfigurationError
 from .market import PathBundle, adjustment
-from .opportunity import OpportunitySurface
+from .opportunity import OpportunitySurface, check_horizon
 
 
 def pure_hedge(model, d_prices, y_left, dw_loadings):
@@ -131,6 +131,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
     recorded = {}
     p0 = None
     for bundle in bundles:
+        check_horizon(surface, bundle)
         model = bundle.model
         if p0 is None:
             p0 = float(surface.value_at_states(0.0, bundle.y_start)[0])

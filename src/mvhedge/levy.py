@@ -15,11 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-# Exponential-moment order every configuration is validated against
-# unless overridden.  Chosen above the growth exponents needed by the
-# engine's diagnostics for the built-in examples.
-DEFAULT_MOMENT_EXPONENT = 8.0
-
 
 class MomentConditionError(ValueError):
     """The Levy measure has no exponential moment at the requested order."""
@@ -100,7 +95,9 @@ def exp_moment_rate(spec: SubordinatorSpec, c: float) -> float:
     """Integral of (exp(c z) - 1) against the Levy measure.
 
     With psi = exp_moment_rate(spec, c), the scaled subordinator
-    satisfies E[exp(c L(lambda t))] = exp(lambda t psi).
+    satisfies E[exp(c L(lambda t))] = exp(lambda t psi).  Raises
+    MomentConditionError where the moment is infinite, so the CLI checks
+    a configuration's exponential-moment condition with it.
     """
     if isinstance(spec, CompoundPoissonExp):
         if c >= spec.jump_rate:
@@ -109,15 +106,6 @@ def exp_moment_rate(spec: SubordinatorSpec, c: float) -> float:
             )
         return spec.event_rate * c / (spec.jump_rate - c)
     return sum(nu * math.expm1(c * z) for z, nu in spec.atoms)
-
-
-def validate_moment_condition(spec: SubordinatorSpec, c: float = DEFAULT_MOMENT_EXPONENT) -> float:
-    """Check the exponential-moment condition at order ``c``.
-
-    Returns the moment rate; raises MomentConditionError when it is
-    infinite.
-    """
-    return exp_moment_rate(spec, c)
 
 
 def chernoff_quantile_bound(spec: SubordinatorSpec, horizon: float, eps: float = 1e-4) -> float:

@@ -293,8 +293,9 @@ class PathBundle:
     terminal_prices: (n_paths, d), from the pass that saves the
                      checkpoints (the payoffs)
 
-    ``y`` and ``s`` (n_paths, n_steps + 1, ...) are derived in full on
-    first read and kept; no module of the package reads them.
+    ``y`` and ``s`` (n_paths, n_steps + 1, ...) exist for the benchmark's
+    tracer and the tests: one engine run derives both on first read, and
+    the bundle keeps them; no module of the package reads them.
 
     Stored per path, each total the in-order sum of its per-step terms:
 
@@ -328,8 +329,7 @@ class PathBundle:
         self._on_node = None
         self._checkpoints = None
         self._terminal = None
-        self._y = None
-        self._s = None
+        self._whole = None
 
     @property
     def n_paths(self) -> int:
@@ -350,19 +350,19 @@ class PathBundle:
 
     @property
     def y(self) -> np.ndarray:
-        """Factor (n, K+1, h) at every node, from one more engine run in its
-        ``record`` mode on first read: the tests' whole-path reference, and
-        inside the engine's span for the benchmark's tracer."""
-        if self._y is None:
-            self._y = kernels.simulate_d1h1(*self._engine_args(), record=True)[4]
-        return self._y
+        """Factor (n, K+1, h) at every node, for the benchmark's tracer."""
+        return self._whole_paths()[0]
 
     @property
     def s(self) -> np.ndarray:
-        """Prices (n, K+1, d) from ``_kernels.price_path`` on ``y``, on first read."""
-        if self._s is None:
-            self._s = kernels.price_path(self.model, self.y, self.dw, self.s0, self.grid.step)
-        return self._s
+        """Prices (n, K+1, d) at every node, for the benchmark's tracer."""
+        return self._whole_paths()[1]
+
+    def _whole_paths(self):
+        """(y, s) from one engine run given the initial prices, on first read."""
+        if self._whole is None:
+            self._whole = kernels.simulate_d1h1(*self._engine_args(), s0=self.s0)[4:]
+        return self._whole
 
     @property
     def terminal_prices(self) -> np.ndarray:

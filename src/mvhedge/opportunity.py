@@ -352,6 +352,12 @@ def stochastic_exponential(n_path: np.ndarray, qv_path: np.ndarray) -> np.ndarra
     return np.exp(np.asarray(n_path) - 0.5 * np.asarray(qv_path))
 
 
+def check_horizon(surface: OpportunitySurface, bundle):
+    """Raise unless the surface was solved for the bundle's horizon."""
+    if abs(surface.horizon - bundle.times[-1]) > 1e-9:
+        raise ConfigurationError("surface horizon does not match the bundle grid")
+
+
 def density_walk(surface: OpportunitySurface, bundle):
     """Yield the variance-optimal density and its left limit (n,),
     normalized to one at t = 0, at nodes k = 0..K.
@@ -362,9 +368,8 @@ def density_walk(surface: OpportunitySurface, bundle):
     left limit only where an event lies on the node; so the last density
     equals ``density_terminal`` bitwise.
     """
+    check_horizon(surface, bundle)
     times = bundle.times
-    if abs(surface.horizon - times[-1]) > 1e-9:
-        raise ConfigurationError("surface horizon does not match the bundle grid")
     qv, m = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
     o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
 
@@ -392,6 +397,7 @@ def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
     surface through ``value_at_states``, so the values equal the walk's
     last density bitwise.
     """
+    check_horizon(surface, bundle)
     qv, m = bundle.sharpe_int, bundle.mpr_dw
     o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
     o_t = surface.value_at_states(bundle.times[-1], bundle.y_end)

@@ -1,3 +1,5 @@
+import contextlib
+import inspect
 import warnings
 
 import numpy as np
@@ -58,6 +60,24 @@ class TwoAssetConstant(market.CoefficientModel):
 def discounted(bundle):
     """Discounted prices exp(-r t) S (n, K+1, d) of a bundle's whole paths."""
     return np.exp(-bundle.rate * bundle.times)[None, :, None] * bundle.s
+
+
+@contextlib.contextmanager
+def no_whole_paths():
+    """Fail the test if an engine run is given initial prices inside the
+    block: that run derives ``PathBundle.y`` and ``.s``, the whole-path
+    factor and prices."""
+    run = kernels.simulate_d1h1
+    signature = inspect.signature(run)
+
+    def guarded(*args, **kwargs):
+        if signature.bind(*args, **kwargs).arguments.get("s0") is not None:
+            pytest.fail("derived the whole-path factor and prices")
+        return run(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "simulate_d1h1", guarded)
+        yield
 
 
 def left_limits(bundle):

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvhedge import _kernels as kernels
 from mvhedge import bsde, levy, market, ngou, opportunity as opp
 
-from conftest import discounted, left_limits
+from conftest import discounted, left_limits, no_whole_paths
 
 
 def step_design(sol, bundle, k):
@@ -148,12 +147,12 @@ class TestSolveBackward:
         # simulation built, the only one built
         model, _, surface = bns_setup
         built = []
-        monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
         pack = market.JumpRecord.pack
         monkeypatch.setattr(market.JumpRecord, "pack", lambda *a: built.append(pack(*a)) or built[-1])
         bundle = market.simulate_paths(model, ou, [cpe], [100.0], market.GridConfig(1.0, 0.02), 300, 5)
         assert len(built) == 1 and built[0] is bundle.jumps
-        bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
+        with no_whole_paths():
+            bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
         # nor do the whole factor, the density walk or a hedge's walk
         bundle.y, list(opp.density_walk(surface, bundle)), list(bundle.walk())
         assert len(built) == 1
@@ -261,7 +260,7 @@ class TestSolveBackward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert bundle._y is None and bundle._s is None
+        assert bundle._whole is None
         assert peak < 0.45 * bundle.n_paths * bundle.n_steps * 8
 
     def test_constant_claim_r2_in_unit_interval(self, bns_setup):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mvhedge import _kernels as kernels
 from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp, validate
 
-from conftest import TwoAssetConstant, discounted, left_limits
+from conftest import TwoAssetConstant, discounted, left_limits, no_whole_paths
 
 
 def bs_delta(s, k, sig, t_end):
@@ -194,7 +194,7 @@ class TestRunHedge:
         monkeypatch.setattr(kernels, "hedge_sweep", watched)
         hedge.run_hedge(bundle, surface, sol, pay, 8.0)
         assert seen == [[(bundle.n_paths, True)] * 3] * (bundle.n_steps + 1)
-        assert bundle._y is None and bundle._s is None
+        assert bundle._whole is None
 
     @pytest.mark.parametrize("case", ["fitted_call", "constant_no_solution", "two_chunks"])
     def test_one_pass_matches_separate_passes(self, case, bns_world, ou):
@@ -237,16 +237,16 @@ class TestRunHedge:
         assert rep1.mse == pytest.approx(rep2.mse, rel=1e-12)
         assert rep2.n_paths == 400
 
-    def test_discounted_never_built(self, bns_world, ou, monkeypatch):
+    def test_discounted_never_built(self, bns_world, ou):
         # the sweep discounts one step at a time and derives no whole
         # price array; only the recorded paths get a discounted copy
         model, cpe, grid, _, surface = bns_world
         pay = bsde.DiscountedCall(100.0)
         sol = bsde.solve_backward(market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31),
                                   surface, pay)
-        monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
         chunks = market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 300, 77, 100)
-        rep = hedge.run_hedge(chunks, surface, sol, pay, 8.0, record_paths=4)
+        with no_whole_paths():
+            rep = hedge.run_hedge(chunks, surface, sol, pay, 8.0, record_paths=4)
         assert rep.recorded["discounted"].shape == (4, grid.n_steps + 1, 1)
 
     def test_report_exports(self, tmp_path, bns_world):
@@ -305,21 +305,21 @@ def test_price_loop_runs_only_for_price_readers(bns_world, ou, monkeypatch):
     calls = []
     step = kernels.log_price_step
     monkeypatch.setattr(kernels, "log_price_step", lambda *args: calls.append(1) or step(*args))
-    monkeypatch.setattr(kernels, "price_path", lambda *args: pytest.fail("derived a whole price array"))
-    pay = bsde.ConstantPayoff(30000.0)
-    bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
-    opp.density_terminal(surface, bundle)
-    bsde.mc_value_at_zero(surface, market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 600, 5, 300),
-                          pay)
-    assert not calls
-    nk, segments = grid.n_steps, math.ceil(grid.n_steps / bundle._every)
-    sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
-    assert len(calls) == 2 * nk - segments
-    hedge.run_hedge(bundle, surface, sol, bsde.DiscountedCall(100.0), 8.0)
-    assert len(calls) == 3 * nk - segments
-    hedge.run_hedge(market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 600, 5, 300),
-                    surface, None, pay, 10000.0)
-    assert len(calls) == 5 * nk - segments
+    with no_whole_paths():
+        pay = bsde.ConstantPayoff(30000.0)
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
+        opp.density_terminal(surface, bundle)
+        bsde.mc_value_at_zero(surface, market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 600, 5, 300),
+                              pay)
+        assert not calls
+        nk, segments = grid.n_steps, math.ceil(grid.n_steps / bundle._every)
+        sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
+        assert len(calls) == 2 * nk - segments
+        hedge.run_hedge(bundle, surface, sol, bsde.DiscountedCall(100.0), 8.0)
+        assert len(calls) == 3 * nk - segments
+        hedge.run_hedge(market.iter_path_chunks(model, ou, [cpe], [100.0], grid, 600, 5, 300),
+                        surface, None, pay, 10000.0)
+        assert len(calls) == 5 * nk - segments
 
 
 @pytest.mark.parametrize("stage, bound", [("oracle", 3.2), ("hedge", 3.2)])

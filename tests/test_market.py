@@ -176,6 +176,27 @@ class TestSimulation:
                                   20, 3)
         assert b.s is b.s and b.y is b.y and b.terminal_prices is b.terminal_prices
 
+    def test_whole_paths_come_from_one_engine_run(self, bns_model, ou_unit, cpe_spec, monkeypatch):
+        # the benchmark's tracer times the engine, so every price step of
+        # the whole paths runs inside the one engine run that derives them
+        b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], market.GridConfig(0.5, 0.01),
+                                  20, 3)
+        runs, inside = [], []
+        run, step = kernels.simulate_d1h1, kernels.log_price_step
+
+        def counted_run(*args, **kwargs):
+            runs.append("open")
+            result = run(*args, **kwargs)
+            runs[-1] = "closed"
+            return result
+
+        monkeypatch.setattr(kernels, "simulate_d1h1", counted_run)
+        monkeypatch.setattr(kernels, "log_price_step",
+                            lambda *a: inside.append(runs[-1:] == ["open"]) or step(*a))
+        b.s, b.y
+        assert runs == ["closed"]
+        assert len(inside) == b.n_steps and all(inside)
+
     def test_factor_path_roundtrip(self, bns_model, ou_unit, cpe_spec):
         grid = market.GridConfig(1.0, 0.05)
         b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 4, 12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mvhedge import _kernels as kernels
-from mvhedge import levy, market, ngou, opportunity as opp, validate
+from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp, validate
 
 from conftest import walk_density
 
@@ -444,6 +444,26 @@ class TestDensityPath:
         b = market.simulate_paths(bns, ou, [cpe], [100.0], grid, 10, 2)
         with pytest.raises(levy.ConfigurationError):
             next(opp.density_walk(bns_surface, b))
+
+
+@pytest.mark.parametrize("entry", ["density_walk", "density_terminal", "mc_value_at_zero", "solve_backward",
+                                   "run_hedge"])
+def test_surface_for_another_horizon_is_refused(entry, bns, ou, cpe, bns_surface):
+    # a T = 1 surface on a T = 0.5 bundle; the hedge checks every chunk,
+    # so a matching first chunk does not let the second through
+    pay = bsde.ConstantPayoff(30000.0)
+    b = market.simulate_paths(bns, ou, [cpe], [100.0], market.GridConfig(0.5, 0.01), 100, 2)
+    run = {
+        "density_walk": lambda: next(opp.density_walk(bns_surface, b)),
+        "density_terminal": lambda: opp.density_terminal(bns_surface, b),
+        "mc_value_at_zero": lambda: bsde.mc_value_at_zero(bns_surface, b, pay),
+        "solve_backward": lambda: bsde.solve_backward(b, bns_surface, pay),
+        "run_hedge": lambda: hedge.run_hedge(
+            [market.simulate_paths(bns, ou, [cpe], [100.0], market.GridConfig(1.0, 0.02), 100, 2), b],
+            bns_surface, None, pay, 10000.0),
+    }[entry]
+    with pytest.raises(levy.ConfigurationError, match="surface horizon does not match the bundle grid"):
+        run()
 
 
 def test_two_factor_estimate_is_product_of_grid_solves(cpe):
