@@ -9,13 +9,15 @@ pass (``engine_steps``, summed by ``simulate_d1h1``, which records the
 whole-path factor and prices too when given the initial prices, and
 read node by node by the density walk) and the replays of
 ``market.PathBundle``'s walks, which feed the backward solve and the
-hedge sweep (``hedge_sweep``: per time step it asks the
-caller for the strategy's pieces, then records and applies one
-``gains_step``).  A step's jumps are slices of the chunk's jump record
-(``market.JumpRecord.step``).  The other loops are the pathwise
-exponent of the surface's inner Monte Carlo (``opportunity_mc_exponent``)
-and the reads of the backward solver's jump-channel table, one (3, n_y)
-block per step (``bilinear_steps``).  Each runs a Python loop over time
+hedge sweep (``hedge_sweep``: per time step it asks the caller for
+the strategy's pieces, forms every path's position once with
+``strategy_position``, records the leading paths and adds the position
+dotted with the step's price move to the gains).  A step's jumps are
+slices of the chunk's jump record (``market.JumpRecord.step``).  The
+other loops are the pathwise exponent of the surface's inner Monte
+Carlo (``opportunity_mc_exponent``) and the reads of the backward
+solver's jump-channel table, one (3, n_y) block per step
+(``bilinear_steps``).  Each runs a Python loop over time
 steps or jump ordinals and numpy over paths.  All random numbers are
 drawn by the callers.
 
@@ -186,24 +188,11 @@ def simulate_d1h1(model, y0, lam, delta, dw, events, s0=None):
     return out + (y_out, np.exp(logs, out=logs)) if record else out
 
 
-def gains_step(gains_left, xi, adj, v, value_left, d_increment):
-    """One Euler update of cumulative strategy gains, any number of assets.
-
-    Positions are rows of ``xi``/``adj``/``d_increment`` (n, d).  The
-    feedback term is summed as (gains * adj) * dD per asset.
-    """
-    gains_left = np.atleast_1d(gains_left)
-    adj = np.atleast_2d(adj)
-    dd = np.atleast_2d(d_increment)
-    base = np.sum((np.atleast_2d(xi) - (v - np.atleast_1d(value_left))[:, None] * adj) * dd, axis=-1)
-    feedback = np.sum(gains_left[:, None] * adj * dd, axis=-1)
-    return gains_left + base - feedback
-
-
 def strategy_position(xi, adj, v, gains_left, value_left):
-    """Position: pure hedge minus the tracking gap times the adjustment."""
-    gap = v + np.atleast_1d(gains_left) - np.atleast_1d(value_left)
-    return np.atleast_2d(xi) - gap[:, None] * np.atleast_2d(adj)
+    """Position (n, d): the pure hedge ``xi`` minus the tracking gap
+    v + G - V (n,) times the adjustment ``adj`` (n, d)."""
+    gap = v + gains_left - value_left
+    return xi - gap[:, None] * adj
 
 
 def hedge_sweep(nodes, discount, strategy, v, n_record=0):
@@ -213,9 +202,11 @@ def hedge_sweep(nodes, discount, strategy, v, n_record=0):
     grid nodes 0..K (``PathBundle.walk``); the prices are discounted
     step by step by ``discount`` (K+1,).  ``strategy(k, d_k, y_k,
     y_left_k)`` returns the claim's value (n,), the pure hedge and the
-    adjustment (n, d) at the discounted prices ``d_k`` of step k; only
-    the running gains (n,) are kept between steps.  Returns (terminal
-    gains, recorded): recorded holds the gains, positions, wealth and
+    adjustment (n, d) at the discounted prices ``d_k`` of step k, from
+    which ``strategy_position`` gives the position; the gains advance by
+    the position dotted with the step's price move, and only the running
+    gains (n,) are kept between steps.  Returns (terminal gains,
+    recorded): recorded holds the gains, positions, wealth and
     discounted prices of the leading ``n_record`` paths, or is empty.
     """
     nodes = iter(nodes)
@@ -231,11 +222,11 @@ def hedge_sweep(nodes, discount, strategy, v, n_record=0):
     discounted[:, 0] = d_k[:m]
     for k in range(nk):
         value, xi, adj = strategy(k, d_k, y, y_left)
-        if m:
-            position[:, k] = strategy_position(xi[:m], adj[:m], v, gains[:m], value[:m])
+        phi = strategy_position(xi, adj, v, gains, value)
+        position[:, k] = phi[:m]
         y, y_left, s = next(nodes)
         d_next = s * discount[k + 1]
-        gains = gains_step(gains, xi, adj, v, value, d_next - d_k)
+        gains = gains + np.sum(phi * (d_next - d_k), axis=-1)
         rec_gains[:, k + 1] = gains[:m]
         discounted[:, k + 1] = d_next[:m]
         d_k = d_next

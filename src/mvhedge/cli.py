@@ -141,12 +141,12 @@ def build_components(cfg: dict):
     """Instantiate model, factor params and subordinators from config."""
     mc = cfg["model"]
     if mc["kind"] == "constant_bs":
-        model = market.ConstantBS(mc["alpha"], mc["beta"], mc.get("rate", 0.0))
+        model = market.ConstantBS(mc["alpha"], mc["beta"], mc["rate"])
     elif mc["kind"] == "bns":
-        model = market.BNS(mc["alpha"], mc["beta"], mc.get("rate", 0.0))
+        model = market.BNS(mc["alpha"], mc["beta"], mc["rate"])
     else:
         model = market.TabulatedModel(
-            mc["y_nodes"], mc["drift_values"], mc["vol_values"], mc.get("rate", 0.0)
+            mc["y_nodes"], mc["drift_values"], mc["vol_values"], mc["rate"]
         )
     ou = ngou.OUParams(cfg["factor"]["mean_reversion"], cfg["factor"]["y0"])
     specs = []
@@ -159,9 +159,8 @@ def build_components(cfg: dict):
             specs.append(levy.TableMeasure(tuple(map(tuple, sc.get("atoms", []))), sc.get("time_scale", 1.0)))
         else:
             specs.append(levy.TableMeasure((), sc.get("time_scale", 1.0)))
-    c_order = cfg.get("moment_exponent", DEFAULTS["moment_exponent"])
     for spec in specs:
-        levy.exp_moment_rate(spec, c_order)
+        levy.exp_moment_rate(spec, cfg["moment_exponent"])
     return model, ou, specs
 
 
@@ -169,7 +168,7 @@ def build_payoff(cfg: dict, model):
     pc = cfg["payoff"]
     if pc["kind"] == "constant":
         return bsde.ConstantPayoff(pc["level"])
-    asset = pc.get("asset", 0)
+    asset = pc["asset"]
     if asset >= model.d:
         raise ConfigurationError(f"payoff asset {asset} is not one of the model's {model.d} assets")
     if pc["kind"] == "call":
@@ -178,7 +177,7 @@ def build_payoff(cfg: dict, model):
 
 
 def build_surface(cfg, model, ou, specs, horizon):
-    sc = cfg.get("surface", {})
+    sc = cfg["surface"]
     mesh = opportunity.MeshConfig()
     for key in ("n_y", "n_time_slices", "n_quad", "y_top", "y_floor"):
         if key in sc:
@@ -194,7 +193,7 @@ def output_dir(cfg, args) -> Path:
 
 
 def _grid(cfg):
-    return market.GridConfig(cfg["grid"]["horizon"], cfg["grid"].get("step", 0.01))
+    return market.GridConfig(cfg["grid"]["horizon"], cfg["grid"]["step"])
 
 
 def cmd_simulate(cfg, args):
@@ -206,18 +205,17 @@ def cmd_simulate(cfg, args):
         cfg["paths"]["master_seed"],
     )
     out = output_dir(cfg, args) / "paths.csv"
-    market.dump_paths_csv(bundle, out, max_paths=cfg.get("dump_paths") or 100)
+    market.dump_paths_csv(bundle, out, max_paths=cfg["dump_paths"] or 100)
     print(f"wrote {out} ({bundle.n_paths} paths, {bundle.n_steps} steps)")
     return 0
 
 
 def _fit_solution(cfg, model, ou, specs, grid, surface, payoff):
-    n_fit = cfg["paths"].get("n_fit_paths", cfg["paths"]["n_paths"])
-    n_fit = min(n_fit, cfg["paths"]["n_paths"])
+    n_fit = min(cfg["paths"]["n_fit_paths"], cfg["paths"]["n_paths"])
     bundle = market.simulate_paths(
         model, ou, specs, cfg["initial_prices"], grid, n_fit, cfg["paths"]["master_seed"]
     )
-    bc = cfg.get("bsde", {})
+    bc = cfg["bsde"]
     config = bsde.BsdeConfig()
     for key in ("basis", "n_knots"):
         if key in bc:
@@ -276,7 +274,7 @@ def cmd_hedge(cfg, args):
     payoff = build_payoff(cfg, model)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
     report = _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff,
-                                  fit=not cfg.get("hedge", {}).get("use_closed_form_value", False))
+                                  fit=not cfg["hedge"].get("use_closed_form_value", False))
     outdir = output_dir(cfg, args)
     report.export_csv(outdir / "hedge_report.csv")
     (outdir / "hedge_report.txt").write_text(report.summary() + "\n")
@@ -287,7 +285,7 @@ def cmd_hedge(cfg, args):
 
 def cmd_figure(cfg, args):
     model, ou, specs = build_components(cfg)
-    fig_cfg = cfg.get("figure", {})
+    fig_cfg = cfg["figure"]
     n_pts = fig_cfg.get("sweep_points", 20)
     t_max = cfg["grid"]["horizon"]
     horizons = np.linspace(t_max / n_pts, t_max, n_pts)
@@ -339,7 +337,7 @@ def cmd_figure(cfg, args):
 def cmd_validate(cfg, args):
     from .validate import run_validate
 
-    scale = cfg.get("validate", {}).get("delta_scale", 1.0)
+    scale = cfg["validate"].get("delta_scale", 1.0)
     report = run_validate(delta_scale=scale, master_seed=cfg["paths"]["master_seed"])
     print(report.render())
     return 0 if report.ok else 1

@@ -3,8 +3,8 @@
 The position is the pure hedge coefficient plus a feedback correction
 proportional to the tracking gap between current wealth and the claim's
 mean value, scaled by the adjustment coefficient.  Gains accumulate by
-left-point sums against the discounted prices, so the self-financing
-identity holds to round-off by construction.
+left-point sums of those positions against the discounted prices, so
+the self-financing identity holds by construction.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def run_hedge(bundles, surface: OpportunitySurface, solution: BSDESolution | Non
         check_horizon(surface, bundle)
         model = bundle.model
         if p0 is None:
-            p0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
+            p0 = surface.value(0.0, bundle.ou.y0)
 
         def strategy(k, d_k, y_k, y_left_k):
             value, vbar = source.value_and_loadings(k, d_k, y_k)

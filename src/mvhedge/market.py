@@ -344,11 +344,6 @@ class PathBundle:
         return self.model.rate
 
     @property
-    def y_start(self) -> np.ndarray:
-        """The factor at time zero, shared by every path (1, h)."""
-        return self.ou.y0[None, :]
-
-    @property
     def y(self) -> np.ndarray:
         """Factor (n, K+1, h) at every node, for the benchmark's tracer."""
         return self._whole_paths()[0]

@@ -94,6 +94,9 @@ MAX_IPDE_STEPS = 1_000_000
 class MeshConfig:
     """Discretization of the one-factor integro-PDE solve.
 
+    The time step count is not set here: the solve takes the fewest
+    steps, a multiple of ``n_time_slices - 1``, that keep the explicit
+    transport and jump terms stable and the explicit reaction positive.
     The jump quadrature's tail cut, the default floor's odds and the
     default top's quantile are the defaults of ``jump_quadrature``,
     ``practical_floor`` and ``chernoff_quantile_bound``.
@@ -104,7 +107,6 @@ class MeshConfig:
     n_quad: int = 24
     y_floor: float | None = None
     y_top: float | None = None
-    n_time_steps: int | None = None
 
 
 class IpdeSurface(OpportunitySurface):
@@ -234,7 +236,7 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     lam = ou.mean_reversion[0]
     z_nodes, z_weights = jump_quadrature(spec, n_nodes=mesh.n_quad)
     z_weights = z_weights * spec.time_scale  # calendar-time intensity lambda*nu
-    z_max = float(z_nodes.max()) if z_nodes.size else 0.0
+    z_max = float(z_nodes.max(initial=0.0))
 
     floor = mesh.y_floor if mesh.y_floor is not None else practical_floor(ou, [spec], horizon)
     if mesh.y_top is not None:
@@ -263,11 +265,8 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     if react > 0:
         dt_max = min(dt_max, 1.0 / react)
     m_slices = mesh.n_time_slices
+    # dt <= dt_max, so every bound above holds
     per = max(1, math.ceil(horizon / dt_max / (m_slices - 1)))
-    if mesh.n_time_steps is not None:
-        if mesh.n_time_steps % (m_slices - 1):
-            raise ConfigurationError("n_time_steps must be a multiple of n_time_slices - 1")
-        per = mesh.n_time_steps // (m_slices - 1)
     n_steps = per * (m_slices - 1)
     if n_steps > MAX_IPDE_STEPS:
         raise ConfigurationError(
@@ -275,20 +274,15 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
             f"with the mesh floor at {floor:.3g}: raise the floor or lower n_y"
         )
     dt = horizon / n_steps
-    if lam * dt / deta > 1.0 + 1e-9 or (nu_mass > 0 and dt * nu_mass > 1.0 + 1e-9):
-        raise ValueError("time step violates the stability bound for the explicit terms")
-    if dt * react > 1.0 + 1e-9:
-        raise ValueError("time step breaks the positivity bound of the explicit reaction")
 
     # gather indices for u(y + z) with clamping at the top of the mesh
-    if z_nodes.size:
-        tgt = np.log(y_nodes[:, None] + z_nodes[None, :])
-        x = (tgt - eta[0]) / deta
-        x = np.clip(x, 0.0, mesh.n_y - 1 - 1e-12)
-        jidx = x.astype(np.int64)
-        jw = x - jidx
-        jidx_up = np.minimum(jidx + 1, mesh.n_y - 1)
-        jw_down = 1 - jw
+    tgt = np.log(y_nodes[:, None] + z_nodes[None, :])
+    x = (tgt - eta[0]) / deta
+    x = np.clip(x, 0.0, mesh.n_y - 1 - 1e-12)
+    jidx = x.astype(np.int64)
+    jw = x - jidx
+    jidx_up = np.minimum(jidx + 1, mesh.n_y - 1)
+    jw_down = 1 - jw
 
     u = np.ones(mesh.n_y)
     table = np.empty((m_slices, mesh.n_y))
@@ -300,11 +294,7 @@ def solve_opportunity_ipde(model, ou: OUParams, spec, horizon: float,
     for step in range(1, n_steps + 1):
         np.subtract(u[1:], u[:-1], out=conv[1:])
         conv[1:] /= deta
-        if z_nodes.size:
-            u_shift = u.take(jidx) * jw_down + u.take(jidx_up) * jw
-            jump = u_shift @ z_weights - nu_mass * u
-        else:
-            jump = 0.0
+        jump = (u.take(jidx) * jw_down + u.take(jidx_up) * jw) @ z_weights - nu_mass * u
         u = (u * shrink - dt * lam * conv + dt * jump) / denom
         if step % per == 0:
             store_row -= 1
@@ -371,7 +361,7 @@ def density_walk(surface: OpportunitySurface, bundle):
     check_horizon(surface, bundle)
     times = bundle.times
     qv, m = np.zeros(bundle.n_paths), np.zeros(bundle.n_paths)
-    o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
+    o0 = surface.value(0.0, bundle.ou.y0)
 
     def at_node(k, y):
         see = stochastic_exponential(-(qv + m), qv)
@@ -381,7 +371,7 @@ def density_walk(surface: OpportunitySurface, bundle):
             return density, density
         return density, surface.value_at_states(times[k], y_left) * see / o0
 
-    yield at_node(0, np.repeat(bundle.y_start, bundle.n_paths, axis=0))
+    yield at_node(0, np.tile(bundle.ou.y0, (bundle.n_paths, 1)))
     for k, (r_step, m_step, _, y) in enumerate(bundle.engine_steps(), 1):
         qv += r_step
         m += m_step
@@ -399,6 +389,6 @@ def density_terminal(surface: OpportunitySurface, bundle) -> np.ndarray:
     """
     check_horizon(surface, bundle)
     qv, m = bundle.sharpe_int, bundle.mpr_dw
-    o0 = float(surface.value_at_states(0.0, bundle.y_start)[0])
+    o0 = surface.value(0.0, bundle.ou.y0)
     o_t = surface.value_at_states(bundle.times[-1], bundle.y_end)
-    return o_t * np.exp(-(qv + m) - 0.5 * qv) / o0
+    return o_t * stochastic_exponential(-(qv + m), qv) / o0

@@ -307,11 +307,11 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.add("surface within (0, 1]", bool((vals > 0).all() and (vals <= 1.0 + 1e-12).all()),
             f"range [{vals.min():.4f}, {vals.max():.4f}]")
     rep.add("surface terminal one", abs(surf_b.value(1.0, 10.0) - 1.0) < 1e-12, "")
-    mesh = opportunity.MeshConfig(n_y=60, n_time_slices=65, n_time_steps=512)
+    mesh = opportunity.MeshConfig(n_y=60)
     probes = [(0.0, 10.0), (0.4, 8.0), (0.7, 13.0)]
     rep.checks += [
         surface_decreases_with_horizon(surf_b, opportunity.solve_opportunity_ipde(bns, ou, cpe, 2.0), ys),
-        flat_grid_closed_form(opportunity.solve_opportunity_ipde(cbs, ou, cpe, 1.0, mesh), cbs, [0, 26, 58], ys),
+        flat_grid_closed_form(opportunity.solve_opportunity_ipde(cbs, ou, cpe, 1.0, mesh), cbs, [0, 208, 464], ys),
         surface_against_mc(surf_b, bns, ou, [cpe], probes, (master_seed, 5)),
     ]
 

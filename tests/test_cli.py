@@ -169,7 +169,7 @@ class TestFigureExperiments:
                             lambda *args: solves.append(args[3]) or solve(*args))
         assert run(["figure", "3", "--outdir", str(tmp_path), "--config", str(cfg)]) == 0
         assert solves == [4.0]
-        model, ou, specs = cli.build_components(cli.FIGURE_PRESETS["figure3"])
+        model, ou, specs = cli.build_components(cli._merge(cli.DEFAULTS, cli.FIGURE_PRESETS["figure3"]))
         rows = (tmp_path / "figure3.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 4
         for row in rows:

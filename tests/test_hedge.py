@@ -67,6 +67,19 @@ class TestClosedForms:
         assert gaps[-1] < 1e-5
 
 
+def hand_sweep(prices, steps, v):
+    """``hedge_sweep`` on one path of one asset with undiscounted
+    ``prices`` at nodes 0..K and, per step, a (value, pure hedge,
+    adjustment) triple; every path is recorded."""
+    nodes = ((None, None, np.array([[p]])) for p in prices)
+
+    def strategy(k, d_k, y, y_left):
+        value, xi, adj = steps[k]
+        return np.array([value]), np.array([[xi]]), np.array([[adj]])
+
+    return kernels.hedge_sweep(nodes, np.ones(len(prices)), strategy, v, 1)
+
+
 class TestStrategyPieces:
     def test_pure_hedge_scalar_reduction(self):
         m = market.ConstantBS(0.1, 0.2)
@@ -95,19 +108,21 @@ class TestStrategyPieces:
         assert xi[0, 0] == 0.0
 
     def test_gains_step_hand_value(self):
-        got = kernels.gains_step(np.array([0.0]), np.array([[1.0]]), np.array([[2e-6]]),
-                               1e4, np.array([3e4]), np.array([[1.0]]))
-        assert got[0] == pytest.approx(1.04, rel=1e-12)
+        # gap 1e4 - 3e4 = -2e4, so the position is 1 + 2e4 * 2e-6 = 1.04
+        gains, rec = hand_sweep([100.0, 101.0], [(3e4, 1.0, 2e-6)], 1e4)
+        assert gains[0] == pytest.approx(1.04, rel=1e-12)
+        assert rec["position"][0, 0, 0] == pytest.approx(1.04, rel=1e-12)
 
     def test_gains_step_zero_increment(self):
-        got = kernels.gains_step(np.array([0.7]), np.array([[1.0]]), np.array([[2e-6]]),
-                               1e4, np.array([3e4]), np.array([[0.0]]))
-        assert got[0] == 0.7
+        # step 0 gains 0.7 with no adjustment; step 1's price stands still
+        gains, _ = hand_sweep([100.0, 101.0, 101.0], [(3e4, 0.7, 0.0), (3e4, 1.0, 2e-6)], 1e4)
+        assert gains[0] == 0.7
 
     def test_gains_step_no_feedback(self):
-        got = kernels.gains_step(np.array([0.5]), np.array([[2.0]]), np.array([[0.0]]),
-                               1e4, np.array([3e4]), np.array([[3.0]]))
-        assert got[0] == pytest.approx(0.5 + 6.0, rel=1e-14)
+        # without adjustment the positions are the pure hedges, 0.5 then 2
+        gains, rec = hand_sweep([100.0, 101.0, 104.0], [(3e4, 0.5, 0.0), (3e4, 2.0, 0.0)], 1e4)
+        assert gains[0] == pytest.approx(0.5 + 6.0, rel=1e-14)
+        assert rec["position"][0, :, 0].tolist() == [0.5, 2.0]
 
     def test_position_hand_value(self):
         phi = kernels.strategy_position(np.array([[0.5]]), np.array([[2e-6]]), 1e4,
@@ -172,6 +187,22 @@ class TestRunHedge:
         rep = hedge.run_hedge(bundle, surface, sol, pay, 8.0, record_paths=8)
         gains, _ = swept[0]
         assert np.array_equal(rep.recorded["wealth"][:, -1], 8.0 + gains[:8])
+
+    def test_gains_are_positions_against_price_moves(self, bns_world, ou):
+        # with every path recorded, the terminal gains are the recorded
+        # positions summed against the discounted price moves in step
+        # order, bit for bit: the sweep advances the gains by the very
+        # positions it records
+        model, cpe, grid, _, surface = bns_world
+        bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 300, 31)
+        pay = bsde.DiscountedCall(100.0)
+        sol = bsde.solve_backward(bundle, surface, pay)
+        rec = hedge.run_hedge(bundle, surface, sol, pay, 8.0, record_paths=bundle.n_paths).recorded
+        disc, position = rec["discounted"], rec["position"]
+        gains = np.zeros(bundle.n_paths)
+        for k in range(bundle.n_steps):
+            gains = gains + np.sum(position[:, k] * (disc[:, k + 1] - disc[:, k]), axis=-1)
+        assert np.array_equal(rec["gains"][:, -1], gains)
 
     def test_step_slices_contiguous(self, bns_world, ou, monkeypatch):
         # the sweep reads the bundle's forward walk: at every node the
@@ -280,7 +311,8 @@ def separate_pass_hedge(chunks, solution, payoff, v, n_record):
                        for k in range(nk)], 1)
         gains = np.zeros(n)
         for k in range(nk):
-            gains = kernels.gains_step(gains, xi[:, k], adj[:, k], v, value[:, k], disc[:, k + 1] - disc[:, k])
+            phi = kernels.strategy_position(xi[:, k], adj[:, k], v, gains, value[:, k])
+            gains = gains + np.sum(phi * (disc[:, k + 1] - disc[:, k]), axis=-1)
         shortfalls.append(v + gains - payoff(bundle))
         if not recorded:
             m = min(n_record, n)
@@ -289,8 +321,8 @@ def separate_pass_hedge(chunks, solution, payoff, v, n_record):
             for k in range(nk):
                 position[:, k] = kernels.strategy_position(xi[:m, k], adj[:m, k], v, rec_gains[:, k],
                                                          value[:m, k])
-                rec_gains[:, k + 1] = kernels.gains_step(rec_gains[:, k], xi[:m, k], adj[:m, k], v,
-                                                       value[:m, k], disc[:m, k + 1] - disc[:m, k])
+                rec_gains[:, k + 1] = rec_gains[:, k] + np.sum(position[:, k] * (disc[:m, k + 1] - disc[:m, k]),
+                                                               axis=-1)
             recorded = {"gains": rec_gains, "position": position, "wealth": v + rec_gains,
                         "discounted": disc[:m]}
     return shortfalls, recorded

@@ -153,9 +153,8 @@ class TestMcExponentClosedForm:
 class TestIpdeSurface:
     def test_flat_mesh_closed_form(self, ou, cpe):
         m = market.ConstantBS(0.1, 0.2, rate=0.0)
-        mesh = opp.MeshConfig(n_y=60, n_time_slices=65, n_time_steps=512)
-        surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0, mesh)
-        check = validate.flat_grid_closed_form(surf, m, [0, 13, 44], np.linspace(4.0, 15.0, 9))
+        surf = opp.solve_opportunity_ipde(m, ou, cpe, 1.0, opp.MeshConfig(n_y=60))
+        check = validate.flat_grid_closed_form(surf, m, [0, 104, 352], np.linspace(4.0, 15.0, 9))
         assert check.ok, check.detail
 
     def test_zero_premium_identically_one(self, ou, cpe):
@@ -178,13 +177,11 @@ class TestIpdeSurface:
         # ends in: P_2T(T, y) = P_T(0, y) bitwise.  `figure 3` reads its whole
         # curve off one solve through this.  A reaction that depends on the
         # calendar time t = horizon - step * dt breaks it; one that depends
-        # only on the steps taken from the horizon does not.
-        n = 128
+        # only on the steps taken from the horizon does not.  One slice per
+        # unit of time gives both solves the same step, ceil(1 / dt_max).
         fixed = dict(y_floor=0.5, y_top=40.0)
-        long = opp.solve_opportunity_ipde(
-            bns, ou, cpe, 2.0, opp.MeshConfig(n_time_slices=3, n_time_steps=2 * n, **fixed))
-        short = opp.solve_opportunity_ipde(
-            bns, ou, cpe, 1.0, opp.MeshConfig(n_time_slices=2, n_time_steps=n, **fixed))
+        long = opp.solve_opportunity_ipde(bns, ou, cpe, 2.0, opp.MeshConfig(n_time_slices=3, **fixed))
+        short = opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(n_time_slices=2, **fixed))
         assert np.array_equal(long.table[1], short.table[0])
 
     def test_bounds_and_terminal(self, bns_surface):
@@ -258,25 +255,21 @@ class TestIpdeSurface:
         with pytest.raises(ValueError, match="jump range"):
             opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(y_top=10.5))
 
-    def test_explicit_terms_step_error(self, bns, ou, cpe):
-        # two steps over T = 40 break the transport and jump bounds first
-        mesh = opp.MeshConfig(n_time_slices=3, n_time_steps=2)
-        with pytest.raises(ValueError, match="explicit terms"):
-            opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
-
-    def test_explicit_reaction_step_error(self, bns, ou, cpe):
+    def test_reaction_bound_sets_step_count(self, bns, ou, cpe, monkeypatch):
         # a low floor puts nodes where the reaction rate (alpha + beta y)^2 / y
-        # is large; a user-set step count within the transport and jump
-        # limits is beyond what keeps the explicit half of the reaction positive
-        mesh = opp.MeshConfig(y_floor=1e-3, n_time_steps=3584)
-        with pytest.raises(ValueError, match="positivity bound of the explicit reaction"):
-            opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
-
-    def test_reaction_bound_sets_step_count(self, bns, ou, cpe):
-        # left unset, the step count takes the reaction's positivity bound
-        # next to the transport and jump limits
-        surf = opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, opp.MeshConfig(y_floor=1e-3))
+        # is large; the step count takes the reaction's positivity bound
+        # dt (1 - theta) max rho <= 1 next to the transport and jump limits,
+        # which alone take 2048 steps here.  The step ceiling's refusal
+        # names the count.
+        mesh = opp.MeshConfig(y_floor=1e-3)
+        surf = opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
         assert np.all(surf.table > 0.0) and np.all(surf.table <= 1.0)
+        monkeypatch.setattr(opp, "MAX_IPDE_STEPS", 0)
+        with pytest.raises(levy.ConfigurationError, match="needs") as refused:
+            opp.solve_opportunity_ipde(bns, ou, cpe, 40.0, mesh)
+        n_steps = int(str(refused.value).split()[3])
+        react = (1 - opp._REACTION_THETA) * bns.sharpe_squared(surf.y_nodes[:, None]).max()
+        assert 40.0 / n_steps * react <= 1.0 and n_steps > 2048
 
     def test_export_csv(self, tmp_path, bns_surface):
         out = tmp_path / "surf.csv"
@@ -523,7 +516,6 @@ def test_practical_floor_respects_hard_bound(ou, cpe):
     ("negative_sharpe", "squared market price of risk must be nonnegative"),
     ("two_factors", "grid solve supports one factor only"),
     ("floor_above_top", "mesh floor must lie below the mesh top"),
-    ("time_steps", "n_time_steps must be a multiple of n_time_slices - 1"),
     ("probe_after_horizon", "t must not exceed the horizon"),
 ])
 def test_input_guards(case, message, bns, ou, cpe):
@@ -535,8 +527,5 @@ def test_input_guards(case, message, bns, ou, cpe):
                                        ngou.OUParams([1.0, 0.5], [10.0, 5.0]), cpe, 1.0)
         elif case == "floor_above_top":
             opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(y_floor=2000.0, y_top=1000.0))
-        elif case == "time_steps":
-            opp.solve_opportunity_ipde(bns, ou, cpe, 1.0, opp.MeshConfig(n_y=60, n_time_slices=65,
-                                                                         n_time_steps=100))
         else:
             opp.estimate_opportunity_mc(bns, ou, [cpe], 1.5, [10.0], 1.0)
