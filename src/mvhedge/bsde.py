@@ -9,6 +9,7 @@ price of risk and to the jump sensitivity of the opportunity surface.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -66,15 +67,6 @@ def black_scholes_call(s: float, k: float, r: float, sig: float, t_end: float) -
     return s * cdf(d1) - k * math.exp(-r * t_end) * cdf(d2)
 
 
-def check_square_integrability(h_values: np.ndarray) -> dict:
-    """Empirical moment diagnostics for the terminal payoff."""
-    h4 = float(np.mean(h_values.astype(float) ** 4))
-    out = {"mean": float(h_values.mean()), "fourth_moment": h4, "finite": bool(np.isfinite(h4))}
-    if not out["finite"]:
-        warnings.warn("terminal payoff has non-finite empirical fourth moment")
-    return out
-
-
 @dataclass
 class BsdeConfig:
     """Regression settings for the backward sweep: the state columns of
@@ -123,8 +115,8 @@ def _basis_columns(basis, payoff, d, n_knots, horizon, rate):
         elif name == "logD":
             cols += [(lambda dp, y, kn, m=m: np.log(np.maximum(dp[:, m], 1e-300)), None) for m in range(d)]
         elif name == "payoff":
-            if not isinstance(payoff, ConstantPayoff):
-                cols.append((lambda dp, y, kn: payoff.basis_feature(dp, horizon, rate), None))
+            # never evaluated for a constant claim: its solve stops before any design
+            cols.append((lambda dp, y, kn: payoff.basis_feature(dp, horizon, rate), None))
         elif name == "knots":
             cols += [(lambda dp, y, kn, m=m, j=j: np.maximum(dp[:, m] - kn[j, m], 0.0), None)
                      for m in range(d) for j in range(n_knots)]
@@ -147,19 +139,21 @@ class RegressionTable:
         self.value_at_zero = math.nan
         self.loadings_at_zero = None
 
-    def features(self, d_prices, y, knots=None):
-        """The state columns as contiguous feature rows (q, n)."""
-        if not self.columns:
-            return np.empty((0, d_prices.shape[0]))
-        return np.stack([col(d_prices, y, knots) for col, _ in self.columns])
+    def features(self, d_prices, y, knots, keep):
+        """The state columns that ``keep`` marks, as contiguous feature rows (q, n)."""
+        cols = list(itertools.compress(self.columns, keep))
+        xs = np.empty((len(cols), d_prices.shape[0]))
+        for row, (col, _) in zip(xs, cols):
+            row[:] = col(d_prices, y, knots)
+        return xs
 
     def value_and_loadings(self, k, d_prices, y):
         fit = self.steps[k]
         if fit is None:
             n = d_prices.shape[0]
             return np.full(n, self.value_at_zero), np.tile(self.loadings_at_zero, (n, 1))
-        xs = self.features(d_prices, y, knots=fit.knots)
-        x = (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]
+        xs = self.features(d_prices, y, fit.knots, fit.keep)
+        x = (xs - fit.mean[:, None]) / fit.scale[:, None]
         v = fit.coef_process[0] + fit.coef_process[1:] @ x
         vbar = fit.coef_dw[:, 0][None, :] + x.T @ fit.coef_dw[:, 1:].T
         return v, vbar
@@ -248,8 +242,8 @@ class _LeastSquares:
 def _r2(target, pred):
     """Share of the target's spread explained; 1 when there is no spread.
 
-    A spread at rounding level relative to the target's mean, such as a
-    constant claim can carry, counts as none.
+    A spread at rounding level relative to the target's mean counts as
+    none.
     """
     mean = target.mean()
     ss_tot = float(np.sum((target - mean) ** 2))
@@ -359,6 +353,17 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     channels (``OpportunitySurface.jump_channels``), tabulated once per
     solve.  The value rolls from step to step, and the states come from
     the bundle's backward walk, so no per-step array but ``dw`` is held.
+
+    Zero spread is absorbing: a target with none is fitted exactly by
+    its level with zero coefficients, so the loadings, the driver and the
+    factor shift vanish and V_k is that level again.  The solve therefore
+    stops at the first step k whose target V_{k+1} has exactly zero
+    spread (min == max): steps 1..k share one intercept-only fit with
+    no kept column, value the level and zero loadings; ``mean_value``
+    at 0..k is the level, ``mean_loading`` and ``mean_jump_term`` there
+    are 0, ``r2`` at 1..k is 1, ``cond`` stays 1 and the loadings at zero
+    are 0.  The walk and the jump channels are built by the first step
+    with spread, so a constant claim factors nothing and builds neither.
     """
     config = config or BsdeConfig()
     if bundle.n_paths < 100:
@@ -373,7 +378,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     # prices are discounted one step at a time, as the walk reaches them
     discount = np.exp(-bundle.rate * bundle.times)
     h_term = np.asarray(payoff(bundle), dtype=float)
-    diagnostics = {"payoff": check_square_integrability(h_term)}
+    diagnostics = {}
 
     z_nodes, z_weights = jump_quadrature(spec)
     nq = z_nodes.size
@@ -384,8 +389,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     roles = [role for _, role in columns]
     # a D·Y column without the Y column's spread is a multiple of D
     dy_cols = [j for j, role in enumerate(roles) if type(role) is int] if "Y" in roles else []
-    # the surface enters the driver only through its jump channels
-    channels = surface.jump_channels(bundle.times, z_nodes, z_weights) if nq else None
+    every_column = np.ones(len(columns), dtype=bool)
 
     v_next = h_term
     mean_value = np.empty(nk + 1)
@@ -398,11 +402,26 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
     n_deficient = 0
     routes = {"cholesky_qr2": 0, "svd": 0}
 
-    # the factor, its left limit and the prices, replayed step by step
-    # from checkpoints; the terminal node is the payoff's
-    nodes = bundle.walk_backward()
-    next(nodes)
     for k in range(nk - 1, -1, -1):
+        if v_next.min() == v_next.max():
+            # zero spread is absorbing: this step and every earlier one are the level
+            level = v_next[0]
+            flat = StepFit(~every_column, np.empty(0), np.empty(0), np.array([level]),
+                           np.zeros((d, 1)), coef_process=np.array([level]))
+            table.steps[1:k + 1] = [flat] * k
+            table.loadings_at_zero = np.zeros(d)
+            mean_value[:k + 1] = level
+            mean_loading[:k + 1] = 0.0
+            mean_jump_term[:k + 1] = 0.0
+            r2[1:k + 1] = 1.0
+            break
+        if k == nk - 1:
+            # the factor, its left limit and the prices, replayed step by
+            # step from checkpoints; the terminal node is the payoff's
+            nodes = bundle.walk_backward()
+            next(nodes)
+            # the surface enters the driver only through its jump channels
+            channels = surface.jump_channels(bundle.times, z_nodes, z_weights) if nq else None
         y_k, yl_k, s_k = next(nodes)
         disc_k = s_k * discount[k]
         mpr = np.atleast_2d(market_price_of_risk(bundle.model, yl_k))
@@ -419,7 +438,7 @@ def solve_backward(bundle: PathBundle, surface: OpportunitySurface, payoff,
             if "knots" in config.basis and config.n_knots > 0:
                 qs = np.linspace(0.0, 1.0, config.n_knots + 2)[1:-1]
                 knots = np.quantile(disc_k, qs, axis=0)
-            xs = table.features(disc_k, y_k, knots=knots)
+            xs = table.features(disc_k, y_k, knots, every_column)
             mean = xs.mean(axis=1)
             scale = xs.std(axis=1)
             keep = scale > 1e-10 * (1.0 + np.abs(mean))

@@ -69,9 +69,9 @@ DEFAULTS = {
     "moment_exponent": 4.0,
     "surface": {},
     "bsde": {},
-    "hedge": {},
-    "figure": {},
-    "validate": {},
+    "hedge": {"use_closed_form_value": False},
+    "figure": {"sweep_points": 20, "simulate_errors": False, "simulate_t_max": 0.0, "gnuplot": False},
+    "validate": {"delta_scale": 1.0},
     "dump_paths": 0,
 }
 
@@ -274,7 +274,7 @@ def cmd_hedge(cfg, args):
     payoff = build_payoff(cfg, model)
     surface = build_surface(cfg, model, ou, specs, grid.horizon)
     report = _hedge_out_of_sample(cfg, model, ou, specs, grid, surface, payoff,
-                                  fit=not cfg["hedge"].get("use_closed_form_value", False))
+                                  fit=not cfg["hedge"]["use_closed_form_value"])
     outdir = output_dir(cfg, args)
     report.export_csv(outdir / "hedge_report.csv")
     (outdir / "hedge_report.txt").write_text(report.summary() + "\n")
@@ -286,13 +286,13 @@ def cmd_hedge(cfg, args):
 def cmd_figure(cfg, args):
     model, ou, specs = build_components(cfg)
     fig_cfg = cfg["figure"]
-    n_pts = fig_cfg.get("sweep_points", 20)
+    n_pts = fig_cfg["sweep_points"]
     t_max = cfg["grid"]["horizon"]
     horizons = np.linspace(t_max / n_pts, t_max, n_pts)
     p_level = cfg["payoff"]["level"]
     v = cfg["endowment"]
     rows = []
-    sim_max = fig_cfg.get("simulate_t_max", 0.0) if fig_cfg.get("simulate_errors", False) else 0.0
+    sim_max = fig_cfg["simulate_t_max"] if fig_cfg["simulate_errors"] else 0.0
     # The surface equation is autonomous, so P_T(0, y) = P_{t_max}(t_max - T, y):
     # one solve over the longest horizon, with a stored slice at every sweep
     # point, gives the whole closed-form curve without reading between slices.
@@ -322,7 +322,7 @@ def cmd_figure(cfg, args):
         for row in rows:
             f.write(",".join(f"{x:.12g}" for x in row) + "\n")
     print(f"wrote {out}")
-    if fig_cfg.get("gnuplot", False):
+    if fig_cfg["gnuplot"]:
         gp = outdir / f"{name}.gp"
         gp.write_text(
             f'set datafile separator ",";\nset logscale y;\nset xlabel "T";\n'
@@ -337,7 +337,7 @@ def cmd_figure(cfg, args):
 def cmd_validate(cfg, args):
     from .validate import run_validate
 
-    scale = cfg["validate"].get("delta_scale", 1.0)
+    scale = cfg["validate"]["delta_scale"]
     report = run_validate(delta_scale=scale, master_seed=cfg["paths"]["master_seed"])
     print(report.render())
     return 0 if report.ok else 1

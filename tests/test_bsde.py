@@ -13,8 +13,8 @@ from conftest import discounted, left_limits, no_whole_paths
 def step_design(sol, bundle, k):
     """Standardized design (p, n) of fitted step k at the fit states, intercept first."""
     fit = sol.table.steps[k]
-    xs = sol.table.features(discounted(bundle)[:, k], bundle.y[:, k], knots=fit.knots)
-    return np.vstack([np.ones(bundle.n_paths), (xs[fit.keep] - fit.mean[:, None]) / fit.scale[:, None]])
+    xs = sol.table.features(discounted(bundle)[:, k], bundle.y[:, k], fit.knots, fit.keep)
+    return np.vstack([np.ones(bundle.n_paths), (xs - fit.mean[:, None]) / fit.scale[:, None]])
 
 
 def table_at_fit_states(sol, bundle):
@@ -71,10 +71,6 @@ class TestPayoffs:
     def test_constant(self, flat_setup):
         _, bundle, _ = flat_setup
         assert np.array_equal(bsde.ConstantPayoff(5.0)(bundle), np.full(bundle.n_paths, 5.0))
-
-    def test_square_integrability_report(self):
-        rep = bsde.check_square_integrability(np.array([1.0, 2.0, 3.0]))
-        assert rep["finite"]
 
 
 class TestDriver:
@@ -158,16 +154,53 @@ class TestSolveBackward:
         assert len(built) == 1
 
     def test_ill_conditioned_steps_take_svd(self, ou, cpe):
-        # at T = 5 the BNS designs reach cond 1e7 at some steps
+        # at T = 5 the BNS designs of a call reach cond 1e7 at some steps
         model = market.BNS(0.5, 0.02, rate=0.0)
         grid = market.GridConfig(5.0, 0.05)
         bundle = market.simulate_paths(model, ou, [cpe], [100.0], grid, 1000, 71)
         surface = opp.solve_opportunity_ipde(model, ou, cpe, 5.0)
-        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(3e4))
+        sol = bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
         routes = sol.diagnostics["factorization"]
         n_ill = int(np.count_nonzero(sol.cond[1:] >= bsde._CHOLESKY_COND_LIMIT))
         assert routes == {"cholesky_qr2": bundle.n_steps - 1 - n_ill, "svd": n_ill}
         assert n_ill > 0
+
+    def test_constant_claim_factors_nothing(self, bns_setup, monkeypatch):
+        # zero spread is absorbing, so a constant claim's solve stops at its
+        # first step: no factorization, no jump channels, no backward walk
+        _, bundle, surface = bns_setup
+        built = {"factor": 0, "channels": 0, "walk": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(bsde, "_LeastSquares", counting("factor", bsde._LeastSquares))
+        monkeypatch.setattr(type(surface), "jump_channels", counting("channels", type(surface).jump_channels))
+        monkeypatch.setattr(market.PathBundle, "walk_backward", counting("walk", market.PathBundle.walk_backward))
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(3e4))
+        assert built == {"factor": 0, "channels": 0, "walk": 0}
+        assert sol.value_at_zero == 3e4 and np.all(sol.mean_value == 3e4)
+        value, vbar = table_at_fit_states(sol, bundle)
+        assert np.all(value == 3e4) and np.all(vbar == 0.0)
+        assert np.all(sol.table.loadings_at_zero == 0.0) and np.all(sol.mean_loading == 0.0)
+        assert np.all(sol.r2[1:] == 1.0) and np.all(sol.cond == 1.0)
+        # a claim with spread builds each once and factors every fitted step
+        bsde.solve_backward(bundle, surface, bsde.DiscountedCall(100.0))
+        assert built == {"factor": bundle.n_steps - 1, "channels": 1, "walk": 1}
+
+    def test_constant_claim_exact_without_factor_columns(self, bns_setup):
+        # without Y columns the jump loading falls back to the surface term
+        # -V F/(1+F); a flat target ends the solve before it, so the value
+        # is the claim itself (it read 29999.928 with jump term 0.0957 at
+        # time zero while every step was solved)
+        _, bundle, surface = bns_setup
+        basis = ("1", "D", "D2", "logD", "payoff", "knots")
+        sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(3e4), bsde.BsdeConfig(basis=basis))
+        assert sol.value_at_zero == 3e4 and np.all(sol.mean_value == 3e4)
+        assert np.all(sol.mean_jump_term == 0.0)
 
     def test_common_path_has_no_tall_svd(self, ou, flat_setup, monkeypatch):
         # the guard against a thin SVD of the (n, p) design on every step
@@ -264,7 +297,7 @@ class TestSolveBackward:
         assert peak < 0.45 * bundle.n_paths * bundle.n_steps * 8
 
     def test_constant_claim_r2_in_unit_interval(self, bns_setup):
-        # the value target's spread is rounding noise: no spread, r2 = 1
+        # the solve stops at the flat terminal target: fitted steps read r2 = 1
         _, bundle, surface = bns_setup
         sol = bsde.solve_backward(bundle, surface, bsde.ConstantPayoff(30000.0))
         assert np.all((sol.r2 >= 0.0) & (sol.r2 <= 1.0))

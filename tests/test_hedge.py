@@ -164,6 +164,17 @@ class TestRunHedge:
         rep = hedge.run_hedge(bundle, surface, None, pay, 10000.0)
         assert rep.closed_form_agreement()[0]
 
+    def test_solved_table_hedges_as_the_payoff(self, bns_world):
+        # the solve of a constant claim returns the claim's own value and
+        # zero loadings, so the two value sources hedge bit for bit alike
+        _, _, _, bundle, surface = bns_world
+        pay = bsde.ConstantPayoff(30000.0)
+        sol = bsde.solve_backward(bundle, surface, pay)
+        via_table = hedge.run_hedge(bundle, surface, sol, pay, 10000.0)
+        via_payoff = hedge.run_hedge(bundle, surface, None, pay, 10000.0)
+        for name in ("mse", "se_mse", "mean_shortfall"):
+            assert getattr(via_table, name) == getattr(via_payoff, name), name
+
     def test_payoff_equal_endowment_is_free(self, bns_world):
         _, _, _, bundle, surface = bns_world
         check = validate.zero_gap_flat_position(bundle, surface, 10000.0, 4)
