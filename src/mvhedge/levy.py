@@ -145,48 +145,68 @@ def jump_quadrature(spec: SubordinatorSpec, tail_eps: float = 1e-8, n_nodes: int
     return z, 0.5 * z_max * w * dens
 
 
-def check_events(offsets, times, components, sizes, horizon: float, n_components: int):
-    """Validate the jump events of many paths in flat arrays.
+@dataclass(frozen=True, eq=False)
+class JumpEvents:
+    """The jump events of n paths in flat arrays, grouped by path.
 
-    Path p owns ``times[offsets[p]:offsets[p + 1]]`` (and the same slice
-    of ``components`` and ``sizes``).  Raises ValueError unless every
-    event time lies in (0, horizon], every size is positive, every
-    component lies in [0, n_components) and the times of each
-    component of each path are strictly increasing.
+    Path p owns the slice ``offsets[p]:offsets[p + 1]`` of ``times``,
+    ``components`` and ``sizes``, in its (time, component) order.  The
+    arrays are taken as given; ``check`` validates them.  ``len()`` is
+    the number of events.
     """
-    if not times.size:
-        return
-    if times.min() <= 0 or times.max() > horizon:
-        raise ValueError("event times must lie in (0, horizon]")
-    if (sizes <= 0).any():
-        raise ValueError("jump sizes must be positive")
-    if components.min() < 0 or components.max() >= n_components:
-        raise ValueError("event components must lie in [0, n_components)")
-    key = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    if n_components > 1:
-        # group the events by (path, component), storage order kept within
-        key = key * n_components + components
-        order = np.argsort(key, kind="stable")
-        key, times = key[order], times[order]
-    if ((key[1:] == key[:-1]) & ~(times[1:] > times[:-1])).any():
-        raise ValueError("event times must be strictly increasing per component")
 
+    offsets: np.ndarray
+    times: np.ndarray
+    components: np.ndarray
+    sizes: np.ndarray
+    horizon: float
+    n_components: int
 
-def pack_events(paths, n_paths: int, horizon: float, n_components: int):
-    """Flat ``(offsets, times, components, sizes)`` of ``paths``, validated once.
+    def __len__(self):
+        return self.times.size
 
-    Path p owns the slice ``offsets[p]:offsets[p + 1]`` of the flat
-    arrays; an empty ``paths`` stands for ``n_paths`` paths without events.
-    """
-    offsets = np.zeros(n_paths + 1, dtype=np.int64)
-    if not paths:
-        return offsets, np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)
-    offsets[1:] = np.cumsum([len(p) for p in paths])
-    times = np.concatenate([p.times for p in paths])
-    components = np.concatenate([p.components for p in paths])
-    sizes = np.concatenate([p.sizes for p in paths])
-    check_events(offsets, times, components, sizes, horizon, n_components)
-    return offsets, times, components, sizes
+    @property
+    def n_paths(self) -> int:
+        return self.offsets.size - 1
+
+    def owners(self) -> np.ndarray:
+        """The path of every event."""
+        return np.repeat(np.arange(self.n_paths), np.diff(self.offsets))
+
+    def check(self):
+        """Raise ValueError unless every event time lies in (0, horizon],
+        every size is positive, every component lies in [0, n_components)
+        and the times of each component of each path are strictly
+        increasing."""
+        times, components, n_components = self.times, self.components, self.n_components
+        if not times.size:
+            return
+        if times.min() <= 0 or times.max() > self.horizon:
+            raise ValueError("event times must lie in (0, horizon]")
+        if (self.sizes <= 0).any():
+            raise ValueError("jump sizes must be positive")
+        if components.min() < 0 or components.max() >= n_components:
+            raise ValueError("event components must lie in [0, n_components)")
+        key = self.owners()
+        if n_components > 1:
+            # group the events by (path, component), storage order kept within
+            key = key * n_components + components
+            order = np.argsort(key, kind="stable")
+            key, times = key[order], times[order]
+        if ((key[1:] == key[:-1]) & ~(times[1:] > times[:-1])).any():
+            raise ValueError("event times must be strictly increasing per component")
+
+    def rows(self, lo: int, hi: int) -> JumpEvents:
+        """The events of paths lo..hi-1."""
+        a, b = self.offsets[lo], self.offsets[hi]
+        return JumpEvents(self.offsets[lo:hi + 1] - a, self.times[a:b], self.components[a:b],
+                          self.sizes[a:b], self.horizon, self.n_components)
+
+    def totals(self) -> np.ndarray:
+        """Total jump mass (n_paths, n_components) per path and component."""
+        out = np.zeros((self.n_paths, self.n_components))
+        np.add.at(out, (self.owners(), self.components), self.sizes)
+        return out
 
 
 @dataclass(frozen=True)
@@ -207,182 +227,58 @@ class JumpPath:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "components", np.asarray(self.components, dtype=np.int64))
         object.__setattr__(self, "sizes", np.asarray(self.sizes, dtype=float))
-        check_events(np.array([0, self.times.size]), self.times, self.components, self.sizes,
-                     self.horizon, self.n_components)
-
-    @classmethod
-    def _unchecked(cls, times, components, sizes, horizon, n_components):
-        """Build from arrays of the field dtypes without validating them.
-
-        For the sampler only: its events are checked by ``pack_events``
-        once per packed chunk, where they reach a simulation.
-        """
-        path = object.__new__(cls)
-        object.__setattr__(path, "times", times)
-        object.__setattr__(path, "components", components)
-        object.__setattr__(path, "sizes", sizes)
-        object.__setattr__(path, "horizon", horizon)
-        object.__setattr__(path, "n_components", n_components)
-        return path
+        JumpEvents(np.array([0, self.times.size]), self.times, self.components, self.sizes, self.horizon,
+                   self.n_components).check()
 
     def __len__(self):
         return self.times.size
 
-    def totals(self) -> np.ndarray:
-        """Total jump mass per component, L_i(lambda_i * horizon)."""
-        out = np.zeros(self.n_components)
-        np.add.at(out, self.components, self.sizes)
-        return out
 
-
-# numpy's SeedSequence hash (a pool of four 32-bit words) and PCG64's
-# seeding (O'Neill 2014, HMC-CS-2014-0905), both fixed by numpy's
-# stream-compatibility policy (NEP 19).
-INIT_A = 0x43B0D7E5
-MULT_A = 0x931E8875
-INIT_B = 0x8B51F9DD
-MULT_B = 0x58F38DED
-MIX_MULT_L = 0xCA01F9DD
-MIX_MULT_R = 0x4973F715
-XSHIFT = 16
-PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_consts(init, mult, n):
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & _MASK32)
-    return consts
-
-
-# the hash constants do not depend on the data: 16 hashmix calls fill
-# and mix the pool, 8 draw the four uint64 state words
-_CONST_A = _hash_consts(INIT_A, MULT_A, 16)
-_CONST_B = _hash_consts(INIT_B, MULT_B, 8)
-
-
-def _hash(value, consts, call):
-    value = (value ^ consts[call]) * consts[call + 1] & _MASK32
-    return value ^ value >> XSHIFT
-
-
-def _mix(x, y):
-    value = (MIX_MULT_L * x - MIX_MULT_R * y) & _MASK32
-    return value ^ value >> XSHIFT
-
-
-def _seed_words(master_seed: int, first: int, count: int) -> np.ndarray:
-    """``SeedSequence((master_seed, i)).generate_state(4, np.uint64)`` for
-    the ``count`` path indices from ``first``, as a (count, 4) array.
-
-    Below 2**64 both values are at most two 32-bit words, so the entropy
-    is the master's words, then the index's low and high word, padded
-    with zeros to the pool size: numpy's own coercion of the tuple.  The
-    hash runs once on uint64 columns masked to 32 bits (on Python ints
-    for a single path, where array calls would cost more than the hash).
-    Other seeds take numpy's SeedSequence path by path.
-    """
-    master_seed, first = int(master_seed), int(first)
-    if not (0 <= master_seed < 2**64 and 0 <= first and first + count <= 2**64):
-        return np.array([np.random.SeedSequence((master_seed, i)).generate_state(4, np.uint64)
-                         for i in range(first, first + count)])
-    idx = first if count == 1 else np.arange(count, dtype=np.uint64) + np.uint64(first)
-    entropy = [master_seed & _MASK32] + ([master_seed >> 32] if master_seed >> 32 else [])
-    entropy += [idx & _MASK32, idx >> 32, 0][:4 - len(entropy)]
-    pool = [_hash(word, _CONST_A, call) for call, word in enumerate(entropy)]
-    call = len(pool)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], _CONST_A, call))
-                call += 1
-    half = [_hash(pool[w % 4], _CONST_B, w) for w in range(8)]
-    words = np.empty((count, 4), dtype=np.uint64)
-    for j in range(4):
-        words[:, j] = half[2 * j] | half[2 * j + 1] << 32
-    return words
-
-
-def path_states(master_seed: int, first: int, count: int) -> list[dict]:
-    """PCG64 states of the streams ``default_rng(SeedSequence((master_seed, i)))``
-    for the ``count`` path indices from ``first``.
-
-    Seed s = w0·2**64 + w1 and increment i = w2·2**64 + w3 from the seed
-    words give inc = 2i + 1 and state = (inc + s)·M + inc mod 2**128,
-    M being PCG's default multiplier.  Assigning a state to a PCG64
-    gives the stream a fresh generator of that seed would draw.
-    """
-    out = []
-    for w0, w1, w2, w3 in _seed_words(master_seed, first, count).tolist():
-        inc = (w2 << 65 | w3 << 1 | 1) & _MASK128
-        state = ((inc + (w0 << 64 | w1)) * PCG64_MULT + inc) & _MASK128
-        out.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0})
-    return out
-
-
-def rng_for_path(master_seed: int, path_index: int) -> np.random.Generator:
-    """Independent per-path stream: master seed hashed with the path index.
-
-    A fresh Generator drawing what ``default_rng(SeedSequence((master_seed,
-    path_index)))`` draws, seeded through ``path_states``, the derivation
-    a simulated block of paths uses for all its streams at once; the
-    tests pin both to numpy's own ``SeedSequence``.
-    """
-    bitgen = np.random.PCG64()
-    bitgen.state = path_states(master_seed, path_index, 1)[0]
-    return np.random.Generator(bitgen)
-
-
-def sample_jump_path(specs, horizon: float, seed) -> JumpPath:
-    """Draw one exact jump path for all components.
+def sample_jump_path(specs, horizon: float, n_paths: int, seed) -> JumpEvents:
+    """Draw the exact jump events of ``n_paths`` paths from one stream.
 
     Parameters
     ----------
     specs : sequence of SubordinatorSpec
         One per component.
     horizon : float
-        Calendar horizon T (>= 0); zero yields an empty path.
+        Calendar horizon T (>= 0); zero yields no events.
+    n_paths : int
+        Paths drawn.
     seed : int, SeedSequence or Generator
-        Identical (specs, horizon, seed) gives a bit-identical path.
+        Identical (specs, horizon, n_paths, seed) gives bit-identical events.
 
-    The path is not validated here: ``pack_events`` checks the events
-    of a whole chunk at once where they are used.
+    The sources of events are the specs in order, a compound Poisson
+    spec being one source and a table one source per atom.  The stream
+    gives, in this order: each source's counts for every path
+    (``poisson``), then each source's event times (``uniform``), then
+    each compound Poisson source's sizes (``exponential``), every source
+    in turn and path by path within it; one call per kind draws what one
+    call per source would.  The events are then sorted by time (stably
+    where there are several components, so that ties keep the component
+    order), then stably by path.  They are not validated here
+    (``JumpEvents.check``).
     """
     if horizon < 0:
         raise ConfigurationError("horizon must be nonnegative")
-    specs = list(specs)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     horizon = float(horizon)
-    if len(specs) == 1 and isinstance(specs[0], CompoundPoissonExp):
-        # sorted times of one component are already in (time, component) order
-        spec = specs[0]
-        n = rng.poisson(spec.time_scale * spec.event_rate * horizon)
-        t = rng.uniform(0.0, horizon, size=n)
-        t.sort()
-        s = rng.exponential(1.0 / spec.jump_rate, size=n)
-        return JumpPath._unchecked(t, np.zeros(n, dtype=np.int64), s, horizon, 1)
-    times, comps, sizes = [], [], []
+    sources = []  # (component, expected count, mean size of an exponential source, atom size)
     for i, spec in enumerate(specs):
         if isinstance(spec, CompoundPoissonExp):
-            rate = spec.time_scale * spec.event_rate * horizon
-            n = rng.poisson(rate)
-            t = np.sort(rng.uniform(0.0, horizon, size=n))
-            s = rng.exponential(1.0 / spec.jump_rate, size=n)
-            times.append(t)
-            comps.append(np.full(n, i, dtype=np.int64))
-            sizes.append(s)
+            sources.append((i, spec.time_scale * spec.event_rate * horizon, 1.0 / spec.jump_rate, 0.0))
         else:
-            for z, nu in spec.atoms:
-                n = rng.poisson(spec.time_scale * nu * horizon)
-                t = rng.uniform(0.0, horizon, size=n)
-                times.append(t)
-                comps.append(np.full(n, i, dtype=np.int64))
-                sizes.append(np.full(n, z))
-    t = np.concatenate(times) if times else np.empty(0)
-    c = np.concatenate(comps) if comps else np.empty(0, dtype=np.int64)
-    s = np.concatenate(sizes) if sizes else np.empty(0)
-    order = np.lexsort((c, t))
-    return JumpPath._unchecked(t[order], c[order], s[order], horizon, len(specs))
+            sources += [(i, spec.time_scale * nu * horizon, 0.0, z) for z, nu in spec.atoms]
+    comp, rate, scale, atom = np.array(sources, dtype=float).reshape(-1, 4).T
+    counts = rng.poisson(rate[:, None], size=(rate.size, n_paths))
+    src = np.repeat(np.arange(rate.size), counts.sum(axis=1))
+    owner = np.repeat(np.tile(np.arange(n_paths, dtype=np.min_scalar_type(n_paths)), rate.size), counts.ravel())
+    times = rng.uniform(0.0, horizon, size=src.size)
+    sizes = atom[src]
+    drawn = np.flatnonzero(scale[src])
+    sizes[drawn] = rng.exponential(scale[src[drawn]])
+    order = np.argsort(times, kind="stable" if len(specs) > 1 else "quicksort")
+    order = order[np.argsort(owner[order], kind="stable")]
+    offsets = np.zeros(n_paths + 1, dtype=np.int64)
+    np.cumsum(counts.sum(axis=0), out=offsets[1:])
+    return JumpEvents(offsets, times[order], comp.astype(np.int64)[src[order]], sizes[order], horizon, len(specs))

@@ -1,4 +1,4 @@
-"""Coefficient models, price simulation and standing-assumption checks.
+"""Coefficient models and price simulation.
 
 The stock simulation discretizes the explicit log-solution with
 coefficients frozen at the step-left factor value, so prices stay
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .levy import ConfigurationError, JumpPath, pack_events, path_states, sample_jump_path
+from .levy import ConfigurationError, JumpEvents, JumpPath, sample_jump_path
 from .ngou import FactorPath, OUParams, evolve, merge_grid
 
 
@@ -80,9 +80,6 @@ class ConstantBS(CoefficientModel):
     def market_price_of_risk(self, y):
         return np.full(np.shape(y)[:-1] + (1,), (self.alpha - self.rate) / self.beta)
 
-    def __repr__(self):
-        return f"ConstantBS(alpha={self.alpha}, beta={self.beta}, rate={self.rate})"
-
 
 class BNS(CoefficientModel):
     """Volatility-factor model: b(y) = alpha + beta*y, sigma(y) = sqrt(y)."""
@@ -117,9 +114,6 @@ class BNS(CoefficientModel):
     def market_price_of_risk(self, y):
         y, e = self._excess(y)
         return (e / np.sqrt(y))[..., None]
-
-    def __repr__(self):
-        return f"BNS(alpha={self.alpha}, beta={self.beta}, rate={self.rate})"
 
 
 class TabulatedModel(CoefficientModel):
@@ -229,26 +223,31 @@ class JumpRecord:
     n_components: int
 
     @classmethod
-    def pack(cls, jump_paths, grid: GridConfig, n_paths: int, n_components: int) -> JumpRecord:
-        """The record of ``jump_paths`` on ``grid``, checked once as a chunk
-        (``levy.pack_events``); an empty list stands for paths without events.
+    def pack(cls, parts, grid: GridConfig) -> JumpRecord:
+        """The record on ``grid`` of a chunk whose paths are those of the
+        ``levy.JumpEvents`` in ``parts``, one part after another, each
+        checked (``JumpEvents.check``).
 
         The step index is sorted in the smallest unsigned dtype that holds
         the step count (a radix sort up to 16 bits); a stable sort has one
-        result, so the order is that of the int64 index.  The arrays are
-        permuted one at a time, so no event is held twice at once.
+        result, so the order is that of the int64 index.  The parts are
+        joined and permuted one field at a time, and no joined copy of the
+        chunk's events is kept beside them.
         """
+        for part in parts:
+            part.check()
         grid_times = grid.times
-        offsets, times, comps, sizes = pack_events(jump_paths, n_paths, grid.horizon, n_components)
+        counts = np.concatenate([np.diff(part.offsets) for part in parts])
+        times = np.concatenate([part.times for part in parts])
         # event times lie in (0, T], so every event falls in one of the steps
         step = (np.searchsorted(grid_times, times, side="left") - 1).astype(np.min_scalar_type(grid.n_steps))
         order = np.argsort(step, kind="stable")
         bounds = np.concatenate(([0], np.cumsum(np.bincount(step, minlength=grid.n_steps))))
         times = times[order]
-        comps = comps[order]
-        sizes = sizes[order]
-        paths = np.repeat(np.arange(n_paths), np.diff(offsets))[order]
-        return cls(times, comps, sizes, paths, bounds, grid_times, n_paths, n_components)
+        comps = np.concatenate([part.components for part in parts])[order]
+        sizes = np.concatenate([part.sizes for part in parts])[order]
+        paths = np.repeat(np.arange(counts.size), counts)[order]
+        return cls(times, comps, sizes, paths, bounds, grid_times, counts.size, parts[0].n_components)
 
     def step(self, k: int, lam: np.ndarray):
         """The jumps of step k: (flat index of each event's (path, factor)
@@ -266,7 +265,7 @@ class JumpRecord:
 
     def totals(self) -> np.ndarray:
         """Total jump mass (n_paths, h) per path and component, each summed
-        in the path's event order, as ``JumpPath.totals`` sums it."""
+        in the path's event order, as ``JumpEvents.totals`` sums it."""
         out = np.zeros((self.n_paths, self.n_components))
         np.add.at(out, (self.paths, self.components), self.sizes)
         return out
@@ -473,49 +472,50 @@ class PathBundle:
         return evolve(self.ou, jp, merge_grid(self.times, jp.times))
 
 
-# Paths whose streams are derived at once and whose normals are drawn
-# into one path-major block before the block is scaled into the
-# step-major increments (1 MB at 500 steps).
+# Path indices fall in blocks of DRAW_BLOCK, and block b draws from its
+# own stream, default_rng(SeedSequence((master_seed, b))).  Changing it
+# changes every stream.
 DRAW_BLOCK = 256
 
 
 def _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, d, jump_paths):
-    """Each path's jumps, then its normals, from its own stream.
+    """The chunk's jump events, as ``levy.JumpEvents`` parts in path order,
+    and its increments ``dw`` (n_paths, n_steps, d).
 
-    A block of paths derives all its streams at once (``levy.path_states``)
-    and draws them one after the other from one reused generator; the
-    tests pin every stream to numpy's ``SeedSequence((master_seed, index))``.
+    Every block the chunk touches draws all its DRAW_BLOCK paths: their
+    jump events in one ``sample_jump_path`` call (none with injected
+    ``jump_paths``), then their normals, step-major, (n_steps,
+    DRAW_BLOCK, d) in one call.  The chunk keeps its own rows, so a path's
+    draws depend on its index alone, not on the chunking.
     """
-    # Without intensity the sampler would draw n = 0 events from every
-    # stream, which consumes no state: skipping it leaves the normals as they were.
-    can_jump = any(spec.total_intensity > 0 for spec in specs)
-    paths = []
+    first, stop = path_offset, path_offset + n_paths
     dw = kernels.step_major(grid.n_steps, n_paths, d)
-    block = np.empty((min(DRAW_BLOCK, n_paths), grid.n_steps, d))
+    by_step = dw.swapaxes(0, 1)
+    normals = np.empty((grid.n_steps, DRAW_BLOCK, d))
     sqdt = math.sqrt(grid.step)
-    # every path assigns its own state before it draws
-    rng = np.random.Generator(np.random.PCG64())
-    for i0 in range(0, n_paths, DRAW_BLOCK):
-        m = min(DRAW_BLOCK, n_paths - i0)
-        for j, state in enumerate(path_states(master_seed, path_offset + i0, m)):
-            rng.bit_generator.state = state
-            if jump_paths is not None:
-                paths.append(jump_paths[i0 + j])
-            elif can_jump:
-                paths.append(sample_jump_path(specs, grid.horizon, rng))
-            rng.standard_normal((grid.n_steps, d), out=block[j])
-        np.multiply(block[:m], sqdt, out=dw[i0:i0 + m])
-    return paths, dw
+    parts = []
+    for block in range(first // DRAW_BLOCK, (stop - 1) // DRAW_BLOCK + 1):
+        base = block * DRAW_BLOCK
+        lo, hi = max(first, base) - base, min(stop, base + DRAW_BLOCK) - base
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, block)))
+        if jump_paths is None:
+            parts.append(sample_jump_path(specs, grid.horizon, DRAW_BLOCK, rng).rows(lo, hi))
+        rng.standard_normal(out=normals)
+        np.multiply(normals[:, lo:hi], sqdt, out=by_step[:, base + lo - first:base + hi - first])
+    if jump_paths is not None:
+        parts = [JumpEvents(np.array([0, len(p)]), p.times, p.components, p.sizes, grid.horizon, len(specs))
+                 for p in jump_paths]
+    return parts, dw
 
 
 def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: int,
                    master_seed: int, jump_paths=None, path_offset: int = 0) -> PathBundle:
     """Simulate a bundle of paths, reproducible per (master_seed, path index).
 
-    Each path draws its jumps first and its Brownian increments second
-    from the same derived stream, so results do not depend on chunking.
-    Pre-drawn ``jump_paths`` may be injected (the normals then come
-    first in each stream).
+    Path i draws from the stream of its block, i // DRAW_BLOCK: the
+    block's jumps first, its normals second (``_draw_jumps_and_normals``),
+    so results do not depend on chunking.  Pre-drawn ``jump_paths``, one
+    per path, may be injected; the blocks then draw their normals only.
     """
     specs = list(specs)
     if len(specs) != ou.dim or ou.dim != model.h:
@@ -523,9 +523,9 @@ def simulate_paths(model, ou: OUParams, specs, s0, grid: GridConfig, n_paths: in
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if s0.size != model.d or (s0 <= 0).any():
         raise ConfigurationError("initial prices must be positive, one per asset")
-    paths, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
-    jumps = JumpRecord.pack(paths, grid, n_paths, len(specs))
-    del paths  # the engine runs without the sampled paths: the record holds the events
+    parts, dw = _draw_jumps_and_normals(specs, grid, n_paths, master_seed, path_offset, model.d, jump_paths)
+    jumps = JumpRecord.pack(parts, grid)
+    del parts  # the engine runs on the record alone
     y_end, sharpe_int, mpr_dw, factor_int = kernels.simulate_d1h1(model, ou.y0, ou.mean_reversion, grid.step,
                                                                   dw, jumps)
     return PathBundle(model, ou, specs, s0, grid, dw, y_end, sharpe_int, mpr_dw,

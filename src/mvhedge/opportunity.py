@@ -28,7 +28,6 @@ from .levy import (
     ConfigurationError,
     chernoff_quantile_bound,
     jump_quadrature,
-    pack_events,
     sample_jump_path,
 )
 from .ngou import OUParams
@@ -309,21 +308,22 @@ def estimate_opportunity_mc(model, ou: OUParams, specs, t: float, y, horizon: fl
 
     Averages exp(-I) over exact factor paths started at (t, y), where I
     is the pathwise integral of the squared market price of risk,
-    computed by fixed-order quadrature on every inter-jump segment.
+    computed by fixed-order quadrature on every inter-jump segment.  The
+    ``n_inner`` paths' jumps come from one ``sample_jump_path`` call on
+    ``seed``, checked before use.
     """
     if n_inner < 100:
         raise ConfigurationError("need at least 100 inner samples")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    rng = np.random.default_rng(seed)
     span = horizon - t
     if span < 0:
         raise ConfigurationError("t must not exceed the horizon")
     if span == 0:
         return 1.0, 0.0
-    paths = [sample_jump_path(specs, span, rng) for _ in range(n_inner)]
-    expo = kernels.opportunity_mc_exponent(
-        model.sharpe_squared, ou.mean_reversion, y, span, *pack_events(paths, n_inner, span, len(specs)),
-    )
+    events = sample_jump_path(specs, span, n_inner, seed)
+    events.check()
+    expo = kernels.opportunity_mc_exponent(model.sharpe_squared, ou.mean_reversion, y, span, events.offsets,
+                                           events.times, events.components, events.sizes)
     vals = np.exp(-expo)
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n_inner))

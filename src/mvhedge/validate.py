@@ -75,27 +75,27 @@ def moment_condition_rejects(spec, order) -> CheckResult:
     return CheckResult(name, False, "no error raised")
 
 
-def jump_sampling_reproducible(specs, horizon, seed) -> CheckResult:
-    """Two draws of one path from one seed are bit-identical."""
-    a = levy.sample_jump_path(specs, horizon, seed)
-    b = levy.sample_jump_path(specs, horizon, seed)
-    same = all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("times", "sizes", "components"))
+def jump_sampling_reproducible(specs, horizon, n_paths, seed) -> CheckResult:
+    """Two draws of ``n_paths`` paths from one seed are bit-identical."""
+    a = levy.sample_jump_path(specs, horizon, n_paths, seed)
+    b = levy.sample_jump_path(specs, horizon, n_paths, seed)
+    same = all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("offsets", "times", "sizes", "components"))
     return CheckResult("jump sampling reproducible", same, f"{len(a)} events")
 
 
-def event_count_statistics(specs, horizon, n_seeds, seed) -> CheckResult:
-    """The mean event count over paths seeded ``(seed, i)`` lies within 3 sd of the Poisson mean."""
-    counts = np.array([len(levy.sample_jump_path(specs, horizon, (seed, i))) for i in range(n_seeds)])
+def event_count_statistics(specs, horizon, n_paths, seed) -> CheckResult:
+    """The mean event count of ``n_paths`` paths drawn from ``seed`` lies within 3 sd of the Poisson mean."""
+    counts = np.diff(levy.sample_jump_path(specs, horizon, n_paths, seed).offsets)
     mean = counts.mean()
     target = sum(s.total_intensity * s.time_scale for s in specs) * horizon
-    band = 3 * math.sqrt(target) / math.sqrt(n_seeds)
+    band = 3 * math.sqrt(target) / math.sqrt(n_paths)
     return CheckResult("event count statistics", abs(mean - target) <= band,
                        f"mean {mean:.2f} target {target} band {band:.2f}")
 
 
 def exponential_moment(spec, c, n_paths, seed) -> CheckResult:
-    """E[exp(c L(lambda))] over paths seeded ``(*seed, i)`` on [0, 1] against exp(lambda psi(c))."""
-    totals = np.array([levy.sample_jump_path([spec], 1.0, (*seed, i)).totals()[0] for i in range(n_paths)])
+    """E[exp(c L(lambda))] over ``n_paths`` paths drawn from ``seed`` on [0, 1] against exp(lambda psi(c))."""
+    totals = levy.sample_jump_path([spec], 1.0, n_paths, seed).totals()[:, 0]
     target = math.exp(spec.time_scale * levy.exp_moment_rate(spec, c))
     return _mean_within_4se("exponential moment matches", np.exp(c * totals), target,
                             "emp {mean:.3f} target {target:.3f} se {se:.3f}")
@@ -265,7 +265,7 @@ def run_validate(delta_scale: float = 1.0, master_seed: int = 0) -> ValidationRe
     rep.checks += [
         moment_rate_quadrature(cpe, 1.0, 200, 15.0),
         moment_condition_rejects(cpe, 8.0),
-        jump_sampling_reproducible([cpe], 5.0, 42),
+        jump_sampling_reproducible([cpe], 5.0, 256, 42),
         event_count_statistics([cpe], 20.0, 500, master_seed),
         exponential_moment(cpe, 2.0, 4000, (master_seed, 7)),
     ]

@@ -40,6 +40,13 @@ def empty_jump_path(horizon, h=1):
     return levy.JumpPath(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), horizon, h)
 
 
+def event_path(events, i):
+    """Path i of a ``levy.JumpEvents``, as a checked ``JumpPath``."""
+    at = slice(events.offsets[i], events.offsets[i + 1])
+    return levy.JumpPath(events.times[at], events.components[at], events.sizes[at], events.horizon,
+                         events.n_components)
+
+
 class TwoAssetConstant(market.CoefficientModel):
     """Two correlated assets with flat drift and volatility; the factor is ignored."""
 

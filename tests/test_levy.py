@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mvhedge import levy, validate
 
+from conftest import event_path
+
 
 class TestSpecs:
     def test_invalid_parameters_rejected(self):
@@ -62,12 +64,12 @@ class TestExpMomentRate:
 
 class TestSampling:
     def test_zero_horizon_empty(self):
-        jp = levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], 0.0, 0)
-        assert len(jp) == 0
+        events = levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], 0.0, 3, 0)
+        assert len(events) == 0 and np.array_equal(events.offsets, [0, 0, 0, 0])
 
     def test_reproducible_bit_identical(self):
         spec = [levy.CompoundPoissonExp(10.0, 8.0), levy.TableMeasure(((0.5, 3.0), (2.0, 1.0)))]
-        check = validate.jump_sampling_reproducible(spec, 3.0, 12345)
+        check = validate.jump_sampling_reproducible(spec, 3.0, 64, 12345)
         assert check.ok, check.detail
 
     def test_event_count_statistics(self):
@@ -78,9 +80,7 @@ class TestSampling:
         # oracle: total mass mean = lam*nu*z*T = 2*1*5 = 10
         spec = [levy.TableMeasure(((1.0, 2.0),), 1.0)]
         n_seeds = 600
-        masses = np.fromiter(
-            (levy.sample_jump_path(spec, 5.0, (11, i)).totals()[0] for i in range(n_seeds)), dtype=float
-        )
+        masses = levy.sample_jump_path(spec, 5.0, n_seeds, 11).totals()[:, 0]
         band = 3.0 * math.sqrt(10.0 / n_seeds)  # variance lam*nu*z^2*T
         assert abs(masses.mean() - 10.0) <= band
 
@@ -105,58 +105,41 @@ def test_jump_quadrature_integrates_levy_measure():
     [levy.CompoundPoissonExp(6.0, 4.0, 1.5), levy.TableMeasure(((0.5, 3.0), (2.0, 4.0)), 0.7)],
 ], ids=["cpe", "cpe_and_table"])
 def test_sampler_postconditions(specs):
-    # the sampler skips the per-path checks; its draws must pass them,
+    # the sampler does not check its draws; they must pass the checks,
     # path by path and as one packed chunk, in (time, component) order
     from mvhedge import market
 
     h = len(specs)
-    paths = [levy.sample_jump_path(specs, 2.0, levy.rng_for_path(17, i)) for i in range(2000)]
-    for jp in paths:
-        assert (jp.times.dtype, jp.components.dtype, jp.sizes.dtype) == (float, np.int64, float)
+    events = levy.sample_jump_path(specs, 2.0, 2000, 17)
+    assert (events.times.dtype, events.components.dtype, events.sizes.dtype) == (float, np.int64, float)
+    assert events.n_paths == 2000 and events.offsets[-1] == len(events)
+    for i in range(events.n_paths):
+        jp = event_path(events, i)
         assert np.array_equal(np.lexsort((jp.components, jp.times)), np.arange(len(jp)))
-        levy.JumpPath(jp.times, jp.components, jp.sizes, jp.horizon, h)
-    record = market.JumpRecord.pack(paths, market.GridConfig(2.0, 0.1), len(paths), h)
+    record = market.JumpRecord.pack([events], market.GridConfig(2.0, 0.1))
     assert np.bincount(record.components, minlength=h).min() > 1000
 
 
-# path indices on both sides of 2**32 and up to 2**64
-SEED_INTS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
-                      st.integers(2**32 - 4, 2**32 + 4), st.sampled_from([0, 2**64 - 1]))
-
-
-def seed_sequence_rng(master, index):
-    return np.random.default_rng(np.random.SeedSequence((master, index)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(master=SEED_INTS, first=SEED_INTS, count=st.integers(1, 6))
-def test_path_streams_match_seed_sequence(master, first, count):
-    # a block's derived PCG64 states are numpy's own SeedSequence streams
-    first = min(first, 2**64 - count)
-    rng = np.random.Generator(np.random.PCG64())
-    for i, state in enumerate(levy.path_states(master, first, count)):
-        ref = seed_sequence_rng(master, first + i)
-        assert state == ref.bit_generator.state
-        rng.bit_generator.state = state
-        assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
-    fresh = levy.rng_for_path(master, first)
-    assert np.array_equal(fresh.standard_normal(64), seed_sequence_rng(master, first).standard_normal(64))
-
-
-def test_streams_beyond_64_bits_take_seed_sequence():
-    # seeds past two 32-bit words change numpy's entropy layout: no fast hash
-    master, first = 2**64 + 5, 2**32 - 2
-    states = levy.path_states(master, first, 4)
-    assert states == [seed_sequence_rng(master, first + i).bit_generator.state for i in range(4)]
-    assert levy.path_states(7, 2**64 - 1, 2)[0] == seed_sequence_rng(7, 2**64 - 1).bit_generator.state
-    with pytest.raises(ValueError):
-        levy.path_states(-1, 0, 2)
+def test_sampler_law():
+    # 20k paths of one block stream: the event count's mean and variance
+    # against Poisson(rate), the jump size's mean against 1/mu1, each
+    # within 4 standard errors
+    spec = levy.CompoundPoissonExp(10.0, 8.0, 1.5)
+    horizon, n = 2.0, 20_000
+    events = levy.sample_jump_path([spec], horizon, n, 23)
+    counts = np.diff(events.offsets)
+    rate = spec.event_rate * spec.time_scale * horizon
+    # a Poisson count has variance rate and fourth central moment rate + 3 rate^2
+    assert abs(counts.mean() - rate) <= 4 * math.sqrt(rate / n)
+    assert abs(counts.var(ddof=1) - rate) <= 4 * math.sqrt((rate + 2 * rate**2) / n)
+    sizes = events.sizes
+    assert abs(sizes.mean() - 1 / spec.jump_rate) <= 4 * sizes.std(ddof=1) / math.sqrt(sizes.size)
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: levy.CompoundPoissonExp(10.0, 8.0, 0.0), "time_scale must be positive"),
     (lambda: levy.TableMeasure(((1.0, 1.0),), -1.0), "time_scale must be positive"),
-    (lambda: levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], -0.5, 1), "horizon must be nonnegative"),
+    (lambda: levy.sample_jump_path([levy.CompoundPoissonExp(10.0, 8.0)], -0.5, 1, 1), "horizon must be nonnegative"),
 ], ids=["exp_time_scale", "table_time_scale", "negative_horizon"])
 def test_input_guards(build, message):
     with pytest.raises(levy.ConfigurationError, match=message):

@@ -7,7 +7,7 @@ import pytest
 from mvhedge import _kernels as kernels
 from mvhedge import levy, market, ngou, opportunity, validate
 
-from conftest import TwoAssetConstant, empty_jump_path, walk_density
+from conftest import TwoAssetConstant, empty_jump_path, event_path, walk_density
 
 
 class TwoFactor(market.CoefficientModel):
@@ -131,23 +131,18 @@ class TestSimulation:
         assert check.ok, check.detail
 
     def test_chunking_invariance(self, bns_model, ou_unit, cpe_spec):
-        grid = market.GridConfig(0.5, 0.01)
-        whole = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, 64, 8)
-        parts = list(market.iter_path_chunks(bns_model, ou_unit, [cpe_spec], [100.0], grid, 64, 8, 16))
-        glued = np.concatenate([p.s for p in parts], axis=0)
-        assert np.array_equal(whole.s, glued)
-
-    def test_normals_follow_per_path_streams(self, bns_model, ou_unit, cpe_spec):
-        # normals are drawn in blocks of paths; each path still reads its
-        # own stream, right after its jumps
-        grid = market.GridConfig(0.1, 0.01)
-        n = market.DRAW_BLOCK + 3
-        b = market.simulate_paths(bns_model, ou_unit, [cpe_spec], [100.0], grid, n, 8, path_offset=5)
-        for i in (0, market.DRAW_BLOCK - 1, market.DRAW_BLOCK, n - 1):
-            rng = levy.rng_for_path(8, 5 + i)
-            levy.sample_jump_path([cpe_spec], grid.horizon, rng)
-            ref = rng.standard_normal((grid.n_steps, 1)) * math.sqrt(grid.step)
-            assert np.array_equal(b.dw[i], ref)
+        # chunks that start and end inside blocks, whole blocks, and one
+        # chunk for all paths give the same bundle, bit for bit; and so
+        # does a bundle that starts inside a block
+        grid = market.GridConfig(0.05, 0.01)
+        args = (bns_model, ou_unit, [cpe_spec], [100.0], grid)
+        whole = [market.simulate_paths(*args, 10_000, 8)]
+        for chunk_size in (256, 300, 1000, 10_000):
+            assert_same_bundle(list(market.iter_path_chunks(*args, 10_000, 8, chunk_size)), whole)
+        inside = market.simulate_paths(*args, 700, 8, path_offset=300)
+        assert_same_bundle([inside], list(market.iter_path_chunks(*args, 700, 8, 100, path_offset=300)))
+        assert np.array_equal(inside.dw, whole[0].dw[300:1000])
+        assert np.array_equal(inside.terminal_prices, whole[0].terminal_prices[300:1000])
 
     @pytest.mark.parametrize("case", ["flat", "bns"])
     def test_bundle_holds_no_prices_until_read(self, case, ou_unit, no_jumps, cpe_spec):
@@ -321,6 +316,25 @@ class TestStepQuadratures:
             assert np.array_equal(getattr(whole, name), glued), name
 
 
+def bundle_events(bundles):
+    """(path index, time, component, size) of every event of consecutive
+    chunks, in step order and, within a step, in path order."""
+    fields = [np.concatenate(a) for a in zip(*(
+        (b.jumps.paths + b.path_offset, b.jumps.times, b.jumps.components, b.jumps.sizes,
+         np.repeat(np.arange(b.n_steps), np.diff(b.jumps.bounds))) for b in bundles))]
+    order = np.argsort(fields.pop(), kind="stable")
+    return [a[order] for a in fields]
+
+
+def assert_same_bundle(parts, whole):
+    """Consecutive chunks ``parts`` hold, bit for bit, the paths of the chunks ``whole``."""
+    for name in ("dw", "y_end", "sharpe_int", "mpr_dw", "factor_int", "terminal_prices"):
+        glued = [np.concatenate([getattr(b, name) for b in bundles]) for bundles in (parts, whole)]
+        assert np.array_equal(*glued), name
+    for a, b in zip(bundle_events(parts), bundle_events(whole)):
+        assert np.array_equal(a, b)
+
+
 def walk_bundle(case):
     """A fresh 50-step bundle of each case the walks cover."""
     ou = ngou.OUParams([1.0], [10.0])
@@ -328,8 +342,8 @@ def walk_bundle(case):
     if case == "bns_node_jump":
         # sampled jumps, and on path 0 one more event exactly on node 25
         cpe = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
-        rng = np.random.default_rng(3)
-        paths = [levy.sample_jump_path([cpe], grid.horizon, rng) for _ in range(40)]
+        events = levy.sample_jump_path([cpe], grid.horizon, 40, 3)
+        paths = [event_path(events, i) for i in range(40)]
         p = paths[0]
         at = np.searchsorted(p.times, grid.times[25])
         paths[0] = levy.JumpPath(np.insert(p.times, at, grid.times[25]), np.insert(p.components, at, 0),
@@ -393,10 +407,12 @@ def test_dump_paths_csv(tmp_path, bns_model, ou_unit, cpe_spec):
     assert row[2:] == pytest.approx([b.y[1, 2, 0], b.s[1, 2, 0], b.s[1, 2, 0]], rel=1e-11)
 
 
-def unchecked_paths(events, h, horizon=1.0):
-    """JumpPaths built without validation, as the sampler returns them."""
-    return [levy.JumpPath._unchecked(np.array(t, dtype=float), np.array(c, dtype=np.int64),
-                                     np.array(s, dtype=float), horizon, h) for t, c, s in events]
+def unchecked_events(paths, h, horizon=1.0):
+    """The JumpEvents of ``paths``, (times, components, sizes) each, built
+    without validation, as the sampler returns them."""
+    offsets = np.concatenate(([0], np.cumsum([len(t) for t, _, _ in paths])))
+    return levy.JumpEvents(offsets, *(np.concatenate([np.array(p[f], dtype=dtype) for p in paths])
+                                      for f, dtype in enumerate((float, np.int64, float))), horizon, h)
 
 
 # A valid two-component path: equal times across components are allowed.
@@ -425,39 +441,38 @@ class TestEventChecks:
 
     @pytest.mark.parametrize("message, events", BROKEN, ids=BROKEN_IDS)
     def test_packed_chunk_rejects_a_later_path(self, message, events):
-        paths = unchecked_paths([GOOD, ([], [], []), GOOD, events], 2)
+        parts = [unchecked_events([GOOD, ([], [], [])], 2), unchecked_events([GOOD, events], 2)]
         with pytest.raises(ValueError, match=message):
-            market.JumpRecord.pack(paths, self.grid, len(paths), 2)
+            market.JumpRecord.pack(parts, self.grid)
 
     def test_paths_are_checked_apart(self):
         # one component: a later path may start before the previous one ends,
         # but a repeated time inside one path is rejected
-        paths = unchecked_paths([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1], [0], [1.0]), GOOD], 2)
-        record = market.JumpRecord.pack(paths, self.grid, 3, 2)
+        chunk = unchecked_events([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1], [0], [1.0]), GOOD], 2)
+        record = market.JumpRecord.pack([chunk], self.grid)
         assert [len(record.path(i)) for i in range(3)] == [2, 1, 4]
-        single = unchecked_paths([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1, 0.1], [0, 0], [1.0, 1.0])], 1)
+        single = unchecked_events([([0.3, 0.8], [0, 0], [1.0, 1.0]), ([0.1, 0.1], [0, 0], [1.0, 1.0])], 1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            market.JumpRecord.pack(single, self.grid, 2, 1)
+            market.JumpRecord.pack([single], self.grid)
 
     def test_probe_checks_inner_paths(self, bns_model, ou_unit, cpe_spec, monkeypatch):
         from mvhedge import opportunity as opp
 
-        drawn = []
         sample = opp.sample_jump_path
 
-        def sample_then_break(specs, span, rng):
-            jp = sample(specs, span, rng)
-            drawn.append(jp)
-            if len(drawn) == 7:
-                return unchecked_paths([([0.1, 0.05], [0, 0], [1.0, 1.0])], 1, span)[0]
-            return jp
+        def sample_then_break(specs, span, n, seed):
+            # the last inner path's events go back in time
+            events = sample(specs, span, n, seed)
+            paths = [tuple(a[i:j] for a in (events.times, events.components, events.sizes))
+                     for i, j in zip(events.offsets[:-2], events.offsets[1:-1])]
+            return unchecked_events(paths + [([0.1, 0.05], [0, 0], [1.0, 1.0])], 1, span)
 
         monkeypatch.setattr(opp, "sample_jump_path", sample_then_break)
         with pytest.raises(ValueError, match="strictly increasing"):
             opp.estimate_opportunity_mc(bns_model, ou_unit, [cpe_spec], 0.0, [10.0], 1.0, 100, 3)
 
     def test_empty_chunk_keeps_component_count(self):
-        record = market.JumpRecord.pack([], self.grid, 3, 2)
+        record = market.JumpRecord.pack([unchecked_events([([], [], [])] * 3, 2)], self.grid)
         assert record.n_paths == 3 and record.n_components == 2 and record.times.size == 0
         assert not record.bounds.any() and record.totals().shape == (3, 2)
 
@@ -473,8 +488,9 @@ def test_step_order_matches_int64_stable_sort(n_steps, n_events):
     grid = market.GridConfig(1.0, 1.0 / n_steps)
     assert grid.n_steps == n_steps
     times = grid.times[step] + 0.5 / n_steps
-    paths = unchecked_paths([([t], [0], [1.0]) for t in times], 1)
-    record = market.JumpRecord.pack(paths, grid, n_events, 1)
+    chunk = levy.JumpEvents(np.arange(n_events + 1), times, np.zeros(n_events, dtype=np.int64),
+                            np.ones(n_events), grid.horizon, 1)
+    record = market.JumpRecord.pack([chunk], grid)
     order = np.argsort(step, kind="stable")
     assert np.array_equal(record.paths, order)
     assert np.array_equal(record.times, times[order])
@@ -485,52 +501,78 @@ def test_step_order_matches_int64_stable_sort(n_steps, n_events):
     assert np.allclose(after, 0.5 / n_steps)
 
 
-def reference_draw(spec, grid, master, index):
-    """One path's jumps and normals, drawn from its stream the way the sampler does."""
-    rng = np.random.default_rng(np.random.SeedSequence((master, index)))
-    if isinstance(spec, levy.CompoundPoissonExp):
-        n = rng.poisson(spec.time_scale * spec.event_rate * grid.horizon)
-        t = rng.uniform(0.0, grid.horizon, size=n)
-        t.sort()
-        s = rng.exponential(1.0 / spec.jump_rate, size=n)
-    else:
-        t, s = np.empty(0), np.empty(0)
-        for z, nu in spec.atoms:
-            n = rng.poisson(spec.time_scale * nu * grid.horizon)
-            assert n == 0
-            rng.uniform(0.0, grid.horizon, size=n)
-    return t, s, rng.standard_normal((grid.n_steps, 1)) * math.sqrt(grid.step)
+BLOCK_CASES = {
+    "cpe": [levy.CompoundPoissonExp(10.0, 8.0, 1.0)],
+    "table_atoms": [levy.TableMeasure(((0.5, 3.0), (2.0, 4.0)), 0.7)],
+    "cpe_and_table": [levy.CompoundPoissonExp(6.0, 4.0, 1.5), levy.TableMeasure(((0.5, 3.0), (2.0, 4.0)), 0.7)],
+    "no_atoms": [levy.TableMeasure(())],
+    "zero_atom": [levy.TableMeasure(((0.5, 0.0),))],
+    "master_above_2_64": [levy.CompoundPoissonExp(10.0, 8.0, 1.0)],
+    "injected": [levy.CompoundPoissonExp(10.0, 8.0, 1.0)],
+}
 
 
-@pytest.mark.parametrize("setup", ["offset_near_2_32", "master_above_2_32", "no_atoms", "zero_atom"])
-def test_streams_pinned(setup, monkeypatch):
-    # every path reads (jumps, normals) from SeedSequence((master, index));
-    # the 32-bit fast encoding of the seed must not change the stream
-    spec = levy.CompoundPoissonExp(10.0, 8.0, 1.0)
-    model = market.BNS(0.5, 0.02, rate=0.0)
-    master, offset, n = 71, 0, 5
-    if setup == "offset_near_2_32":
-        offset = 2**32 - 3
-    elif setup == "master_above_2_32":
-        master = 2**32 + 9
-    else:
-        model = market.ConstantBS(0.1, 0.2, rate=0.0)
-        spec = levy.TableMeasure(() if setup == "no_atoms" else ((0.5, 0.0),))
+def reference_block(specs, grid, master, block):
+    """Each path's (times, components, sizes) and the (n_steps, DRAW_BLOCK)
+    increments of one block, drawn by hand from its stream in the order the
+    simulation documents: per source (a compound Poisson spec, or one atom
+    of a table), every path's count; then per source its times; then per
+    compound Poisson source its sizes; then the normals, step-major.  Empty
+    ``specs`` stand for injected jumps: the block draws its normals only."""
+    n = market.DRAW_BLOCK
+    rng = np.random.default_rng(np.random.SeedSequence((master, block)))
+    sources = []
+    for i, spec in enumerate(specs):
+        if isinstance(spec, levy.CompoundPoissonExp):
+            sources.append((i, spec.time_scale * spec.event_rate, spec))
+        else:
+            sources += [(i, spec.time_scale * nu, z) for z, nu in spec.atoms]
+    counts = [rng.poisson(rate * grid.horizon, size=n) for _, rate, _ in sources]
+    times = [rng.uniform(0.0, grid.horizon, size=c.sum()) for c in counts]
+    sizes = [rng.exponential(1.0 / size.jump_rate, size=c.sum()) if isinstance(size, levy.CompoundPoissonExp)
+             else np.full(c.sum(), size) for c, (_, _, size) in zip(counts, sources)]
+    paths = []
+    for p in range(n):
+        t, c, s = [], [], []
+        for (comp, _, _), cnt, tt, ss in zip(sources, counts, times, sizes):
+            at = slice(cnt[:p].sum(), cnt[:p + 1].sum())
+            t += list(tt[at])
+            c += [comp] * cnt[p]
+            s += list(ss[at])
+        order = np.lexsort((c, t))
+        paths.append(tuple(np.array(a)[order] for a in (t, c, s)))
+    return paths, rng.standard_normal((grid.n_steps, n)) * math.sqrt(grid.step)
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_block_streams_pinned(case, monkeypatch):
+    # the paths of block b read (jumps, normals) from SeedSequence((master, b)),
+    # whatever rows of the block a chunk keeps: here a chunk that starts
+    # inside block 1 and ends inside block 2
+    specs = BLOCK_CASES[case]
+    n, offset = market.DRAW_BLOCK + 20, 2 * market.DRAW_BLOCK - 30
+    injected = [levy.JumpPath([0.25], [0], [1.5], 0.5, 1)] * n if case == "injected" else None
+    master = 2**64 + 9 if case == "master_above_2_64" else 71
+    model, ou = (TwoFactor(), ngou.OUParams([1.0, 0.5], [10.0, 6.0])) if len(specs) == 2 else \
+        (market.BNS(0.5, 0.02), ngou.OUParams([1.0], [10.0]))
     calls = []
     sample = market.sample_jump_path
     monkeypatch.setattr(market, "sample_jump_path", lambda *a: calls.append(a) or sample(*a))
     grid = market.GridConfig(0.5, 0.05)
-    b = market.simulate_paths(model, ngou.OUParams([1.0], [10.0]), [spec], [100.0], grid, n, master,
-                              path_offset=offset)
-    refs = [reference_draw(spec, grid, master, offset + i) for i in range(n)]
-    for i, (times, sizes, _) in enumerate(refs):
+    b = market.simulate_paths(model, ou, specs, [100.0], grid, n, master, injected, offset)
+    assert len(calls) == (0 if injected else 2)
+    refs = [reference_block([] if injected else specs, grid, master, block) for block in (1, 2)]
+    events = [p for paths, _ in refs for p in paths][market.DRAW_BLOCK - 30:][:n]
+    normals = np.concatenate([dw for _, dw in refs], axis=1)[:, market.DRAW_BLOCK - 30:][:, :n]
+    assert np.array_equal(b.dw[:, :, 0], normals.T)
+    if injected:
+        events = [(p.times, p.components, p.sizes) for p in injected]
+    for i, (times, comps, sizes) in enumerate(events):
         p = b.jumps.path(i)
-        assert np.array_equal(p.times, times) and np.array_equal(p.sizes, sizes) and not p.components.any()
-    assert np.array_equal(b.dw, np.stack([r[2] for r in refs]))
-    # a spec that cannot jump draws no jump paths at all
-    can_jump = isinstance(spec, levy.CompoundPoissonExp)
-    assert len(calls) == (n if can_jump else 0)
-    assert (b.jumps.times.size > 0) == can_jump
+        assert np.array_equal(p.times, times) and np.array_equal(p.components, comps)
+        assert np.array_equal(p.sizes, sizes)
+    # a spec set without intensity draws no events
+    assert (b.jumps.times.size > 0) == (bool(injected) or any(s.total_intensity > 0 for s in specs))
 
 
 class SingularTwoAsset(market.CoefficientModel):

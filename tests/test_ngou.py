@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mvhedge import levy, ngou
 
-from conftest import empty_jump_path
+from conftest import empty_jump_path, event_path
 
 
 def single_jump_path(t, size, horizon):
@@ -35,14 +35,14 @@ class TestEvolve:
         assert fp.values[k, 0] - fp.left_values[k, 0] == pytest.approx(2.0, rel=1e-14)
 
     def test_left_limits_match_off_jumps(self, ou_unit, cpe_spec):
-        jp = levy.sample_jump_path([cpe_spec], 1.0, 5)
+        jp = event_path(levy.sample_jump_path([cpe_spec], 1.0, 1, 5), 0)
         grid = ngou.merge_grid(np.linspace(0, 1, 51), jp.times)
         fp = ngou.evolve(ou_unit, jp, grid)
         at_jump = np.isin(grid, jp.times)
         assert np.array_equal(fp.values[~at_jump], fp.left_values[~at_jump])
 
     def test_floor_invariant(self, ou_unit, cpe_spec):
-        jp = levy.sample_jump_path([cpe_spec], 2.0, 17)
+        jp = event_path(levy.sample_jump_path([cpe_spec], 2.0, 1, 17), 0)
         grid = ngou.merge_grid(np.linspace(0, 2, 201), jp.times)
         fp = ngou.evolve(ou_unit, jp, grid)
         floor = 10.0 * np.exp(-grid)
@@ -90,12 +90,14 @@ class TestIntegratedFactor:
 
     def test_balance_identity_sampled_paths(self, ou_unit, cpe_spec):
         # lam * integral of Y over [0, T] equals y0 + L(lam T) - Y(T) exactly
-        for seed in range(25):
-            jp = levy.sample_jump_path([cpe_spec], 2.0, (21, seed))
+        events = levy.sample_jump_path([cpe_spec], 2.0, 25, 21)
+        totals = events.totals()[:, 0]
+        for i in range(25):
+            jp = event_path(events, i)
             grid = ngou.merge_grid(np.linspace(0, 2, 201), jp.times)
             fp = ngou.evolve(ou_unit, jp, grid)
             lhs = 1.0 * ngou.integrated_factor(fp, 0.0, 2.0)[0]
-            rhs = 10.0 + jp.totals()[0] - fp.values[-1, 0]
+            rhs = 10.0 + totals[i] - fp.values[-1, 0]
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
     @given(
@@ -113,7 +115,7 @@ class TestIntegratedFactor:
         grid = ngou.merge_grid(np.linspace(0, 2, 40), jp.times)
         fp = ngou.evolve(params, jp, grid)
         lhs = lam * ngou.integrated_factor(fp, 0.0, 2.0)[0]
-        rhs = y0 + jp.totals()[0] - fp.values[-1, 0]
+        rhs = y0 + sum(sizes) - fp.values[-1, 0]
         assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), 1.0)
 
 

@@ -7,7 +7,7 @@ import pytest
 from mvhedge import _kernels as kernels
 from mvhedge import bsde, hedge, levy, market, ngou, opportunity as opp, validate
 
-from conftest import walk_density
+from conftest import event_path, walk_density
 
 
 class TwoFactorBNS(market.CoefficientModel):
@@ -113,13 +113,10 @@ class TestMonteCarloEstimator:
             specs = [cpe, levy.TableMeasure(((1.0, 2.0),))]
         else:
             model, lam, y0, specs = bns, np.array([1.0]), [10.0], [cpe]
-        paths = [levy.sample_jump_path(specs, 1.0, (4, i)) for i in range(300)]
-        offsets = np.concatenate([[0], np.cumsum([len(p) for p in paths])])
-        got = kernels.opportunity_mc_exponent(
-            model.sharpe_squared, lam, y0, 1.0, offsets,
-            np.concatenate([p.times for p in paths]), np.concatenate([p.components for p in paths]),
-            np.concatenate([p.sizes for p in paths]))
-        ref = [per_path_exponent(model.sharpe_squared, lam, y0, 1.0, p) for p in paths]
+        events = levy.sample_jump_path(specs, 1.0, 300, 4)
+        got = kernels.opportunity_mc_exponent(model.sharpe_squared, lam, y0, 1.0, events.offsets, events.times,
+                                              events.components, events.sizes)
+        ref = [per_path_exponent(model.sharpe_squared, lam, y0, 1.0, event_path(events, i)) for i in range(300)]
         assert got == pytest.approx(ref, rel=1e-12)
 
 
